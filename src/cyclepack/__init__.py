@@ -8,7 +8,6 @@ instances with an exact oracle.
 from .graphs import (
     BipartiteGraph,
     GraphError,
-    GraphView,
     ParseError,
     gen_complete,
     gen_random_mindeg,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteGraph",
-    "GraphView",
     "GraphError",
     "ParseError",
     "parse_graph",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import bits
+from .graphs import bits, mask_of
 
 
 def iter_cycles_window(
@@ -69,7 +69,7 @@ def best_cycle_of_length(
     best = None
     best_beta = -1
     for cyc in iter_cycles_window(adj, mask, length, length):
-        b = induced_edge_count(adj, mask_of_cycle(cyc))
+        b = induced_edge_count(adj, mask_of(cyc))
         if b > best_beta:
             best, best_beta = cyc, b
     return best
@@ -100,10 +100,3 @@ def two_core(adj: tuple[int, ...], mask: int) -> int:
 
 def induced_edge_count(adj: tuple[int, ...], mask: int) -> int:
     return sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
-def mask_of_cycle(cycle: tuple[int, ...]) -> int:
-    m = 0
-    for v in cycle:
-        m |= 1 << v
-    return m

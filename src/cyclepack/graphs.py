@@ -36,6 +36,7 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def mask_of(ids: Iterable[int]) -> int:
+    """Bitmask with the bit of each vertex id in ``ids`` set."""
     m = 0
     for v in ids:
         m |= 1 << v
@@ -110,10 +111,6 @@ class BipartiteGraph:
         self._check_subset(s)
         return (self.adjacency[v] & s).bit_count()
 
-    def neighbors_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
     def neighbors(self, v: int) -> list[int]:
         self._check_vertex(v)
         return list(bits(self.adjacency[v]))
@@ -138,13 +135,6 @@ class BipartiteGraph:
             for v in bits(self.adjacency[u]):
                 yield (u, v)
 
-    def induced(self, s: VertexSet) -> "GraphView":
-        self._check_subset(s)
-        return GraphView(self, s)
-
-    def view(self) -> "GraphView":
-        return GraphView(self, self.full_mask)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BipartiteGraph)
@@ -158,62 +148,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph({self.x_size}+{self.y_size}, {self.edge_count} edges)"
-
-
-class GraphView:
-    """Read-only view of a graph restricted to a vertex subset.
-
-    Degree and neighborhood queries see only member vertices; side labels are
-    inherited from the base graph.
-    """
-
-    __slots__ = ("graph", "mask")
-
-    def __init__(self, graph: BipartiteGraph, mask: VertexSet):
-        graph._check_subset(mask)
-        self.graph = graph
-        self.mask = mask
-
-    @property
-    def num_vertices(self) -> int:
-        return self.mask.bit_count()
-
-    def vertices(self) -> Iterator[int]:
-        return bits(self.mask)
-
-    def contains(self, v: int) -> bool:
-        return bool(self.mask >> v & 1)
-
-    def _check_member(self, v: int) -> None:
-        self.graph._check_vertex(v)
-        if not self.contains(v):
-            raise GraphError(f"vertex {v} is not in the view")
-
-    def degree(self, v: int) -> int:
-        self._check_member(v)
-        return (self.graph.adjacency[v] & self.mask).bit_count()
-
-    def neighbors_mask(self, v: int) -> int:
-        self._check_member(v)
-        return self.graph.adjacency[v] & self.mask
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_member(u)
-        self._check_member(v)
-        return bool(self.graph.adjacency[u] >> v & 1)
-
-    @property
-    def x_vertices(self) -> int:
-        return self.mask & self.graph.x_mask
-
-    @property
-    def y_vertices(self) -> int:
-        return self.mask & self.graph.y_mask
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in bits(self.x_vertices):
-            for v in bits(self.graph.adjacency[u] & self.mask):
-                yield (u, v)
 
 
 # -- file format -----------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Maximum bipartite matching and alternating-path walks on graph views."""
+"""Maximum bipartite matching and alternating-path walks on adjacency bitmasks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import GraphError, GraphView, bits
+from .graphs import GraphError, bits
 
 _INF = -1
 
@@ -29,13 +29,14 @@ class Matching:
         self.pairs[v] = u
 
 
-def max_matching(view: GraphView) -> Matching:
-    """Maximum-cardinality matching of a view, found by BFS-layered augmentation.
+def max_matching(adj: tuple[int, ...], mask: int, x_mask: int) -> Matching:
+    """Maximum-cardinality matching of the subgraph induced by ``mask``, found by
+    BFS-layered augmentation (Hopcroft-Karp); ``x_mask`` marks the X side.
 
     Vertices and neighbors are always scanned in ascending id order, so the
     returned matching is deterministic even though any maximum matching would do.
     """
-    left = list(bits(view.x_vertices))
+    left = list(bits(mask & x_mask))
     pair: dict[int, int] = {}
     dist: dict[int, int] = {}
 
@@ -52,7 +53,7 @@ def max_matching(view: GraphView) -> Matching:
         while i < len(queue):
             u = queue[i]
             i += 1
-            for w in bits(view.neighbors_mask(u)):
+            for w in bits(adj[u] & mask):
                 nxt = pair.get(w)
                 if nxt is None:
                     found = True
@@ -62,7 +63,7 @@ def max_matching(view: GraphView) -> Matching:
         return found
 
     def dfs(u: int) -> bool:
-        for w in bits(view.neighbors_mask(u)):
+        for w in bits(adj[u] & mask):
             nxt = pair.get(w)
             if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
                 pair[u] = w
@@ -79,9 +80,9 @@ def max_matching(view: GraphView) -> Matching:
 
 
 def longest_alternating_path(
-    view: GraphView, matching: Matching, start: int, first_edge_in_m: bool = False
+    adj: tuple[int, ...], mask: int, matching: Matching, start: int, first_edge_in_m: bool = False
 ) -> list[int]:
-    """Maximal alternating path from ``start``, grown greedily.
+    """Maximal alternating path from ``start`` inside ``mask``, grown greedily.
 
     Edges alternate between non-matching and matching edges; when
     ``first_edge_in_m`` is set the walk leaves ``start`` along its matching
@@ -89,8 +90,8 @@ def longest_alternating_path(
     none exists, so the result is non-extendable at its final vertex (which is
     all downstream arguments need; a true longest path is not attempted).
     """
-    if not view.contains(start):
-        raise GraphError(f"start vertex {start} is not in the view")
+    if not mask >> start & 1:
+        raise GraphError(f"start vertex {start} is not in the vertex set")
     if first_edge_in_m and not matching.covers(start):
         raise GraphError(f"start vertex {start} is unmatched but a matching first edge was requested")
     path = [start]
@@ -101,12 +102,12 @@ def longest_alternating_path(
         nxt = None
         if need_matching_edge:
             p = matching.partner(cur)
-            if p is not None and view.contains(p) and not visited >> p & 1:
+            if p is not None and mask >> p & 1 and not visited >> p & 1:
                 nxt = p
         else:
             p = matching.partner(cur)
             skip = (1 << p) if p is not None else 0
-            cands = view.neighbors_mask(cur) & ~visited & ~skip
+            cands = adj[cur] & mask & ~visited & ~skip
             if cands:
                 nxt = (cands & -cands).bit_length() - 1
         if nxt is None:

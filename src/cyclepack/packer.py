@@ -23,7 +23,7 @@ from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
 from .matching import longest_alternating_path, max_matching
 from .profiles import CycleProfile
-from .verify import verify_packing
+from .verify import VerificationReport, verify_packing
 
 PACKED = "packed"
 INFEASIBLE = "infeasible"
@@ -68,6 +68,7 @@ class PackResult:
     oracle_used: bool = False
     diagnostics: list[str] = field(default_factory=list)
     trace: list | None = None
+    report: VerificationReport | None = None  # the verifier's report on ``packing``
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,8 @@ def _alternating_family(st: SearchState) -> list[list[int]]:
     rest = st.pool & ~st.path_mask
     if not rest:
         return []
-    view = st.g.induced(rest)
-    m = max_matching(view)
+    adj = st.adj
+    m = max_matching(adj, rest, st.g.x_mask)
     qs: list[list[int]] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -214,10 +215,10 @@ def _alternating_family(st: SearchState) -> list[list[int]]:
 
     for v in bits(rest):
         if not m.covers(v):
-            add(longest_alternating_path(view, m, v, False))
+            add(longest_alternating_path(adj, rest, m, v, False))
     for v in bits(rest):
         if m.covers(v):
-            add(longest_alternating_path(view, m, v, True))
+            add(longest_alternating_path(adj, rest, m, v, True))
     for v in bits(rest):
         add([v])
     return qs
@@ -661,6 +662,8 @@ def pack(
     instances within the oracle limit); ``unknown`` when the move engine and its
     restarts are exhausted on an instance too large to certify.
     """
+    if budget < 0 or restarts < 0:
+        raise ValueError(f"budget and restarts must be >= 0, got {budget} and {restarts}")
     limit = resolve_oracle_limit(oracle_limit)
     counts = {k: 0 for k in MOVE_KINDS}
     diagnostics: list[str] = []
@@ -680,11 +683,14 @@ def pack(
             report = verify_packing(g, profile, packing)
             if not report.ok:
                 raise RuntimeError(f"internal error: engine produced an invalid packing: {report.to_dict()}")
-            return PackResult(PACKED, packing, counts, total_iterations, attempt, False, diagnostics, trace)
+            return PackResult(
+                PACKED, packing, counts, total_iterations, attempt, False, diagnostics, trace, report
+            )
     if g.num_vertices <= limit:
         oracle = brute_force_pack(g, profile, oracle_limit=limit)
         return PackResult(
-            oracle.status, oracle.packing, counts, total_iterations, restarts, True, diagnostics, trace
+            oracle.status, oracle.packing, counts, total_iterations, restarts, True, diagnostics, trace,
+            oracle.report,
         )
     return PackResult(UNKNOWN, None, counts, total_iterations, restarts, False, diagnostics, trace)
 
@@ -724,7 +730,7 @@ def brute_force_pack(
             return None
         hi = core.bit_count() - suffix[i + 1]
         for cyc in cs.iter_cycles_window(adj, core, lengths[i], hi):
-            rest = rec(remaining & ~cs.mask_of_cycle(cyc), i + 1)
+            rest = rec(remaining & ~mask_of(cyc), i + 1)
             if rest is not None:
                 return [cyc] + rest
         failed.add(key)
@@ -737,4 +743,4 @@ def brute_force_pack(
     report = verify_packing(g, profile, packing)
     if not report.ok:
         raise RuntimeError(f"internal error: oracle produced an invalid packing: {report.to_dict()}")
-    return PackResult(PACKED, packing, counts, oracle_used=True)
+    return PackResult(PACKED, packing, counts, oracle_used=True, report=report)

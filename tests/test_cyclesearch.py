@@ -1,0 +1,27 @@
+import random
+
+import pytest
+
+from cyclepack import BipartiteGraph
+from cyclepack.cyclesearch import iter_cycles_window
+from cyclepack.graphs import bits
+
+
+def test_cycle_counts_agree_with_networkx_simple_cycles():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(77)
+    for trial in range(40):
+        x = rng.randint(2, 6)
+        y = rng.randint(2, 6)
+        p = rng.uniform(0.3, 0.8)
+        g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
+        keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
+        lo = rng.choice((4, 6, 8))
+        hi = rng.randint(lo, 12)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(bits(keep))
+        nxg.add_edges_from((u, v) for u, v in g.edges() if keep >> u & 1 and keep >> v & 1)
+        expected = sum(1 for c in nx.simple_cycles(nxg, length_bound=hi) if len(c) >= lo)
+        found = list(iter_cycles_window(g.adjacency, keep, lo, hi))
+        assert len(found) == expected
+        assert len(set(found)) == len(found)

@@ -153,6 +153,13 @@ class TestCli:
         assert main(["solve", "--graph", "/nonexistent.graph", "--profile", "6"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [["--restarts", "-1"], ["--budget", "-3"]])
+    def test_solve_negative_budget_or_restarts_exit_one(self, tmp_path, capsys, flag):
+        path = tmp_path / "k33.graph"
+        main(["gen", "complete", "--m", "3", "--out", str(path)])
+        assert main(["solve", "--graph", str(path), "--profile", "6", "--json"] + flag) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_theorem_mode_rejects_conjecture_profile(self, tmp_path, capsys):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])
