@@ -245,6 +245,8 @@ def gen_random_mindeg(
         raise GraphError(f"delta {delta} infeasible for sides {x_size}+{y_size}")
     if x_size < 1 or y_size < 1:
         raise GraphError("sides must be nonempty")
+    if not 0 <= fill_p <= 1:
+        raise GraphError(f"fill_p {fill_p} is not a probability in [0, 1]")
     rng = random.Random(seed)
     for _ in range(50):
         present = _base_plus_fill(x_size, y_size, delta, fill_p, rng)

@@ -7,11 +7,12 @@ lengthen the path, trade a path endpoint's neighbor out of a placed cycle, or
 close the path into the next required cycle. Every non-terminal move strictly
 improves the lexicographic potential
 
-    (-(total placed cycle size), path length, induced edges inside placed cycles)
+    (-(total placed cycle size), path length)
 
-so each attempt terminates; seeded restarts perturb the construction order, and
-an exact backtracking oracle certifies small instances when the move engine
-stalls.
+so each attempt terminates: shrink lowers the placed size; extend and exchange
+keep it and lengthen the path, so the placed cycles' induced-edge count would
+never decide and is no term. Seeded restarts perturb the construction order,
+and an exact backtracking oracle certifies small instances when the engine stalls.
 """
 from __future__ import annotations
 
@@ -114,11 +115,8 @@ class SearchState:
     def current_target(self) -> int:
         return self.targets[self.stage]
 
-    def beta(self) -> int:
-        return sum(cs.induced_edge_count(self.adj, m) for m in self.fixed_masks)
-
-    def potential(self) -> tuple[int, int, int]:
-        return (-sum(len(c) for c in self.fixed), len(self.path), self.beta())
+    def potential(self) -> tuple[int, int]:
+        return (-sum(len(c) for c in self.fixed), len(self.path))
 
     # -- state mutations ---------------------------------------------------
 

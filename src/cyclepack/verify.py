@@ -1,12 +1,12 @@
 """Independent validation of cycle packings. Trusts nothing from the solver:
-every check works from the graph's raw edge list and the claimed vertex
+every check works from the graph's adjacency bitmasks and the claimed vertex
 sequences alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, bits
 from .profiles import CycleProfile
 
 
@@ -78,11 +78,12 @@ def verify_packing(g: BipartiteGraph, profile: CycleProfile, packing) -> Verific
     """
     cycles = [tuple(c) for c in getattr(packing, "cycles", packing)]
     n_vertices = g.num_vertices
-    edge_set = set(g.edges())
+    adj = g.adjacency
+    x_mask = g.x_mask
     checks: list[Check] = []
 
     bad_edge = next(
-        ((u, v) for u, v in edge_set if (u < g.x_size) == (v < g.x_size)), None
+        ((u, next(bits(adj[u] & x_mask))) for u in range(g.x_size) if adj[u] & x_mask), None
     )
     checks.append(
         Check(
@@ -118,8 +119,7 @@ def verify_packing(g: BipartiteGraph, profile: CycleProfile, packing) -> Verific
                 continue
             for j in range(len(cyc)):
                 u, w = cyc[j], cyc[(j + 1) % len(cyc)]
-                e = (u, w) if u < w else (w, u)
-                if e not in edge_set:
+                if not adj[u] >> w & 1:
                     passed, detail = False, f"cycle {i}: {u} and {w} are not adjacent"
                     break
             if not passed:

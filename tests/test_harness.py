@@ -160,6 +160,20 @@ class TestCli:
         assert main(["solve", "--graph", str(path), "--profile", "6", "--json"] + flag) == 1
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random", "--x", "4", "--y", "4", "--delta", "2", "--seed", "1",
+             "--fill-p", "1.5", "--out", "-"],
+            ["trials", "--side", "6", "--profile", "6", "--trials", "2", "--seed", "1",
+             "--fill-p", "nan", "--json"],
+        ],
+    )
+    def test_fill_p_outside_unit_interval_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "not a probability" in captured.err and captured.out == ""
+
     def test_theorem_mode_rejects_conjecture_profile(self, tmp_path, capsys):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])

@@ -15,6 +15,7 @@ from cyclepack import (
     pack,
     verify_packing,
 )
+from cyclepack import packer
 from cyclepack.packer import (
     move_close_cycle,
     move_double_exchange,
@@ -296,6 +297,11 @@ class TestPack:
         for kind, before, after in r.trace:
             if after is not None:
                 assert after > before, (kind, before, after)
+
+    def test_non_improving_move_raises(self, monkeypatch):
+        monkeypatch.setattr(packer, "move_extend_path", lambda st: True)
+        with pytest.raises(RuntimeError, match="failed to improve the potential"):
+            pack(gen_complete(3), make_profile([6]))
 
     def test_even_lengths_always(self):
         for i in range(20):

@@ -84,6 +84,17 @@ class TestVerifyPacking:
         report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 99)])
         assert not report.ok and report.failed("simplicity")
 
+    def test_edge_inside_one_side_rejected(self):
+        g = gen_complete(3)
+        adj = list(g.adjacency)
+        adj[0] |= 1 << 1
+        adj[1] |= 1 << 0
+        g.adjacency = tuple(adj)
+        report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 5)])
+        assert report.failed("bipartite_validity") and not report.ok
+        bip = next(c for c in report.checks if c.name == "bipartite_validity")
+        assert bip.detail == "edge (0, 1) stays inside one side"
+
     def test_hypothesis_failure_does_not_invalidate(self):
         # correct packing in a graph below the degree threshold still verifies
         g = c6_graph()
