@@ -13,7 +13,7 @@ import sys
 
 from .graphs import GraphError, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
 from .harness import ConfigError, TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
-from .packer import DEFAULT_BUDGET, DEFAULT_RESTARTS, INFEASIBLE, MOVE_KINDS, PACKED, pack
+from .packer import DEFAULT_BUDGET, DEFAULT_ORACLE_LIMIT, DEFAULT_RESTARTS, INFEASIBLE, MOVE_KINDS, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trials", help="seeded random-instance campaign")
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--fill-p", type=float, default=0.5)
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--csv", default=None, help="write per-trial rows to this CSV file")
     p.add_argument("--json", action="store_true")
 
@@ -80,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", type=int, required=True)
     _profile_arg(p)
     p.add_argument("--force", action="store_true", help="lift the default side cap")
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sharpness", help="certify the tight construction is unpackable")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("hunt", help="search for counterexample candidates in relaxed mode")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="directory for counterexample files")
     p.add_argument("--fill-p", type=float, default=0.5)
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="write an instance file")
@@ -184,12 +184,8 @@ def _render_hunt(summary: dict) -> None:
 
 def _cmd_solve(args) -> int:
     profile = _parse_profile(args)
-    try:
-        with open(args.graph, "r", encoding="ascii") as fh:
-            g = parse_graph(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.graph}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.graph, "r", encoding="ascii") as fh:
+        g = parse_graph(fh.read())
     result = pack(
         g,
         profile,
@@ -318,7 +314,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GraphError, ProfileError, ConfigError, ValueError) as exc:
+    except (GraphError, ProfileError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .graphs import BipartiteGraph, gen_random_mindeg, gen_sharpness, serialize_graph
 from .packer import (
     DEFAULT_BUDGET,
+    DEFAULT_ORACLE_LIMIT,
     DEFAULT_RESTARTS,
     INFEASIBLE,
     PACKED,
     brute_force_pack,
     pack,
-    resolve_oracle_limit,
 )
 from .profiles import CycleProfile
 from .verify import check_hypotheses
@@ -42,7 +42,7 @@ class TrialConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     restarts: int = DEFAULT_RESTARTS
-    oracle_limit: int | None = None
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     fill_p: float = 0.5
     threads: int = 1
 
@@ -62,7 +62,7 @@ class TrialConfig:
         self.resolved_delta()
 
 
-def _run_one_trial(cfg: TrialConfig, index: int, delta: int, limit: int):
+def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
     trial_seed = cfg.seed ^ index  # per-index stream: worker count cannot matter
     started = time.perf_counter()
     g = gen_random_mindeg(cfg.side_size, cfg.side_size, delta, trial_seed, cfg.fill_p)
@@ -72,7 +72,7 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int, limit: int):
         cfg.profile,
         budget=cfg.budget,
         seed=trial_seed,
-        oracle_limit=limit,
+        oracle_limit=cfg.oracle_limit,
         restarts=cfg.restarts,
     )
     verification = result.report.to_dict() if result.report is not None else None
@@ -80,7 +80,7 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int, limit: int):
     # certified "infeasible" can only mean an implementation bug.
     violation = (
         hyp.ok
-        and 2 * cfg.side_size <= limit
+        and 2 * cfg.side_size <= cfg.oracle_limit
         and result.status == INFEASIBLE
     )
     elapsed = time.perf_counter() - started
@@ -105,10 +105,9 @@ def run_trials(cfg: TrialConfig) -> dict:
     """Seeded campaign of random instances at the configured minimum degree."""
     cfg.validate()
     delta = cfg.resolved_delta()
-    limit = resolve_oracle_limit(cfg.oracle_limit)
 
     def job(i: int):
-        return _run_one_trial(cfg, i, delta, limit)
+        return _run_one_trial(cfg, i, delta)
 
     started = time.perf_counter()
     if cfg.threads > 1:
@@ -141,7 +140,7 @@ def run_trials(cfg: TrialConfig) -> dict:
             "seed": cfg.seed,
             "budget": cfg.budget,
             "restarts": cfg.restarts,
-            "oracle_limit": limit,
+            "oracle_limit": cfg.oracle_limit,
             "fill_p": cfg.fill_p,
         },
         "trials": rows,
@@ -163,7 +162,7 @@ def run_trials(cfg: TrialConfig) -> dict:
 
 
 def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
-                   oracle_limit: int | None = None) -> dict:
+                   oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     """Check the packing guarantee on every bipartite graph with the given side size.
 
     Iterates raw neighborhood-row assignments with an early prune: a subtree is
@@ -178,9 +177,8 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
         raise ConfigError(
             f"side {side} enumerates 2^{side * side} graphs; pass force to override the cap"
         )
-    limit = resolve_oracle_limit(oracle_limit)
-    if 2 * side > limit:
-        raise ConfigError(f"side {side} exceeds the oracle limit {limit}")
+    if 2 * side > oracle_limit:
+        raise ConfigError(f"side {side} exceeds the oracle limit {oracle_limit}")
     threshold = profile.threshold
     balance_ok = side >= profile.n // 2
     started = time.perf_counter()
@@ -205,7 +203,7 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
                     if row >> j & 1
                 ]
                 g = BipartiteGraph(side, side, edges)
-                verdict = brute_force_pack(g, profile, oracle_limit=limit)
+                verdict = brute_force_pack(g, profile, oracle_limit)
                 if verdict.status == PACKED:
                     stats["packed"] += 1
                 else:
@@ -235,7 +233,7 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
             "profile": list(profile.lengths),
             "mode": profile.mode,
             "threshold": threshold,
-            "oracle_limit": limit,
+            "oracle_limit": oracle_limit,
         },
         "space_size": space,
         "balance_hypothesis_ok": balance_ok,
@@ -248,23 +246,22 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     return summary
 
 
-def run_sharpness(k: int, oracle_limit: int | None = None) -> dict:
+def run_sharpness(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     """Certify that the tight construction admits no packing while sitting one
     unit below the degree threshold."""
-    limit = resolve_oracle_limit(oracle_limit)
     g, profile = gen_sharpness(k)
-    if g.num_vertices > limit:
+    if g.num_vertices > oracle_limit:
         raise ConfigError(
-            f"sharpness instance has {g.num_vertices} vertices, above the oracle limit {limit}"
+            f"sharpness instance has {g.num_vertices} vertices, above the oracle limit {oracle_limit}"
         )
     started = time.perf_counter()
     delta = g.min_degree()
     threshold = profile.threshold
-    verdict = brute_force_pack(g, profile, oracle_limit=limit)
+    verdict = brute_force_pack(g, profile, oracle_limit)
     ok = verdict.status == INFEASIBLE and delta == k + 1 == threshold - 1
     return {
         "command": "sharpness",
-        "config": {"k": k, "oracle_limit": limit},
+        "config": {"k": k, "oracle_limit": oracle_limit},
         "vertices": g.num_vertices,
         "min_degree": delta,
         "threshold": threshold,
@@ -282,16 +279,17 @@ def run_hunt(
     trials: int,
     seed: int,
     out_dir: str,
-    oracle_limit: int | None = None,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     fill_p: float = 0.5,
 ) -> dict:
     """Sample hypothesis-satisfying instances for a relaxed-mode profile and
     record any oracle-certified infeasible instance as a counterexample candidate."""
-    limit = resolve_oracle_limit(oracle_limit)
-    if 2 * side > limit:
-        raise ConfigError(f"side {side} exceeds the oracle limit {limit}; verdicts would not be certified")
+    if 2 * side > oracle_limit:
+        raise ConfigError(f"side {side} exceeds the oracle limit {oracle_limit}; verdicts would not be certified")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0 <= fill_p <= 1:
+        raise ConfigError(f"fill_p must be in [0, 1], got {fill_p}")
     delta = profile.threshold
     if delta > side:
         raise ConfigError(f"threshold {delta} exceeds side size {side}")
@@ -305,7 +303,7 @@ def run_hunt(
         if not check_hypotheses(g, profile).ok:
             continue
         examined += 1
-        verdict = brute_force_pack(g, profile, oracle_limit=limit)
+        verdict = brute_force_pack(g, profile, oracle_limit)
         if verdict.status == INFEASIBLE:
             stem = os.path.join(out_dir, f"counterexample_{i:05d}")
             with open(stem + ".graph", "w", encoding="ascii") as fh:
@@ -331,7 +329,7 @@ def run_hunt(
             "delta": delta,
             "trials": trials,
             "seed": seed,
-            "oracle_limit": limit,
+            "oracle_limit": oracle_limit,
             "out_dir": out_dir,
         },
         "hypothesis_satisfying": examined,

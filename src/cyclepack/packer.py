@@ -16,7 +16,6 @@ and an exact backtracking oracle certifies small instances when the engine stall
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -41,13 +40,6 @@ class OracleLimitError(ValueError):
     """Instance too large for the exact oracle."""
 
 
-def resolve_oracle_limit(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CYCLEPACK_ORACLE_LIMIT")
-    return int(env) if env else DEFAULT_ORACLE_LIMIT
-
-
 @dataclass(frozen=True)
 class Packing:
     """k pairwise disjoint simple cycles, aligned with the profile's sorted entries."""
@@ -61,14 +53,16 @@ class Packing:
 
 @dataclass
 class PackResult:
-    status: str
-    packing: Packing | None
-    move_counts: dict[str, int]
+    """What a solve did: its verdict, and the moves, iterations, restarts and
+    diagnostics spent reaching it."""
+
+    status: str = UNKNOWN
+    packing: Packing | None = None
+    move_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(MOVE_KINDS, 0))
     iterations: int = 0
     restarts: int = 0
     oracle_used: bool = False
     diagnostics: list[str] = field(default_factory=list)
-    trace: list | None = None
     report: VerificationReport | None = None  # the verifier's report on ``packing``
 
 
@@ -177,9 +171,17 @@ def move_shrink(st: SearchState) -> bool:
             continue
         cmask = st.fixed_masks[j]
         best: tuple[int, ...] | None = None
+        cycle_searched = False
         for u in bits(st.pool | cmask):
             if (adj[u] & cmask).bit_count() < tgt // 2:
                 continue
+            if cmask >> u & 1:
+                # every on-cycle u searches cmask itself; after the first such
+                # search best is no longer than cmask's shortest fit, so a
+                # repeat would only search [tgt, len(best)) and find nothing
+                if cycle_searched:
+                    continue
+                cycle_searched = True
             search = cmask | 1 << u
             hi = size if best is None else len(best)
             found = cs.shortest_cycle_in_window(adj, search, tgt, hi)
@@ -592,31 +594,31 @@ def _stall_bound_diagnostic(st: SearchState, diagnostics: list[str]) -> None:
                 )
 
 
-def _attempt(g, profile, budget, rng, counts, diagnostics, trace):
-    """One restart-free run of the move loop; returns the full cycle list or None."""
+def _attempt(g, profile, budget, rng, result):
+    """One restart-free run of the move loop, adding its moves, iterations and
+    diagnostics to ``result``; returns the full cycle list or None."""
     st = SearchState(g, profile, rng=rng)
-    iterations = 0
+    counts = result.move_counts
+    stop = result.iterations + budget
     while st.stage < profile.k:
         if st.pool.bit_count() < st.current_target:
-            return None, iterations
+            return None
         progressed = False
-        while iterations < budget:
-            iterations += 1
+        while result.iterations < stop:
+            result.iterations += 1
             before = st.potential()
             if move_shrink(st):
-                _record(st, counts, trace, "shrink", before)
+                _record(st, counts, "shrink", before)
                 continue
             if move_extend_path(st):
-                _record(st, counts, trace, "extend", before)
+                _record(st, counts, "extend", before)
                 continue
             if move_exchange_one(st):
-                _record(st, counts, trace, "exchange", before)
+                _record(st, counts, "exchange", before)
                 continue
             cycle = move_close_cycle(st)
             if cycle is not None:
                 counts["close"] += 1
-                if trace is not None:
-                    trace.append(("close", before, None))
                 st.fix_cycle(cycle)
                 progressed = True
                 break
@@ -625,23 +627,28 @@ def _attempt(g, profile, budget, rng, counts, diagnostics, trace):
                 full = move_double_exchange(st, ctx)
                 if full is not None:
                     counts["double_exchange"] += 1
-                    if trace is not None:
-                        trace.append(("double_exchange", before, None))
-                    return full, iterations
-            _stall_bound_diagnostic(st, diagnostics)
-            return None, iterations
+                    return full
+            _stall_bound_diagnostic(st, result.diagnostics)
+            return None
         if not progressed:
-            return None, iterations
-    return [tuple(c) for c in st.fixed], iterations
+            return None
+    return [tuple(c) for c in st.fixed]
 
 
-def _record(st, counts, trace, kind, before):
+def _record(st, counts, kind, before):
     counts[kind] += 1
     after = st.potential()
-    if trace is not None:
-        trace.append((kind, before, after))
     if not after > before:
         raise RuntimeError(f"move {kind} failed to improve the potential: {before} -> {after}")
+
+
+def _packed(result: PackResult, g, profile, cycles, source: str) -> PackResult:
+    packing = Packing(tuple(cycles))
+    report = verify_packing(g, profile, packing)
+    if not report.ok:
+        raise RuntimeError(f"internal error: {source} produced an invalid packing: {report.to_dict()}")
+    result.status, result.packing, result.report = PACKED, packing, report
+    return result
 
 
 def pack(
@@ -649,9 +656,8 @@ def pack(
     profile: CycleProfile,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    oracle_limit: int | None = None,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     restarts: int = DEFAULT_RESTARTS,
-    record_trace: bool = False,
 ) -> PackResult:
     """Find vertex-disjoint cycles realizing the profile, or certify their absence.
 
@@ -662,57 +668,43 @@ def pack(
     """
     if budget < 0 or restarts < 0:
         raise ValueError(f"budget and restarts must be >= 0, got {budget} and {restarts}")
-    limit = resolve_oracle_limit(oracle_limit)
-    counts = {k: 0 for k in MOVE_KINDS}
-    diagnostics: list[str] = []
-    trace: list | None = [] if record_trace else None
+    result = PackResult()
     if profile.n > g.num_vertices:
-        diagnostics.append(
-            f"profile needs {profile.n} vertices, host has {g.num_vertices}"
-        )
-        return PackResult(INFEASIBLE, None, counts, 0, 0, False, diagnostics, trace)
-    total_iterations = 0
+        result.status = INFEASIBLE
+        result.diagnostics.append(f"profile needs {profile.n} vertices, host has {g.num_vertices}")
+        return result
     for attempt in range(restarts + 1):
+        result.restarts = attempt
         rng = random.Random(_mix(seed, attempt)) if attempt else None
-        cycles, iterations = _attempt(g, profile, budget, rng, counts, diagnostics, trace)
-        total_iterations += iterations
+        cycles = _attempt(g, profile, budget, rng, result)
         if cycles is not None:
-            packing = Packing(tuple(cycles))
-            report = verify_packing(g, profile, packing)
-            if not report.ok:
-                raise RuntimeError(f"internal error: engine produced an invalid packing: {report.to_dict()}")
-            return PackResult(
-                PACKED, packing, counts, total_iterations, attempt, False, diagnostics, trace, report
-            )
-    if g.num_vertices <= limit:
-        oracle = brute_force_pack(g, profile, oracle_limit=limit)
-        return PackResult(
-            oracle.status, oracle.packing, counts, total_iterations, restarts, True, diagnostics, trace,
-            oracle.report,
-        )
-    return PackResult(UNKNOWN, None, counts, total_iterations, restarts, False, diagnostics, trace)
+            return _packed(result, g, profile, cycles, "engine")
+    if g.num_vertices <= oracle_limit:
+        oracle = brute_force_pack(g, profile, oracle_limit)
+        result.status, result.packing, result.report = oracle.status, oracle.packing, oracle.report
+        result.oracle_used = True
+    return result
 
 
 def brute_force_pack(
-    g: BipartiteGraph, profile: CycleProfile, oracle_limit: int | None = None
+    g: BipartiteGraph, profile: CycleProfile, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> PackResult:
     """Exact backtracking oracle: complete search over ordered disjoint cycle
     choices, longest profile entries first, with pigeonhole and 2-core pruning.
     An ``infeasible`` verdict is a proof of non-existence. Refuses instances
     larger than the oracle limit."""
-    limit = resolve_oracle_limit(oracle_limit)
-    if g.num_vertices > limit:
+    if g.num_vertices > oracle_limit:
         raise OracleLimitError(
-            f"{g.num_vertices} vertices exceed the oracle limit {limit}; use pack()"
+            f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}; use pack()"
         )
-    counts = {k: 0 for k in MOVE_KINDS}
+    result = PackResult(INFEASIBLE, oracle_used=True)
     lengths = profile.lengths
     k = profile.k
     suffix = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] + lengths[i]
     if suffix[0] > g.num_vertices:
-        return PackResult(INFEASIBLE, None, counts, oracle_used=True)
+        return result
     adj = g.adjacency
     failed: set[tuple[int, int]] = set()
 
@@ -735,10 +727,4 @@ def brute_force_pack(
         return None
 
     cycles = rec(g.full_mask, 0)
-    if cycles is None:
-        return PackResult(INFEASIBLE, None, counts, oracle_used=True)
-    packing = Packing(tuple(cycles))
-    report = verify_packing(g, profile, packing)
-    if not report.ok:
-        raise RuntimeError(f"internal error: oracle produced an invalid packing: {report.to_dict()}")
-    return PackResult(PACKED, packing, counts, oracle_used=True, report=report)
+    return result if cycles is None else _packed(result, g, profile, cycles, "oracle")

@@ -15,6 +15,7 @@ from cyclepack import (
     pack,
     verify_packing,
 )
+from cyclepack import packer
 from cyclepack.cli import main
 from oracle_partition import partition_feasible
 
@@ -142,7 +143,7 @@ def test_criterion_5_oracle_cross_validation():
     report(5, "oracle cross-validation", check)
 
 
-def test_criterion_6_property_suite():
+def test_criterion_6_property_suite(monkeypatch):
     def check():
         profile = make_profile([6, 6])
         rng = random.Random(987654)
@@ -182,19 +183,27 @@ def test_criterion_6_property_suite():
         assert all(v == 2000 for v in per_class.values())
 
         # (b) 3000 potential-monotonicity checks over logged move traces
+        trace = []
+        original_record = packer._record
+
+        def logged_record(st, counts, kind, before):
+            trace.append((kind, before, st.potential()))
+            return original_record(st, counts, kind, before)
+
         trace_checks = 0
         seed_stream = 0
-        while trace_checks < 3000:
-            g = gen_random_mindeg(6, 6, rng.randint(3, 5), seed=50_000 + seed_stream)
-            result = pack(g, profile, seed=seed_stream, record_trace=True)
-            seed_stream += 1
-            for kind, before, after in result.trace or []:
-                if after is None:
-                    continue
-                assert after > before, (kind, before, after)
-                trace_checks += 1
-                if trace_checks == 3000:
-                    break
+        with monkeypatch.context() as mp:
+            mp.setattr(packer, "_record", logged_record)
+            while trace_checks < 3000:
+                g = gen_random_mindeg(6, 6, rng.randint(3, 5), seed=50_000 + seed_stream)
+                trace.clear()
+                pack(g, profile, seed=seed_stream)
+                seed_stream += 1
+                for kind, before, after in trace:
+                    assert after > before, (kind, before, after)
+                    trace_checks += 1
+                    if trace_checks == 3000:
+                        break
         assert trace_checks == 3000
 
         # (c) 1000 per-cycle parity checks on accepted packings

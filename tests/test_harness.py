@@ -237,10 +237,33 @@ class TestCli:
         g = parse_graph(path.read_text())
         assert g.min_degree() >= 5
 
-    def test_oracle_limit_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLEPACK_ORACLE_LIMIT", "8")
-        assert main(["sharpness", "--k", "2"]) == 1  # 10 vertices now above the limit
+    def test_oracle_limit_flag(self, capsys):
+        assert main(["sharpness", "--k", "2", "--oracle-limit", "8"]) == 1  # 10 vertices above the limit
         capsys.readouterr()
-        monkeypatch.setenv("CYCLEPACK_ORACLE_LIMIT", "18")
+        assert main(["sharpness", "--k", "2", "--oracle-limit", "18"]) == 0
+        capsys.readouterr()
+
+    def test_oracle_limit_ignores_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLEPACK_ORACLE_LIMIT", "8")
         assert main(["sharpness", "--k", "2"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "complete", "--m", "3", "--out", "{missing}/x.graph"],
+            ["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1",
+             "--csv", "{missing}/x.csv"],
+        ],
+    )
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        assert main([a.format(missing=missing) for a in argv]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_hunt_rejects_fill_p_before_creating_out(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert main(["hunt", "--side", "4", "--profile", "4,4", "--trials", "2", "--seed", "1",
+                     "--fill-p", "2", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -67,6 +67,28 @@ class TestMoveShrink:
         st = SearchState(g2, make_profile([6, 6]), fixed_cycles=[cycle8])
         assert not move_shrink(st)
 
+    def test_no_mask_searched_twice_in_one_call(self, monkeypatch):
+        searched = []
+        original_search = packer.cs.shortest_cycle_in_window
+        original_shrink = packer.move_shrink
+
+        def search(adj, mask, lo, hi):
+            assert mask not in searched[-1], "one shrink call searched a mask twice"
+            searched[-1].add(mask)
+            return original_search(adj, mask, lo, hi)
+
+        def shrink(st):
+            searched.append(set())
+            return original_shrink(st)
+
+        monkeypatch.setattr(packer.cs, "shortest_cycle_in_window", search)
+        monkeypatch.setattr(packer, "move_shrink", shrink)
+        # sparse and below threshold: oversized placed cycles with several
+        # qualifying vertices of their own
+        g = gen_random_mindeg(8, 8, 2, seed=0, fill_p=0.1)
+        pack(g, make_profile([4, 4, 4, 4], "conjecture"), seed=0)
+        assert any(searched)
+
 
 class TestSearchState:
     def test_rejects_overlapping_cycles(self):
@@ -290,13 +312,20 @@ class TestPack:
         assert a.status == b.status == "packed"
         assert a.packing == b.packing and a.move_counts == b.move_counts
 
-    def test_trace_is_monotone(self):
+    def test_trace_is_monotone(self, monkeypatch):
+        trace = []
+        original = packer._record
+
+        def logged(st, counts, kind, before):
+            trace.append((kind, before, st.potential()))
+            return original(st, counts, kind, before)
+
+        monkeypatch.setattr(packer, "_record", logged)
         g = gen_random_mindeg(7, 7, 5, seed=23)
-        r = pack(g, make_profile([6, 6]), seed=23, record_trace=True)
-        assert r.status == "packed" and r.trace
-        for kind, before, after in r.trace:
-            if after is not None:
-                assert after > before, (kind, before, after)
+        r = pack(g, make_profile([6, 6]), seed=23)
+        assert r.status == "packed" and trace
+        for kind, before, after in trace:
+            assert after > before, (kind, before, after)
 
     def test_non_improving_move_raises(self, monkeypatch):
         monkeypatch.setattr(packer, "move_extend_path", lambda st: True)
