@@ -7,6 +7,7 @@ Other subcommands exit 0 on a clean run and 1 on errors or violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -211,22 +212,21 @@ def _cmd_solve(args) -> int:
     return EXIT_INFEASIBLE if result.status == INFEASIBLE else EXIT_UNKNOWN
 
 
-def _write_csv(path: str, summary: dict) -> None:
+def _write_csv(fh, summary: dict) -> None:
     move_kinds = sorted(MOVE_KINDS)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["trial", "seed", "outcome", "oracle_fallback", "theorem_violation", "verified"]
+        + [f"moves_{k}" for k in move_kinds]
+        + ["wall_s"]
+    )
+    for row, wall in zip(summary["trials"], summary["timing"]["per_trial_s"]):
         writer.writerow(
-            ["trial", "seed", "outcome", "oracle_fallback", "theorem_violation", "verified"]
-            + [f"moves_{k}" for k in move_kinds]
-            + ["wall_s"]
+            [row["trial"], row["seed"], row["outcome"], row["oracle_fallback"],
+             row["theorem_violation"], row["verified"]]
+            + [row["moves"].get(k, 0) for k in move_kinds]
+            + [f"{wall:.6f}"]
         )
-        for row, wall in zip(summary["trials"], summary["timing"]["per_trial_s"]):
-            writer.writerow(
-                [row["trial"], row["seed"], row["outcome"], row["oracle_fallback"],
-                 row["theorem_violation"], row["verified"]]
-                + [row["moves"].get(k, 0) for k in move_kinds]
-                + [f"{wall:.6f}"]
-            )
 
 
 def _cmd_trials(args) -> int:
@@ -243,9 +243,13 @@ def _cmd_trials(args) -> int:
         fill_p=args.fill_p,
         threads=args.threads,
     )
-    summary = run_trials(cfg)
-    if args.csv:
-        _write_csv(args.csv, summary)
+    cfg.validate()
+    # check the config and open --csv before any trial runs: a bad config
+    # leaves no file behind, and an unwritable path wastes no trials
+    with open(args.csv, "w", newline="", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
+        summary = run_trials(cfg)
+        if fh is not None:
+            _write_csv(fh, summary)
     _emit(summary, args.json, _render_trials)
     return EXIT_OK if summary["aggregates"]["theorem_violations"] == 0 else EXIT_INPUT
 

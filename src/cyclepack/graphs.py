@@ -238,8 +238,8 @@ def gen_random_mindeg(
     vertices), each round avoiding edges already present, then adds every
     remaining non-edge independently with probability ``fill_p``. With equal
     side sizes the matching base alone guarantees the floor; with unequal sides
-    an occasional round can wedge, so the build rejects-and-retries and, after
-    a bounded number of rejections, tops deficient vertices up directly.
+    an occasional round can wedge, so deficient vertices are then topped up
+    with random missing edges.
     """
     if delta < 0 or delta > min(x_size, y_size):
         raise GraphError(f"delta {delta} infeasible for sides {x_size}+{y_size}")
@@ -248,99 +248,90 @@ def gen_random_mindeg(
     if not 0 <= fill_p <= 1:
         raise GraphError(f"fill_p {fill_p} is not a probability in [0, 1]")
     rng = random.Random(seed)
-    for _ in range(50):
-        present = _base_plus_fill(x_size, y_size, delta, fill_p, rng)
-        if present is not None and _mindeg_ok(present, x_size, y_size, delta):
-            break
-    else:
-        present = None
-        while present is None:
-            present = _base_plus_fill(x_size, y_size, delta, fill_p, rng, best_effort=True)
-        _repair(present, x_size, y_size, delta, rng)
-    edges = [(u, x_size + w) for u in range(x_size) for w in bits(present[u])]
-    return BipartiteGraph(x_size, y_size, edges)
-
-
-def _mindeg_ok(present: list[int], x_size: int, y_size: int, delta: int) -> bool:
-    if any(row.bit_count() < delta for row in present):
-        return False
-    return all(
-        sum(present[u] >> w & 1 for u in range(x_size)) >= delta for w in range(y_size)
-    )
-
-
-def _base_plus_fill(x_size, y_size, delta, fill_p, rng, best_effort=False):
     present = [0] * x_size  # per-x bitmask of chosen y offsets
     for _ in range(delta):
-        if not _add_matching_round(present, x_size, y_size, rng) and not best_effort:
-            return None
+        _add_matching_round(present, x_size, y_size, rng)
     for u in range(x_size):
         for w in range(y_size):
             if not present[u] >> w & 1 and rng.random() < fill_p:
                 present[u] |= 1 << w
-    return present
+    _repair(present, x_size, y_size, delta, rng)
+    edges = [(u, x_size + w) for u in range(x_size) for w in bits(present[u])]
+    return BipartiteGraph(x_size, y_size, edges)
 
 
-def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> bool:
+def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> None:
     """Add one random perfect matching between padded sides, avoiding present edges.
 
     The smaller side is padded to the larger with virtual slots aliasing its
     real vertices (slot i stands for vertex i mod side size), so a full round
     hands every vertex on both sides at least one new distinct neighbor.
-    Augmenting-path search with shuffled scan order keeps the sample
-    seeded-reproducible. Returns False if the round cannot be completed.
+    A random permutation proposes each left slot's partner; slots whose
+    proposal is a present edge are rematched by breadth-first augmenting
+    paths (Hopcroft & Karp 1973) over bitmask rows of allowed partners. With
+    equal sides the allowed pairs form a regular bipartite graph, which by
+    Hall's theorem has a perfect matching, so the round always completes; with
+    unequal sides a slot can stay unmatched.
     """
     size = max(x_size, y_size)
-    x_of = [i % x_size for i in range(size)]
-    y_of = [i % y_size for i in range(size)]
-    match_l = [-1] * size
-    match_r = [-1] * size
-
-    def augment(l: int, visited: list[bool]) -> bool:
-        cands = [
-            r
-            for r in range(size)
-            if not visited[r] and not present[x_of[l]] >> y_of[r] & 1
-        ]
-        rng.shuffle(cands)
-        for r in cands:
-            visited[r] = True
-            if match_r[r] == -1 or augment(match_r[r], visited):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        return False
-
-    order = list(range(size))
-    rng.shuffle(order)
-    complete = True
-    for l in order:
-        if not augment(l, [False] * size):
-            complete = False
+    full = (1 << size) - 1
+    reps = -(-size // y_size)
+    allowed = []  # per left slot: bitmask of right slots it may be matched to
     for l in range(size):
-        r = match_l[l]
+        free_y = ~present[l % x_size] & ((1 << y_size) - 1)
+        allowed.append(sum(free_y << (j * y_size) for j in range(reps)) & full)
+    match_l = list(range(size))
+    rng.shuffle(match_l)
+    match_r = [-1] * size
+    free_r = full
+    unmatched = []
+    for l, r in enumerate(match_l):
+        if allowed[l] >> r & 1:
+            match_r[r] = l
+            free_r ^= 1 << r
+        else:
+            match_l[l] = -1
+            unmatched.append(l)
+    for root in unmatched:
+        parent = {}
+        seen = 0
+        queue = [root]
+        for u in queue:
+            cands = allowed[u] & ~seen
+            seen |= cands
+            ends = cands & free_r
+            if ends:
+                r = (ends & -ends).bit_length() - 1
+                free_r ^= 1 << r
+                while True:  # flip the path back to the root
+                    match_r[r] = u
+                    match_l[u], r = r, match_l[u]
+                    if u == root:
+                        break
+                    u = parent[r]
+                break
+            for r in bits(cands):
+                parent[r] = u
+                queue.append(match_r[r])
+    for l, r in enumerate(match_l):
         if r != -1:
-            present[x_of[l]] |= 1 << y_of[r]
-    return complete
+            present[l % x_size] |= 1 << (r % y_size)
 
 
 def _repair(present: list[int], x_size: int, y_size: int, delta: int, rng) -> None:
     """Top up any still-deficient vertex with random missing edges."""
     for u in range(x_size):
-        missing = [w for w in range(y_size) if not present[u] >> w & 1]
-        rng.shuffle(missing)
-        while present[u].bit_count() < delta:
-            present[u] |= 1 << missing.pop()
+        short = delta - present[u].bit_count()
+        if short > 0:
+            missing = [w for w in range(y_size) if not present[u] >> w & 1]
+            for w in rng.sample(missing, short):
+                present[u] |= 1 << w
     for w in range(y_size):
-        col = [u for u in range(x_size) if present[u] >> w & 1]
-        if len(col) >= delta:
-            continue
         missing = [u for u in range(x_size) if not present[u] >> w & 1]
-        rng.shuffle(missing)
-        while len(col) < delta:
-            u = missing.pop()
-            present[u] |= 1 << w
-            col.append(u)
+        short = delta - (x_size - len(missing))
+        if short > 0:
+            for u in rng.sample(missing, short):
+                present[u] |= 1 << w
 
 
 def gen_sharpness(k: int):

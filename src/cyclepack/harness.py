@@ -21,6 +21,7 @@ from .packer import (
     INFEASIBLE,
     PACKED,
     brute_force_pack,
+    mix_seed,
     pack,
 )
 from .profiles import CycleProfile
@@ -63,7 +64,7 @@ class TrialConfig:
 
 
 def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
-    trial_seed = cfg.seed ^ index  # per-index stream: worker count cannot matter
+    trial_seed = mix_seed(cfg.seed, index)  # per-index stream: worker count cannot matter
     started = time.perf_counter()
     g = gen_random_mindeg(cfg.side_size, cfg.side_size, delta, trial_seed, cfg.fill_p)
     hyp = check_hypotheses(g, cfg.profile)
@@ -298,7 +299,7 @@ def run_hunt(
     hits: list[dict] = []
     examined = 0
     for i in range(trials):
-        trial_seed = seed ^ i
+        trial_seed = mix_seed(seed, i)
         g = gen_random_mindeg(side, side, delta, trial_seed, fill_p)
         if not check_hypotheses(g, profile).ok:
             continue

@@ -225,10 +225,9 @@ def _alternating_family(st: SearchState) -> list[list[int]]:
 
 
 def _pick(st: SearchState, cands_mask: int) -> int:
-    ids = list(bits(cands_mask))
-    if st.rng is not None and len(ids) > 1:
-        return st.rng.choice(ids)
-    return ids[0]
+    if st.rng is None or cands_mask & (cands_mask - 1) == 0:
+        return _lowest(cands_mask)
+    return st.rng.choice(list(bits(cands_mask)))
 
 
 def _rotate_extend(st: SearchState, p: list[int]) -> list[int] | None:
@@ -568,8 +567,9 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
 # -- engine --------------------------------------------------------------------
 
 
-def _mix(seed: int, attempt: int) -> int:
-    return (seed * 0x9E3779B1 + attempt * 0x85EBCA77) & 0xFFFFFFFFFFFF
+def mix_seed(seed: int, index: int) -> int:
+    """Seed of the ``index``-th stream derived from ``seed`` (restarts, trials)."""
+    return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFFFFFF
 
 
 def _stall_bound_diagnostic(st: SearchState, diagnostics: list[str]) -> None:
@@ -675,7 +675,7 @@ def pack(
         return result
     for attempt in range(restarts + 1):
         result.restarts = attempt
-        rng = random.Random(_mix(seed, attempt)) if attempt else None
+        rng = random.Random(mix_seed(seed, attempt)) if attempt else None
         cycles = _attempt(g, profile, budget, rng, result)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")

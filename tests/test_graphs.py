@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -212,6 +213,26 @@ class TestGenerators:
             g = gen_random_mindeg(x, y, d, seed=trial, fill_p=rng.choice([0.1, 0.5, 0.9]))
             assert g.min_degree() >= d
             assert all((u < x) != (v < x) for u, v in g.edges())
+
+    def test_random_equal_sides_no_fill_is_regular(self):
+        for seed in range(40):
+            for side, d in [(5, 2), (8, 5), (12, 12)]:
+                g = gen_random_mindeg(side, side, d, seed=seed, fill_p=0)
+                assert all(a.bit_count() == d for a in g.adjacency), (side, d, seed)
+
+    def test_random_needs_no_deep_recursion(self):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            g = gen_random_mindeg(100, 100, 67, seed=7)
+        finally:
+            sys.setrecursionlimit(old)
+        assert g.min_degree() >= 67
 
     def test_random_infeasible_delta(self):
         with pytest.raises(GraphError):

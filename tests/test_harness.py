@@ -5,6 +5,7 @@ import os
 import pytest
 
 from cyclepack import gen_sharpness, make_profile, parse_graph, serialize_graph
+from cyclepack import cli
 from cyclepack.cli import main
 from cyclepack.harness import (
     ConfigError,
@@ -260,6 +261,22 @@ class TestCli:
         missing = tmp_path / "missing"
         assert main([a.format(missing=missing) for a in argv]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_trials_csv_checked_before_campaign(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_trials", lambda cfg: calls.append(cfg))
+        assert main(["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1",
+                     "--csv", str(tmp_path / "missing" / "x.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_campaign_seeds_do_not_overlap(self, capsys):
+        seeds = []
+        for seed in ("6", "7"):
+            assert main(["trials", "--side", "6", "--profile", "6", "--trials", "2",
+                         "--seed", seed, "--json"]) == 0
+            seeds.append({row["seed"] for row in json.loads(capsys.readouterr().out)["trials"]})
+        assert len(seeds[0]) == 2 and not seeds[0] & seeds[1]
 
     def test_hunt_rejects_fill_p_before_creating_out(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -85,7 +85,10 @@ class TestMoveShrink:
         monkeypatch.setattr(packer, "move_shrink", shrink)
         # sparse and below threshold: oversized placed cycles with several
         # qualifying vertices of their own
-        g = gen_random_mindeg(8, 8, 2, seed=0, fill_p=0.1)
+        g = BipartiteGraph(8, 8, [
+            (0, 10), (0, 11), (1, 9), (1, 13), (1, 14), (2, 11), (2, 15), (3, 10), (3, 12), (3, 14),
+            (4, 8), (4, 12), (5, 9), (5, 12), (6, 8), (6, 9), (6, 13), (7, 11), (7, 14), (7, 15),
+        ])
         pack(g, make_profile([4, 4, 4, 4], "conjecture"), seed=0)
         assert any(searched)
 
