@@ -8,8 +8,10 @@ of the summary byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +29,7 @@ from .packer import (
 from .profiles import CycleProfile
 from .verify import check_hypotheses
 
-EXHAUSTIVE_SIDE_CAP = 4
+EXHAUSTIVE_SIDE_CAP = 5
 
 
 class ConfigError(ValueError):
@@ -166,11 +168,25 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
                    oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     """Check the packing guarantee on every bipartite graph with the given side size.
 
-    Iterates raw neighborhood-row assignments with an early prune: a subtree is
-    abandoned as soon as some fully-decided vertex can no longer reach the
-    degree threshold, which can only discard hypothesis-failing graphs. Every
-    hypothesis-satisfying graph is handed to the exact oracle; any infeasible
-    verdict there is a violation of the guarantee and is reported loudly.
+    A graph is its tuple of X rows (row i is the Y-neighbourhood bitmask of X
+    vertex i). Only non-decreasing row tuples are enumerated, one per multiset
+    of rows, and each stands for the side!/(m_1!...m_r!) labelled graphs whose
+    rows are its permutations, where m_i counts equal rows. That weight is what
+    ``leaves_visited``, ``hypothesis_satisfying`` and ``packed`` add up, so they
+    stay counts of labelled graphs. This is sound because permuting the rows
+    only relabels X vertices: it keeps every row degree, every column degree
+    and the balance of the sides, and it maps a packing onto a packing. So every
+    graph a multiset stands for meets the hypotheses and has a packing exactly
+    when the tuple enumerated does.
+
+    Rows under the degree threshold are never tried, and a subtree is abandoned
+    as soon as some column can no longer reach the threshold with the rows left
+    to place; both prunes can only discard hypothesis-failing graphs. Each
+    hypothesis-satisfying multiset builds its own graph and is handed to the
+    exact oracle, whose packing is verified in full; nothing is shared between
+    multisets. An infeasible verdict violates the guarantee and is reported as
+    one ``violations`` entry per multiset, with its sorted ``rows``, the
+    ``graph`` and the ``weight`` of labelled graphs it stands for.
     """
     if side < 1:
         raise ConfigError("side must be >= 1")
@@ -187,16 +203,21 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     stats = {"leaves": 0, "satisfying": 0, "packed": 0}
     violations: list[dict] = []
     if balance_ok:
-        row_choices = range(1 << side)
+        row_choices = [row for row in range(1 << side) if row.bit_count() >= threshold]
+        labellings = math.factorial(side)
         rows: list[int] = []
         col_deg = [0] * side
 
-        def descend(depth: int) -> None:
+        def descend(first: int) -> None:
+            depth = len(rows)
             if depth == side:
-                stats["leaves"] += 1
+                weight = labellings // math.prod(
+                    math.factorial(m) for m in Counter(rows).values()
+                )
+                stats["leaves"] += weight
                 if any(c < threshold for c in col_deg):
                     return
-                stats["satisfying"] += 1
+                stats["satisfying"] += weight
                 edges = [
                     (i, side + j)
                     for i, row in enumerate(rows)
@@ -206,14 +227,15 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
                 g = BipartiteGraph(side, side, edges)
                 verdict = brute_force_pack(g, profile, oracle_limit)
                 if verdict.status == PACKED:
-                    stats["packed"] += 1
+                    stats["packed"] += weight
                 else:
-                    violations.append({"rows": list(rows), "graph": serialize_graph(g)})
+                    violations.append(
+                        {"rows": list(rows), "graph": serialize_graph(g), "weight": weight}
+                    )
                 return
             remaining = side - depth - 1
-            for row in row_choices:
-                if row.bit_count() < threshold:
-                    continue  # this X vertex is fully decided and under-degree
+            for index in range(first, len(row_choices)):
+                row = row_choices[index]
                 ok = True
                 for j in range(side):
                     col_deg[j] += row >> j & 1
@@ -221,12 +243,13 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
                         ok = False
                 if ok:
                     rows.append(row)
-                    descend(depth + 1)
+                    descend(index)
                     rows.pop()
                 for j in range(side):
                     col_deg[j] -= row >> j & 1
 
         descend(0)
+        del descend  # the closure refers to itself; break that cycle so it is freed now
     summary = {
         "command": "exhaustive",
         "config": {

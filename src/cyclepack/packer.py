@@ -727,4 +727,5 @@ def brute_force_pack(
         return None
 
     cycles = rec(g.full_mask, 0)
+    del rec  # rec refers to itself; break that cycle so `failed` is freed on return
     return result if cycles is None else _packed(result, g, profile, cycles, "oracle")

@@ -1,11 +1,14 @@
 import copy
+import gc
+import itertools
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from cyclepack import gen_sharpness, make_profile, parse_graph, serialize_graph
-from cyclepack import cli
+from cyclepack import cli, harness
 from cyclepack.cli import main
 from cyclepack.harness import (
     ConfigError,
@@ -15,6 +18,7 @@ from cyclepack.harness import (
     run_sharpness,
     run_trials,
 )
+from cyclepack.packer import INFEASIBLE, PackResult
 
 
 def summary_without_timing(summary: dict) -> str:
@@ -89,12 +93,82 @@ class TestRunExhaustive:
 
     def test_side_cap_enforced(self):
         with pytest.raises(ConfigError):
-            run_exhaustive(5, make_profile([6]))
+            run_exhaustive(6, make_profile([6]))
 
     def test_balance_failure_short_circuits(self):
         s = run_exhaustive(2, make_profile([6]))
         assert not s["balance_hypothesis_ok"]
         assert s["hypothesis_satisfying"] == 0 and s["violations"] == []
+
+    @staticmethod
+    def min_degree_histogram(side):
+        """Labelled graphs on side + side vertices by minimum degree, counted over
+        every tuple of X rows."""
+        hist = Counter()
+        for rows in itertools.product(range(1 << side), repeat=side):
+            cols = [sum(row >> j & 1 for row in rows) for j in range(side)]
+            hist[min(min(row.bit_count() for row in rows), min(cols))] += 1
+        return hist
+
+    def test_weights_match_labelled_enumeration(self):
+        profiles = [
+            make_profile([6]),
+            make_profile([8]),
+            make_profile([4], mode="conjecture"),
+            make_profile([4, 4], mode="conjecture"),
+        ]
+        for side in (3, 4):
+            hist = self.min_degree_histogram(side)
+            assert sum(hist.values()) == 1 << (side * side)
+            for profile in profiles:
+                balanced = side >= profile.n // 2
+                want = sum(c for d, c in hist.items() if d >= profile.threshold) if balanced else 0
+                s = run_exhaustive(side, profile)
+                assert s["leaves_visited"] == s["hypothesis_satisfying"] == want, (side, profile)
+                assert s["packed"] == want and s["violations"] == []
+
+    def test_one_oracle_call_per_row_multiset(self, monkeypatch):
+        calls = []
+        real = harness.brute_force_pack
+
+        def counted(g, profile, oracle_limit):
+            calls.append(g)
+            return real(g, profile, oracle_limit)
+
+        monkeypatch.setattr(harness, "brute_force_pack", counted)
+        for side, multisets, labelled in ((4, 16, 209), (5, 3634, 304186)):
+            calls.clear()
+            s = run_exhaustive(side, make_profile([6]))
+            assert len(calls) == multisets
+            assert s["hypothesis_satisfying"] == s["packed"] == labelled
+            assert s["violations"] == []
+
+    def test_violation_entry_carries_weight(self, monkeypatch):
+        side, target = 4, [11, 13, 15, 15]  # two equal rows: 4!/2! = 12 labelled graphs
+        real = harness.brute_force_pack
+
+        def oracle(g, profile, oracle_limit):
+            if sorted(g.adjacency[x] >> side for x in range(side)) == target:
+                return PackResult(INFEASIBLE, oracle_used=True)
+            return real(g, profile, oracle_limit)
+
+        monkeypatch.setattr(harness, "brute_force_pack", oracle)
+        s = run_exhaustive(side, make_profile([6]))
+        assert len(s["violations"]) == 1
+        v = s["violations"][0]
+        assert v["rows"] == target and v["weight"] == 12
+        g = parse_graph(v["graph"])
+        assert sorted(g.adjacency[x] >> side for x in range(side)) == target
+        assert s["packed"] + v["weight"] == s["hypothesis_satisfying"] == 209
+
+    def test_no_reference_cycle_left(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_exhaustive(3, make_profile([6]))["packed"] == 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRunSharpness:
@@ -199,7 +273,7 @@ class TestCli:
         assert summary["packed"] == 1
 
     def test_exhaustive_cap_refusal(self, capsys):
-        assert main(["exhaustive", "--side", "5", "--profile", "6"]) == 1
+        assert main(["exhaustive", "--side", "6", "--profile", "6"]) == 1
         capsys.readouterr()
 
     def test_sharpness_cli(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -373,6 +374,17 @@ class TestBruteForce:
         )
         assert lifted.min_degree() >= profile.threshold
         assert pack(lifted, profile, seed=0).status == "packed"
+
+    def test_memo_freed_on_return(self):
+        # the recursive search must leave no reference cycle keeping its memo alive
+        g, profile = gen_sharpness(2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert brute_force_pack(g, profile).status == "infeasible"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_refuses_large_instances(self):
         with pytest.raises(OracleLimitError):
