@@ -1,8 +1,9 @@
 """Exact simple-cycle search inside small vertex subsets, on raw adjacency bitmasks.
 
-Enumeration is anchored at each cycle's minimum vertex and canonicalized by
-direction (second vertex below last), so every simple cycle in the window is
-produced exactly once. Intended for desk-scale sets (up to ~24 vertices).
+Enumeration is anchored at each cycle's minimum vertex (or, for
+``iter_cycles_through``, at the given vertex) and canonicalized by direction
+(second vertex below last), so every simple cycle in the window is produced
+exactly once. Intended for desk-scale sets (up to ~26 vertices).
 """
 from __future__ import annotations
 
@@ -24,6 +25,18 @@ def iter_cycles_window(
         if higher.bit_count() + 1 < lo:
             break  # later anchors have even fewer vertices available
         yield from _extend(adj, abit, higher, lo, hi, a, 0, [a])
+
+
+def iter_cycles_through(
+    adj: tuple[int, ...], mask: int, v: int, lo: int, hi: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield each simple cycle within ``mask`` that passes through ``v`` and whose
+    length is in [lo, hi] once, as a vertex sequence starting at ``v``."""
+    lo = max(lo, 4)
+    vbit = 1 << v
+    if hi < lo or not mask & vbit:
+        return
+    yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, 0, [v])
 
 
 def _extend(

@@ -17,6 +17,7 @@ and an exact backtracking oracle certifies small instances when the engine stall
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import cyclesearch as cs
@@ -689,43 +690,84 @@ def pack(
 def brute_force_pack(
     g: BipartiteGraph, profile: CycleProfile, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> PackResult:
-    """Exact backtracking oracle: complete search over ordered disjoint cycle
-    choices, longest profile entries first, with pigeonhole and 2-core pruning.
+    """Exact oracle: a complete search for disjoint cycles realizing the profile.
     An ``infeasible`` verdict is a proof of non-existence. Refuses instances
-    larger than the oracle limit."""
+    larger than the oracle limit.
+
+    A state is the set of free vertices and the multiset of profile lengths
+    still needed. The free set is first stripped to its 2-core (a vertex with
+    fewer than two free neighbours lies on no cycle). The search then takes v,
+    the core vertex with the fewest neighbours in the core, and branches: v
+    lies on a cycle that takes one needed length, or v stays uncovered. Each
+    pruning is sound:
+
+    - Slack. A bipartite cycle alternates sides, so a cycle of length L uses
+      L/2 vertices of X and L/2 of Y. Disjoint cycles of lengths L_j >= c_j in
+      the core thus have sum L_j <= 2*min(|core & X|, |core & Y|), and their
+      total excess sum (L_j - c_j) is at most the slack
+      s = 2*min(|core & X|, |core & Y|) - sum c_j. A state with s < 0 has no
+      solution, and no single cycle of a solution exceeds its length by more
+      than s.
+    - Largest fitting length. Say a solution puts v on a cycle C of length L,
+      and c is the largest needed length <= L. If C realizes a length c' < c
+      there, the cycle D realizing c has |D| >= c > c', so swapping the two
+      lengths gives a solution in which C realizes c. So branch 1 assigns C to
+      c, and skips C when L - c > s. Cycles through v are enumerated only for
+      L in [min needed, max needed + s], since no other length can be assigned.
+    - Branch 2 is complete. A solution that does not cover v is a solution in
+      the free set without v, with the same needed lengths; together with the
+      solutions branch 1 reaches, this is every solution.
+    - Memo. Whether a state has a solution depends only on the subgraph the
+      host induces on the free vertices and on the needed multiset: the cycles
+      chosen so far avoid the free vertices. So a (free set, sorted needed
+      lengths) key that failed once fails again when another order of choices
+      reaches it, and is skipped.
+
+    The cycles are returned aligned with the profile's sorted entries, and the
+    packing is verified in full.
+    """
     if g.num_vertices > oracle_limit:
         raise OracleLimitError(
             f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}; use pack()"
         )
     result = PackResult(INFEASIBLE, oracle_used=True)
-    lengths = profile.lengths
-    k = profile.k
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + lengths[i]
-    if suffix[0] > g.num_vertices:
-        return result
     adj = g.adjacency
-    failed: set[tuple[int, int]] = set()
+    x_mask = g.x_mask
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def rec(remaining: int, i: int) -> list[tuple[int, ...]] | None:
-        if i == k:
+    def rec(remaining: int, needed: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]] | None:
+        """(length, cycle) pairs realizing ``needed`` (sorted ascending) inside
+        ``remaining``, or None."""
+        if not needed:
             return []
-        key = (remaining, i)
+        key = (remaining, needed)
         if key in failed:
             return None
         core = cs.two_core(adj, remaining)
-        if core.bit_count() < suffix[i]:
-            failed.add(key)
-            return None
-        hi = core.bit_count() - suffix[i + 1]
-        for cyc in cs.iter_cycles_window(adj, core, lengths[i], hi):
-            rest = rec(remaining & ~mask_of(cyc), i + 1)
+        x_count = (core & x_mask).bit_count()
+        slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
+        if slack >= 0:
+            v, fewest = -1, core.bit_count()
+            for u in bits(core):
+                degree = (adj[u] & core).bit_count()
+                if degree < fewest:
+                    v, fewest = u, degree
+            for cyc in cs.iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
+                i = bisect_right(needed, len(cyc)) - 1
+                if len(cyc) - needed[i] > slack:
+                    continue
+                rest = rec(core & ~mask_of(cyc), needed[:i] + needed[i + 1:])
+                if rest is not None:
+                    return [(needed[i], cyc)] + rest
+            rest = rec(core & ~(1 << v), needed)
             if rest is not None:
-                return [cyc] + rest
+                return rest
         failed.add(key)
         return None
 
-    cycles = rec(g.full_mask, 0)
+    found = rec(g.full_mask, tuple(sorted(profile.lengths)))
     del rec  # rec refers to itself; break that cycle so `failed` is freed on return
-    return result if cycles is None else _packed(result, g, profile, cycles, "oracle")
+    if found is None:
+        return result
+    cycles = [cyc for _, cyc in sorted(found, reverse=True)]
+    return _packed(result, g, profile, cycles, "oracle")

@@ -280,6 +280,11 @@ class TestCli:
         assert main(["sharpness", "--k", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
 
+    def test_sharpness_k6_certified_at_raised_limit(self, capsys):
+        assert main(["sharpness", "--k", "6", "--oracle-limit", "26", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["ok"] is True and summary["certified_infeasible"] is True
+
     def test_sharpness_odd_k_rejected(self, capsys):
         assert main(["sharpness", "--k", "3"]) == 1
         capsys.readouterr()

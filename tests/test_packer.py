@@ -411,3 +411,33 @@ class TestBruteForce:
             mine = brute_force_pack(g, profile).status == "packed"
             theirs = partition_feasible(g.x_size, g.y_size, list(g.edges()), lengths)
             assert mine == theirs, f"instance {i}: oracle {mine} vs partition {theirs}"
+
+    def test_agrees_with_partition_oracle_unequal_sides_and_three_entries(self):
+        # Unequal sides make the smaller side bind the oracle's slack. Sparse
+        # hosts often leave the branch vertex (fewest core neighbours) outside
+        # every packing, so the uncovered branch must be searched. Three mixed
+        # entries make the choice of the largest fitting length matter.
+        def check(seed, x, y, delta, fill, lengths):
+            g = gen_random_mindeg(x, y, delta, seed=seed, fill_p=fill)
+            profile = make_profile(lengths, mode="conjecture")
+            mine = brute_force_pack(g, profile, oracle_limit=20).status == "packed"
+            theirs = partition_feasible(g.x_size, g.y_size, list(g.edges()), lengths)
+            assert mine == theirs, f"seed {seed}, sides {x}+{y}: oracle {mine} vs partition {theirs}"
+
+        short = [[6], [8], [4, 4], [4, 6]]
+        for i in range(40):
+            rng = random.Random(1 + i)
+            small = rng.randint(3, 6)
+            x, y = rng.sample([small, small + rng.randint(1, 3)], 2)
+            check(1 + i, x, y, 2, rng.choice([0.0, 0.1]), short[i % len(short)])
+        three = [([4, 4, 4], 6, 7), ([4, 4, 4], 8, 6), ([4, 4, 6], 7, 8), ([4, 4, 6], 8, 7)] * 3
+        three += [([4, 6, 8], 9, 10), ([4, 6, 8], 10, 9)]
+        for i, (lengths, x, y) in enumerate(three):
+            check(101 + i, x, y, 3, random.Random(101 + i).choice([0.0, 0.1, 0.3]), lengths)
+
+    def test_low_degree_vertex_outside_every_packing(self):
+        # K2,2 (degree 2) beside K3,3: the branch vertex lies only on a 4-cycle,
+        # so the six-cycle is found only by leaving it uncovered
+        edges = [(0, 5), (0, 6), (1, 5), (1, 6)] + [(x, y) for x in (2, 3, 4) for y in (7, 8, 9)]
+        r = brute_force_pack(BipartiteGraph(5, 5, edges), make_profile([6]))
+        assert r.status == "packed" and set(r.packing.cycles[0]) <= {2, 3, 4, 7, 8, 9}
