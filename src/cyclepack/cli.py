@@ -14,7 +14,7 @@ import sys
 
 from .graphs import GraphError, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
 from .harness import ConfigError, TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
-from .packer import DEFAULT_BUDGET, DEFAULT_ORACLE_LIMIT, DEFAULT_RESTARTS, INFEASIBLE, MOVE_KINDS, PACKED, pack
+from .packer import DEFAULT_ORACLE_LIMIT, DEFAULT_RESTARTS, INFEASIBLE, MOVE_KINDS, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
 
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a single instance from a graph file")
     p.add_argument("--graph", required=True, help="graph file path")
     _profile_arg(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on iterations per attempt (default: none, the potential ends each attempt)")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
@@ -70,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--fill-p", type=float, default=0.5)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--csv", default=None, help="write per-trial rows to this CSV file")
@@ -237,8 +236,6 @@ def _cmd_trials(args) -> int:
         delta=args.delta,
         trials=args.trials,
         seed=args.seed,
-        budget=args.budget,
-        restarts=args.restarts,
         oracle_limit=args.oracle_limit,
         fill_p=args.fill_p,
         threads=args.threads,

@@ -166,28 +166,30 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ParseError(0, f"not ASCII: {exc}") from None
-    x_size = y_size = declared = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    lines = ((no, raw.strip()) for no, raw in enumerate(text.split("\n"), start=1))
+    lines = ((no, line) for no, line in lines if line and not line.startswith("c"))
+    for line_no, line in lines:
         fields = line.split()
-        if fields[0] == "p":
-            if declared is not None:
-                raise ParseError(line_no, "duplicate header")
-            if len(fields) != 5 or fields[1] != "bip":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            try:
-                x_size, y_size, declared = (int(f) for f in fields[2:])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer header field in {line!r}") from None
-            if x_size < 0 or y_size < 0 or declared < 0:
-                raise ParseError(line_no, "negative count in header")
-        elif fields[0] == "e":
-            if declared is None:
-                raise ParseError(line_no, "edge before header")
+        if fields[0] != "p":
+            raise ParseError(line_no, "edge before header" if fields[0] == "e" else f"unrecognized line {line!r}")
+        if len(fields) != 5 or fields[1] != "bip":
+            raise ParseError(line_no, f"malformed header {line!r}")
+        try:
+            x_size, y_size, declared = (int(f) for f in fields[2:])
+        except ValueError:
+            raise ParseError(line_no, f"non-integer header field in {line!r}") from None
+        if x_size < 0 or y_size < 0 or declared < 0:
+            raise ParseError(line_no, "negative count in header")
+        break
+    else:
+        raise ParseError(0, "missing header")
+
+    def edges():
+        nonlocal line_no
+        for line_no, line in lines:
+            fields = line.split()
+            if fields[0] != "e":
+                raise ParseError(line_no, "duplicate header" if fields[0] == "p" else f"unrecognized line {line!r}")
             if len(fields) != 3:
                 raise ParseError(line_no, f"malformed edge line {line!r}")
             try:
@@ -196,19 +198,17 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
                 raise ParseError(line_no, f"non-integer vertex id in {line!r}") from None
             if not (0 <= u < x_size):
                 raise ParseError(line_no, f"x-side id {u} out of range [0,{x_size})")
-            if not (x_size <= v < x_size + y_size):
-                raise ParseError(line_no, f"y-side id {v} out of range [{x_size},{x_size + y_size})")
-            if (u, v) in seen:
-                raise ParseError(line_no, f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            edges.append((u, v))
-        else:
-            raise ParseError(line_no, f"unrecognized line {line!r}")
-    if declared is None:
-        raise ParseError(0, "missing header")
-    if len(edges) != declared:
-        raise ParseError(0, f"header declares {declared} edges, found {len(edges)}")
-    return BipartiteGraph(x_size, y_size, edges)
+            yield u, v
+
+    try:  # the graph checks each edge's range, sides and duplicates once, as it streams in
+        g = BipartiteGraph(x_size, y_size, edges())
+    except ParseError:
+        raise
+    except GraphError as exc:  # reported at the line of the edge it rejected
+        raise ParseError(line_no, str(exc)) from None
+    if g.edge_count != declared:  # no duplicate got in, so this counts the edge lines
+        raise ParseError(0, f"header declares {declared} edges, found {g.edge_count}")
+    return g
 
 
 def serialize_graph(g: BipartiteGraph) -> str:

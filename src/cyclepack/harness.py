@@ -16,16 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import BipartiteGraph, gen_random_mindeg, gen_sharpness, serialize_graph
-from .packer import (
-    DEFAULT_BUDGET,
-    DEFAULT_ORACLE_LIMIT,
-    DEFAULT_RESTARTS,
-    INFEASIBLE,
-    PACKED,
-    brute_force_pack,
-    mix_seed,
-    pack,
-)
+from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, brute_force_pack, mix_seed, pack
 from .profiles import CycleProfile
 from .verify import check_hypotheses
 
@@ -43,8 +34,6 @@ class TrialConfig:
     delta: int | None = None  # None: use the profile's degree threshold
     trials: int = 1
     seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    restarts: int = DEFAULT_RESTARTS
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
     fill_p: float = 0.5
     threads: int = 1
@@ -62,6 +51,8 @@ class TrialConfig:
             raise ConfigError("side size must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not 0 <= self.fill_p <= 1:
+            raise ConfigError(f"fill_p {self.fill_p} is not a probability in [0, 1]")
         self.resolved_delta()
 
 
@@ -70,14 +61,7 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
     started = time.perf_counter()
     g = gen_random_mindeg(cfg.side_size, cfg.side_size, delta, trial_seed, cfg.fill_p)
     hyp = check_hypotheses(g, cfg.profile)
-    result = pack(
-        g,
-        cfg.profile,
-        budget=cfg.budget,
-        seed=trial_seed,
-        oracle_limit=cfg.oracle_limit,
-        restarts=cfg.restarts,
-    )
+    result = pack(g, cfg.profile, seed=trial_seed, oracle_limit=cfg.oracle_limit)
     verification = result.report.to_dict() if result.report is not None else None
     # In the guaranteed regime at certifiable scale a packing must exist, so a
     # certified "infeasible" can only mean an implementation bug.
@@ -141,8 +125,6 @@ def run_trials(cfg: TrialConfig) -> dict:
             "delta": delta,
             "trials": cfg.trials,
             "seed": cfg.seed,
-            "budget": cfg.budget,
-            "restarts": cfg.restarts,
             "oracle_limit": cfg.oracle_limit,
             "fill_p": cfg.fill_p,
         },

@@ -9,10 +9,16 @@ improves the lexicographic potential
 
     (-(total placed cycle size), path length)
 
-so each attempt terminates: shrink lowers the placed size; extend and exchange
-keep it and lengthen the path, so the placed cycles' induced-edge count would
-never decide and is no term. Seeded restarts perturb the construction order,
-and an exact backtracking oracle certifies small instances when the engine stalls.
+so each attempt terminates without an iteration counter: shrink lowers the
+placed size; extend and exchange keep it and lengthen the path, so the placed
+cycles' induced-edge count would never decide and is no term. On an N-vertex
+host the placed size within one stage takes at most N//2 + 1 even values and
+the path length at most N + 1, so between two shrinks the path lengthens at
+most N times and a stage ends within (N//2 + 1)(N + 1) iterations, the last a
+close or a stall (Posa's rotation-extension argument, Posa 1976). An attempt
+over k stages thus takes at most k(N//2 + 1)(N + 1) iterations. Seeded
+restarts perturb the construction order, and an exact backtracking oracle
+certifies small instances when the engine stalls.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ UNKNOWN = "unknown"
 MOVE_KINDS = ("shrink", "extend", "exchange", "close", "double_exchange")
 
 DEFAULT_ORACLE_LIMIT = 18
-DEFAULT_BUDGET = 2000
 DEFAULT_RESTARTS = 8
 
 
@@ -597,15 +602,18 @@ def _stall_bound_diagnostic(st: SearchState, diagnostics: list[str]) -> None:
 
 def _attempt(g, profile, budget, rng, result):
     """One restart-free run of the move loop, adding its moves, iterations and
-    diagnostics to ``result``; returns the full cycle list or None."""
+    diagnostics to ``result``; returns the full cycle list or None. The
+    potential ends the loop (see the module docstring); ``budget``, when not
+    None, caps this attempt's iterations."""
     st = SearchState(g, profile, rng=rng)
     counts = result.move_counts
-    stop = result.iterations + budget
+    stop = None if budget is None else result.iterations + budget
     while st.stage < profile.k:
         if st.pool.bit_count() < st.current_target:
             return None
-        progressed = False
-        while result.iterations < stop:
+        while True:
+            if result.iterations == stop:
+                return None
             result.iterations += 1
             before = st.potential()
             if move_shrink(st):
@@ -621,7 +629,6 @@ def _attempt(g, profile, budget, rng, result):
             if cycle is not None:
                 counts["close"] += 1
                 st.fix_cycle(cycle)
-                progressed = True
                 break
             ctx = select_concentration(st)
             if ctx is not None:
@@ -630,8 +637,6 @@ def _attempt(g, profile, budget, rng, result):
                     counts["double_exchange"] += 1
                     return full
             _stall_bound_diagnostic(st, result.diagnostics)
-            return None
-        if not progressed:
             return None
     return [tuple(c) for c in st.fixed]
 
@@ -655,7 +660,7 @@ def _packed(result: PackResult, g, profile, cycles, source: str) -> PackResult:
 def pack(
     g: BipartiteGraph,
     profile: CycleProfile,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
     seed: int = 0,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     restarts: int = DEFAULT_RESTARTS,
@@ -666,8 +671,13 @@ def pack(
     exhaustive certificate (immediate pigeonhole or the exact oracle on
     instances within the oracle limit); ``unknown`` when the move engine and its
     restarts are exhausted on an instance too large to certify.
+
+    Each attempt runs until every stage closes or no move applies. The
+    potential bounds it: on an N-vertex host with k profile entries an attempt
+    takes at most k(N//2 + 1)(N + 1) iterations (see the module docstring).
+    ``budget``, when given, caps each attempt's iterations as well.
     """
-    if budget < 0 or restarts < 0:
+    if (budget is not None and budget < 0) or restarts < 0:
         raise ValueError(f"budget and restarts must be >= 0, got {budget} and {restarts}")
     result = PackResult()
     if profile.n > g.num_vertices:

@@ -140,6 +140,19 @@ class TestParseSerialize:
         with pytest.raises(ParseError):
             parse_graph("p bip 2 2 2\ne 0 2\ne 0 2\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("p bip 2 2 2\ne 0 2\ne 0 2\n", 3),  # duplicate edge
+            ("p bip 2 2 2\ne 0 2\nc reversed\ne 2 0\n", 4),  # Y id first
+            ("p bip 2 2 2\ne 0 3\ne 1 4\n", 3),  # Y id past the last vertex
+        ],
+    )
+    def test_parse_edge_error_reports_its_line(self, text, line_no):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line_no == line_no
+
     def test_parse_bad_header(self):
         with pytest.raises(ParseError):
             parse_graph("p graph 2 2 1\ne 0 2\n")

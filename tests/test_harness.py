@@ -349,6 +349,13 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert calls == []
 
+    def test_trials_bad_fill_p_leaves_no_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["trials", "--side", "9", "--profile", "6,6", "--trials", "2", "--seed", "1",
+                     "--fill-p", "2", "--csv", str(csv_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_campaign_seeds_do_not_overlap(self, capsys):
         seeds = []
         for seed in ("6", "7"):

@@ -309,6 +309,44 @@ class TestPack:
         r = pack(g, make_profile([6]), seed=0)
         assert r.status == "unknown" and not r.oracle_used
 
+    @pytest.mark.parametrize("side", [100, 150])
+    def test_guaranteed_regime_packs_at_scale_on_first_attempt(self, side):
+        profile = make_profile([6] * (side // 3))
+        g = gen_random_mindeg(side, side, profile.threshold, seed=1)
+        r = pack(g, profile)
+        assert r.status == "packed" and r.restarts == 0
+
+    def test_attempts_stay_within_potential_bound(self, monkeypatch):
+        # sparse side-60 hosts far below the threshold, where shrink fires and
+        # every attempt ends on a stall
+        spans = []
+        original = packer._attempt
+
+        def measured(g, profile, budget, rng, result):
+            before = result.iterations
+            found = original(g, profile, budget, rng, result)
+            spans.append(result.iterations - before)
+            return found
+
+        monkeypatch.setattr(packer, "_attempt", measured)
+        profile = make_profile([6] * 20)
+        n = 120
+        bound = profile.k * (n // 2 + 1) * (n + 1)  # stated in the packer docstring
+        shrinks = 0
+        for seed in (0, 1):
+            spans.clear()
+            r = pack(gen_random_mindeg(60, 60, 4, seed=seed, fill_p=0.0), profile, seed=seed)
+            assert r.status == "unknown" and len(spans) == packer.DEFAULT_RESTARTS + 1
+            assert 0 < max(spans) <= bound
+            shrinks += r.move_counts["shrink"]
+        assert shrinks > 0
+
+    def test_explicit_budget_caps_each_attempt(self):
+        profile = make_profile([6] * 33)
+        g = gen_random_mindeg(100, 100, profile.threshold, seed=1)
+        r = pack(g, profile, budget=5)
+        assert r.status == "unknown" and r.iterations == 5 * (r.restarts + 1)
+
     def test_seed_determinism(self):
         g = gen_random_mindeg(8, 8, 4, seed=17)
         a = pack(g, make_profile([6, 6]), seed=2)
