@@ -14,7 +14,7 @@ import sys
 
 from .graphs import GraphError, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
 from .harness import ConfigError, TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
-from .packer import DEFAULT_ORACLE_LIMIT, DEFAULT_RESTARTS, INFEASIBLE, MOVE_KINDS, PACKED, pack
+from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, MOVE_KINDS, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
 
@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_arg(p)
     p.add_argument("--budget", type=int, default=None,
                    help="cap on iterations per attempt (default: none, the potential ends each attempt)")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
@@ -186,14 +185,7 @@ def _cmd_solve(args) -> int:
     profile = _parse_profile(args)
     with open(args.graph, "r", encoding="ascii") as fh:
         g = parse_graph(fh.read())
-    result = pack(
-        g,
-        profile,
-        budget=args.budget,
-        seed=args.seed,
-        oracle_limit=args.oracle_limit,
-        restarts=args.restarts,
-    )
+    result = pack(g, profile, budget=args.budget, seed=args.seed, oracle_limit=args.oracle_limit)
     report = result.report if result.status == PACKED else check_hypotheses(g, profile)
     summary = {
         "status": result.status,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import bits, mask_of
+from .graphs import bits
 
 
 def iter_cycles_window(
@@ -74,42 +74,32 @@ def hamilton_cycle_on(adj: tuple[int, ...], mask: int) -> tuple[int, ...] | None
     return next(iter_cycles_window(adj, mask, size, size), None)
 
 
-def best_cycle_of_length(
-    adj: tuple[int, ...], mask: int, length: int
-) -> tuple[int, ...] | None:
-    """Among length-``length`` cycles in mask, the one whose vertex set spans the
-    most induced edges (first found on ties)."""
-    best = None
-    best_beta = -1
-    for cyc in iter_cycles_window(adj, mask, length, length):
-        b = induced_edge_count(adj, mask_of(cyc))
-        if b > best_beta:
-            best, best_beta = cyc, b
-    return best
-
-
 def shortest_cycle_in_window(
     adj: tuple[int, ...], mask: int, lo: int, hi_exclusive: int
 ) -> tuple[int, ...] | None:
-    """Shortest cycle with length in [lo, hi_exclusive), beta-maximal at that length."""
+    """First cycle found at the shortest length in [lo, hi_exclusive), or None."""
     for length in range(max(lo, 4), hi_exclusive, 2):
-        cyc = best_cycle_of_length(adj, mask, length)
+        cyc = next(iter_cycles_window(adj, mask, length, length), None)
         if cyc is not None:
             return cyc
     return None
 
 
-def two_core(adj: tuple[int, ...], mask: int) -> int:
-    """Iteratively strip vertices with fewer than two neighbors inside mask."""
+def two_core(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """Iteratively strip vertices with fewer than two neighbors inside mask.
+
+    Returns (core, v): v is the core vertex with the fewest core neighbors,
+    lowest id on ties, or -1 for an empty core. It is picked in the last pass,
+    which strips nothing and so reads the core's own degrees."""
     changed = True
     while changed:
         changed = False
-        for v in bits(mask):
-            if (adj[v] & mask).bit_count() < 2:
-                mask &= ~(1 << v)
+        v, fewest = -1, mask.bit_count()
+        for u in bits(mask):
+            degree = (adj[u] & mask).bit_count()
+            if degree < 2:
+                mask &= ~(1 << u)
                 changed = True
-    return mask
-
-
-def induced_edge_count(adj: tuple[int, ...], mask: int) -> int:
-    return sum((adj[v] & mask).bit_count() for v in bits(mask)) // 2
+            elif degree < fewest:
+                v, fewest = u, degree
+    return mask, v

@@ -7,18 +7,20 @@ lengthen the path, trade a path endpoint's neighbor out of a placed cycle, or
 close the path into the next required cycle. Every non-terminal move strictly
 improves the lexicographic potential
 
-    (-(total placed cycle size), path length)
+    (pool size, path length)
 
-so each attempt terminates without an iteration counter: shrink lowers the
-placed size; extend and exchange keep it and lengthen the path, so the placed
-cycles' induced-edge count would never decide and is no term. On an N-vertex
-host the placed size within one stage takes at most N//2 + 1 even values and
-the path length at most N + 1, so between two shrinks the path lengthens at
-most N times and a stage ends within (N//2 + 1)(N + 1) iterations, the last a
-close or a stall (Posa's rotation-extension argument, Posa 1976). An attempt
-over k stages thus takes at most k(N//2 + 1)(N + 1) iterations. Seeded
-restarts perturb the construction order, and an exact backtracking oracle
-certifies small instances when the engine stalls.
+On an N-vertex host the placed cycles are disjoint and the pool is the host
+minus their union, so the pool size is N minus the total placed size and the
+order is that of (-(total placed size), path length). Each attempt therefore
+terminates without an iteration counter: shrink grows the pool; extend and
+exchange keep it and lengthen the path. The placed size within one stage
+takes at most N//2 + 1 even values and the path length at most N + 1, so
+between two shrinks the path lengthens at most N times and a stage ends within
+(N//2 + 1)(N + 1) iterations, the last a close or a stall (Posa's
+rotation-extension argument, Posa 1976). An attempt over k stages thus takes at
+most k(N//2 + 1)(N + 1) iterations. Seeded restarts perturb the construction
+order, and an exact backtracking oracle certifies small instances when the
+engine stalls.
 """
 from __future__ import annotations
 
@@ -116,7 +118,7 @@ class SearchState:
         return self.targets[self.stage]
 
     def potential(self) -> tuple[int, int]:
-        return (-sum(len(c) for c in self.fixed), len(self.path))
+        return (self.pool.bit_count(), len(self.path))
 
     # -- state mutations ---------------------------------------------------
 
@@ -345,25 +347,16 @@ def move_exchange_one(st: SearchState) -> bool:
             for u2 in bits(rest & opposite):
                 if d1 + (adj[u2] & cmask).bit_count() < tgt - 1:
                     continue
-                best: tuple[int, ...] | None = None
-                best_key = (-1, 0)
                 for v in bits(adj[u1] & cmask):
-                    newset = (cmask ^ 1 << v) | 1 << u2
-                    ham = cs.hamilton_cycle_on(adj, newset)
+                    ham = cs.hamilton_cycle_on(adj, (cmask ^ 1 << v) | 1 << u2)
                     if ham is None:
                         continue
-                    key = (cs.induced_edge_count(adj, newset), -v)
-                    if key > best_key:
-                        best, best_key = ham, key
-                if best is None:
-                    continue
-                v = -best_key[1]
-                st.replace_cycle(j, best)  # moves u2 in, v out to the pool
-                if where == "head":
-                    st.set_path([v] + st.path)
-                else:
-                    st.set_path(st.path + [v])
-                return True
+                    st.replace_cycle(j, ham)  # moves u2 in, v out to the pool
+                    if where == "head":
+                        st.set_path([v] + st.path)
+                    else:
+                        st.set_path(st.path + [v])
+                    return True
     return False
 
 
@@ -663,28 +656,28 @@ def pack(
     budget: int | None = None,
     seed: int = 0,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> PackResult:
     """Find vertex-disjoint cycles realizing the profile, or certify their absence.
 
     Outcomes: ``packed`` with a verified packing; ``infeasible`` only with an
     exhaustive certificate (immediate pigeonhole or the exact oracle on
     instances within the oracle limit); ``unknown`` when the move engine and its
-    restarts are exhausted on an instance too large to certify.
+    ``DEFAULT_RESTARTS`` seeded restarts are exhausted on an instance too large
+    to certify.
 
     Each attempt runs until every stage closes or no move applies. The
     potential bounds it: on an N-vertex host with k profile entries an attempt
     takes at most k(N//2 + 1)(N + 1) iterations (see the module docstring).
     ``budget``, when given, caps each attempt's iterations as well.
     """
-    if (budget is not None and budget < 0) or restarts < 0:
-        raise ValueError(f"budget and restarts must be >= 0, got {budget} and {restarts}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     result = PackResult()
     if profile.n > g.num_vertices:
         result.status = INFEASIBLE
         result.diagnostics.append(f"profile needs {profile.n} vertices, host has {g.num_vertices}")
         return result
-    for attempt in range(restarts + 1):
+    for attempt in range(DEFAULT_RESTARTS + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
         cycles = _attempt(g, profile, budget, rng, result)
@@ -753,15 +746,10 @@ def brute_force_pack(
         key = (remaining, needed)
         if key in failed:
             return None
-        core = cs.two_core(adj, remaining)
+        core, v = cs.two_core(adj, remaining)
         x_count = (core & x_mask).bit_count()
         slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
         if slack >= 0:
-            v, fewest = -1, core.bit_count()
-            for u in bits(core):
-                degree = (adj[u] & core).bit_count()
-                if degree < fewest:
-                    v, fewest = u, degree
             for cyc in cs.iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
                 i = bisect_right(needed, len(cyc)) - 1
                 if len(cyc) - needed[i] > slack:

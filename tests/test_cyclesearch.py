@@ -3,7 +3,12 @@ import random
 import pytest
 
 from cyclepack import BipartiteGraph
-from cyclepack.cyclesearch import iter_cycles_through, iter_cycles_window
+from cyclepack.cyclesearch import (
+    iter_cycles_through,
+    iter_cycles_window,
+    shortest_cycle_in_window,
+    two_core,
+)
 from cyclepack.graphs import bits
 
 
@@ -47,3 +52,46 @@ def test_cycles_through_agree_with_networkx_simple_cycles():
         assert len(found) == len(expected)
         assert len(set(found)) == len(found) and all(c[0] == anchor for c in found)
         assert sorted(map(sorted, found)) == sorted(map(sorted, expected))
+
+
+def _masked_instance(rng, nx):
+    x = rng.randint(2, 6)
+    y = rng.randint(2, 6)
+    p = rng.uniform(0.3, 0.8)
+    g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
+    keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(bits(keep))
+    nxg.add_edges_from((a, b) for a, b in g.edges() if keep >> a & 1 and keep >> b & 1)
+    return g, keep, nxg
+
+
+def test_shortest_cycle_in_window_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(79)
+    for trial in range(40):
+        g, keep, nxg = _masked_instance(rng, nx)
+        lo = rng.choice((4, 6, 8))
+        hi = rng.randint(lo + 1, 14)
+        lengths = [len(c) for c in nx.simple_cycles(nxg, length_bound=hi - 1) if len(c) >= lo]
+        found = shortest_cycle_in_window(g.adjacency, keep, lo, hi)
+        if not lengths:
+            assert found is None
+            continue
+        assert found is not None and len(found) == min(lengths)
+        assert len(set(found)) == len(found) and all(keep >> v & 1 for v in found)
+        assert all(nxg.has_edge(a, b) for a, b in zip(found, found[1:] + found[:1]))
+
+
+def test_two_core_agrees_with_networkx_k_core():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(80)
+    for trial in range(40):
+        g, keep, nxg = _masked_instance(rng, nx)
+        core, v = two_core(g.adjacency, keep)
+        k2 = nx.k_core(nxg, 2)
+        assert set(bits(core)) == set(k2.nodes)
+        if not k2:
+            assert v == -1
+        else:
+            assert v == min(k2.nodes, key=lambda u: (k2.degree(u), u))

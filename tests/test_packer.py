@@ -50,7 +50,7 @@ class TestMoveShrink:
         assert move_shrink(st)
         assert len(st.fixed[0]) == 6
         assert st.potential() > before
-        # the densest six-cycle through the apex wins the beta tie-break
+        # pins the first six-cycle found through the apex
         assert sorted(st.fixed[0]) == [0, 1, 2, 4, 5, 8]
         assert st.pool.bit_count() == 3
         assert_valid_cycle(g, tuple(st.fixed[0]))
