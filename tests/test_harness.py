@@ -228,7 +228,7 @@ class TestCli:
         assert main(["solve", "--graph", "/nonexistent.graph", "--profile", "6"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flag", [["--budget", "-3"]])
+    @pytest.mark.parametrize("flag", [["--budget", "-1"], ["--budget", "-3"]])
     def test_solve_negative_budget_or_restarts_exit_one(self, tmp_path, capsys, flag):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])
