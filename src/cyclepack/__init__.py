@@ -15,7 +15,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .matching import Matching, longest_alternating_path, max_matching
+from .matching import longest_alternating_path, max_matching
 from .packer import (
     INFEASIBLE,
     PACKED,
@@ -47,7 +47,6 @@ __all__ = [
     "make_profile",
     "degree_threshold",
     "uniform_profile",
-    "Matching",
     "max_matching",
     "longest_alternating_path",
     "Packing",

@@ -290,7 +290,8 @@ def _cmd_gen(args) -> int:
     else:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-    print(f"wrote {g.num_vertices} vertices, {g.edge_count} edges: {note}")
+    status = sys.stderr if args.out == "-" else sys.stdout  # keep piped graph text parseable
+    print(f"wrote {g.num_vertices} vertices, {g.edge_count} edges: {note}", file=status)
     return EXIT_OK
 
 

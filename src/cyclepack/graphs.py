@@ -267,11 +267,10 @@ def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> No
     real vertices (slot i stands for vertex i mod side size), so a full round
     hands every vertex on both sides at least one new distinct neighbor.
     A random permutation proposes each left slot's partner; slots whose
-    proposal is a present edge are rematched by breadth-first augmenting
-    paths (Hopcroft & Karp 1973) over bitmask rows of allowed partners. With
-    equal sides the allowed pairs form a regular bipartite graph, which by
-    Hall's theorem has a perfect matching, so the round always completes; with
-    unequal sides a slot can stay unmatched.
+    proposal is a present edge are rematched by :func:`augment` over bitmask
+    rows of allowed partners. With equal sides the allowed pairs form a regular
+    bipartite graph, which by Hall's theorem has a perfect matching, so the
+    round always completes; with unequal sides a slot can stay unmatched.
     """
     size = max(x_size, y_size)
     full = (1 << size) - 1
@@ -293,29 +292,44 @@ def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> No
             match_l[l] = -1
             unmatched.append(l)
     for root in unmatched:
-        parent = {}
-        seen = 0
-        queue = [root]
-        for u in queue:
-            cands = allowed[u] & ~seen
-            seen |= cands
-            ends = cands & free_r
-            if ends:
-                r = (ends & -ends).bit_length() - 1
-                free_r ^= 1 << r
-                while True:  # flip the path back to the root
-                    match_r[r] = u
-                    match_l[u], r = r, match_l[u]
-                    if u == root:
-                        break
-                    u = parent[r]
-                break
-            for r in bits(cands):
-                parent[r] = u
-                queue.append(match_r[r])
+        free_r = augment(allowed, match_l, match_r, free_r, root)
     for l, r in enumerate(match_l):
         if r != -1:
             present[l % x_size] |= 1 << (r % y_size)
+
+
+def augment(allowed, match_l: list[int], match_r: list[int], free_r: int, root: int) -> int:
+    """Grow a matching along one breadth-first augmenting path from the
+    unmatched left vertex ``root``; returns the updated free-right mask.
+
+    ``allowed[u]`` is the bitmask of right vertices left vertex ``u`` may take,
+    ``match_l``/``match_r`` hold partners (-1 if unmatched) and are updated in
+    place, ``free_r`` marks unmatched right vertices. The path ends at the
+    lowest-id free neighbour of the first queued vertex that has one; if none
+    exists nothing changes. Iterative, so path length is not bounded by the
+    recursion limit.
+    """
+    parent = {}
+    seen = 0
+    queue = [root]
+    for u in queue:
+        cands = allowed[u] & ~seen
+        seen |= cands
+        ends = cands & free_r
+        if ends:
+            r = (ends & -ends).bit_length() - 1
+            free_r ^= 1 << r
+            while True:  # flip the path back to the root
+                match_r[r] = u
+                match_l[u], r = r, match_l[u]
+                if u == root:
+                    break
+                u = parent[r]
+            break
+        for r in bits(cands):
+            parent[r] = u
+            queue.append(match_r[r])
+    return free_r
 
 
 def _repair(present: list[int], x_size: int, y_size: int, delta: int, rng) -> None:

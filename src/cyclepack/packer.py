@@ -222,10 +222,10 @@ def _alternating_family(st: SearchState) -> list[list[int]]:
             qs.append(q)
 
     for v in bits(rest):
-        if not m.covers(v):
+        if v not in m:
             add(longest_alternating_path(adj, rest, m, v, False))
     for v in bits(rest):
-        if m.covers(v):
+        if v in m:
             add(longest_alternating_path(adj, rest, m, v, True))
     for v in bits(rest):
         add([v])

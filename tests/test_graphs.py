@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -246,6 +247,21 @@ class TestGenerators:
         finally:
             sys.setrecursionlimit(old)
         assert g.min_degree() >= 67
+
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ((30, 30, 20, 7, 0.0), "d9b73918d8a253416e09d1e6085cb6f3c9aa78a885f87cf29ca492df60c82479"),
+            ((40, 40, 27, 3, 0.5), "3f344aa9ff40b03d89506b0aa165d1c25f2479156692d720d5ab6d8f09ff846d"),
+            ((25, 40, 15, 11, 0.5), "145e0b36f4bc6e651fc63e5320c1f6a41800dedb80655dc156a46412950663b1"),
+            ((40, 17, 12, 5, 0.0), "b7ead38403e1a1a0e5a1ced139c6ff77c06ddb7dfc1e9e45e61fcf84d2e78fec"),
+            ((90, 90, 61, 1024, 0.5), "bba938e6e0258569dd4f2dd4170123134c53026db60d3d3974519997705b0f9f"),
+        ],
+    )
+    def test_random_instances_pinned(self, shape, digest):
+        # (x, y, delta, seed, fill_p): `gen random`, `trials` and `hunt` draw these exact hosts
+        text = serialize_graph(gen_random_mindeg(*shape))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_random_infeasible_delta(self):
         with pytest.raises(GraphError):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from cyclepack import gen_sharpness, make_profile, parse_graph, serialize_graph
+from cyclepack import gen_complete, gen_sharpness, make_profile, parse_graph, serialize_graph
 from cyclepack import cli, harness
 from cyclepack.cli import main
 from cyclepack.harness import (
@@ -234,6 +234,12 @@ class TestCli:
         main(["gen", "complete", "--m", "3", "--out", str(path)])
         assert main(["solve", "--graph", str(path), "--profile", "6", "--json"] + flag) == 1
         assert "must be >= 0" in capsys.readouterr().err
+
+    def test_gen_to_stdout_is_only_the_graph(self, capsys):
+        assert main(["gen", "complete", "--m", "3", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert parse_graph(captured.out) == gen_complete(3)
+        assert "wrote 6 vertices" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
