@@ -18,9 +18,9 @@ takes at most N//2 + 1 even values and the path length at most N + 1, so
 between two shrinks the path lengthens at most N times and a stage ends within
 (N//2 + 1)(N + 1) iterations, the last a close or a stall (Posa's
 rotation-extension argument, Posa 1976). An attempt over k stages thus takes at
-most k(N//2 + 1)(N + 1) iterations. Seeded restarts perturb the construction
-order, and an exact backtracking oracle certifies small instances when the
-engine stalls.
+most k(N//2 + 1)(N + 1) iterations. On a host within the oracle limit, an
+exact backtracking oracle decides once the first attempt stalls; only larger
+hosts get seeded restarts, which perturb the construction order.
 """
 from __future__ import annotations
 
@@ -108,6 +108,9 @@ class SearchState:
         if self.path_mask & ~self.pool or len(set(self.path)) != len(self.path):
             raise ValueError("path must be a simple sequence inside the pool")
         self.rng = rng
+        # shrink reads only the placed cycles and the pool, which change only in
+        # fix_cycle and replace_cycle; a failed shrink stays failed until then
+        self.shrink_stale = True
 
     @property
     def stage(self) -> int:
@@ -132,6 +135,7 @@ class SearchState:
         self.fixed.append(list(cycle))
         self.fixed_masks.append(m)
         self.pool &= ~m
+        self.shrink_stale = True
         self.set_path([])
 
     def replace_cycle(self, j: int, cycle) -> None:
@@ -142,6 +146,7 @@ class SearchState:
         self.fixed[j] = list(cycle)
         self.fixed_masks[j] = new
         self.pool = (self.pool | released) & ~taken
+        self.shrink_stale = True
         if taken & self.path_mask:
             self._drop_from_path(taken)
 
@@ -169,8 +174,11 @@ def move_shrink(st: SearchState) -> bool:
     required length) routed through a vertex with heavy adjacency into it.
 
     Applies when some pool or on-cycle vertex has at least c_j/2 neighbors on a
-    cycle longer than c_j; the total placed size strictly drops.
+    cycle longer than c_j; the total placed size strictly drops. After a failed
+    call it returns False at once until a placed cycle changes.
     """
+    if not st.shrink_stale:
+        return False
     adj = st.adj
     for j, cyc in enumerate(st.fixed):
         tgt = st.targets[j]
@@ -200,6 +208,7 @@ def move_shrink(st: SearchState) -> bool:
         if best is not None:
             st.replace_cycle(j, best)
             return True
+    st.shrink_stale = False
     return False
 
 
@@ -663,7 +672,9 @@ def pack(
     exhaustive certificate (immediate pigeonhole or the exact oracle on
     instances within the oracle limit); ``unknown`` when the move engine and its
     ``DEFAULT_RESTARTS`` seeded restarts are exhausted on an instance too large
-    to certify.
+    to certify. Within the oracle limit there are no restarts: the oracle
+    decides as soon as the first attempt stalls, so a restart could change
+    which packing is returned but never the status.
 
     Each attempt runs until every stage closes or no move applies. The
     potential bounds it: on an N-vertex host with k profile entries an attempt
@@ -677,7 +688,8 @@ def pack(
         result.status = INFEASIBLE
         result.diagnostics.append(f"profile needs {profile.n} vertices, host has {g.num_vertices}")
         return result
-    for attempt in range(DEFAULT_RESTARTS + 1):
+    restarts = DEFAULT_RESTARTS if g.num_vertices > oracle_limit else 0
+    for attempt in range(restarts + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
         cycles = _attempt(g, profile, budget, rng, result)

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 
 import pytest
@@ -34,6 +36,15 @@ def assert_valid_cycle(g, cyc, min_len=4):
     assert len(set(cyc)) == len(cyc)
     for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
         assert g.has_edge(a, b), f"{a}-{b} missing in {cyc}"
+
+
+def sparse_host():
+    # 16 vertices, sparse and below threshold for [4, 4, 4, 4]: the engine
+    # places oversized cycles with several qualifying vertices of their own
+    return BipartiteGraph(8, 8, [
+        (0, 10), (0, 11), (1, 9), (1, 13), (1, 14), (2, 11), (2, 15), (3, 10), (3, 12), (3, 14),
+        (4, 8), (4, 12), (5, 9), (5, 12), (6, 8), (6, 9), (6, 13), (7, 11), (7, 14), (7, 15),
+    ])
 
 
 class TestMoveShrink:
@@ -84,14 +95,60 @@ class TestMoveShrink:
 
         monkeypatch.setattr(packer.cs, "shortest_cycle_in_window", search)
         monkeypatch.setattr(packer, "move_shrink", shrink)
-        # sparse and below threshold: oversized placed cycles with several
-        # qualifying vertices of their own
-        g = BipartiteGraph(8, 8, [
-            (0, 10), (0, 11), (1, 9), (1, 13), (1, 14), (2, 11), (2, 15), (3, 10), (3, 12), (3, 14),
-            (4, 8), (4, 12), (5, 9), (5, 12), (6, 8), (6, 9), (6, 13), (7, 11), (7, 14), (7, 15),
-        ])
-        pack(g, make_profile([4, 4, 4, 4], "conjecture"), seed=0)
+        # shrink is reached only on restarts here, which run beyond the oracle limit
+        pack(sparse_host(), make_profile([4, 4, 4, 4], "conjecture"), seed=0, oracle_limit=15)
         assert any(searched)
+
+    def test_failed_shrink_waits_for_a_placed_cycle_to_change(self, monkeypatch):
+        searches = []
+        original_search = packer.cs.shortest_cycle_in_window
+
+        def search(adj, mask, lo, hi):
+            searches.append(mask)
+            return original_search(adj, mask, lo, hi)
+
+        monkeypatch.setattr(packer.cs, "shortest_cycle_in_window", search)
+        # an 8-cycle with no chord placed for a 4-cycle, and a spare 4-cycle in the pool
+        cycle8 = [0, 6, 1, 7, 2, 8, 3, 9]
+        edges = [(0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (3, 8), (3, 9), (0, 9)]
+        edges += [(4, 10), (5, 10), (5, 11), (4, 11)]
+        g = BipartiteGraph(6, 6, edges)
+        st = SearchState(g, make_profile([4, 4, 4], "conjecture"), fixed_cycles=[cycle8])
+
+        def searched_by_shrink():
+            del searches[:]
+            assert not move_shrink(st)
+            return len(searches)
+
+        assert searched_by_shrink() == 1
+        st.set_path([4, 10])
+        assert searched_by_shrink() == 0
+        st.replace_cycle(0, cycle8[2:] + cycle8[:2])
+        assert searched_by_shrink() == 1
+        assert searched_by_shrink() == 0
+        st.fix_cycle([4, 10, 5, 11])
+        assert searched_by_shrink() == 1
+
+    def test_seeded_outputs_pinned(self):
+        # recorded before shrink skipped repeat searches: sparse side-60 hosts
+        # where shrink fires, and side-8 hosts that restart with the oracle off
+        sparse60 = make_profile([6] * 20)
+        calls = [
+            (gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, packer.DEFAULT_ORACLE_LIMIT)
+            for s in (0, 1)
+        ]
+        quad4 = make_profile([4, 4, 4, 4], "conjecture")
+        calls += [(gen_random_mindeg(8, 8, 2, seed=s, fill_p=0.1), quad4, s, 0) for s in range(40)]
+        digest = hashlib.sha256()
+        shrinks = 0
+        for g, profile, seed, oracle_limit in calls:
+            r = pack(g, profile, seed=seed, oracle_limit=oracle_limit)
+            cycles = None if r.packing is None else [list(c) for c in r.packing.cycles]
+            record = [r.status, cycles, r.move_counts, r.iterations, r.restarts]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            shrinks += r.move_counts["shrink"]
+        assert shrinks > 0
+        assert digest.hexdigest() == "53c78feae184ebb2c57824240ec1606189cb7e3978634435108793a91d55f9c9"
 
 
 class TestSearchState:
@@ -308,6 +365,13 @@ class TestPack:
         g = BipartiteGraph(10, 10, edges)
         r = pack(g, make_profile([6]), seed=0)
         assert r.status == "unknown" and not r.oracle_used
+
+    def test_oracle_decides_after_one_attempt_within_its_limit(self):
+        profile = make_profile([4, 4, 4, 4], "conjecture")
+        r = pack(sparse_host(), profile, seed=0)
+        assert r.status == "infeasible" and r.restarts == 0 and r.oracle_used
+        r = pack(sparse_host(), profile, seed=0, oracle_limit=15)
+        assert r.status == "unknown" and r.restarts == packer.DEFAULT_RESTARTS and not r.oracle_used
 
     @pytest.mark.parametrize("side", [100, 150])
     def test_guaranteed_regime_packs_at_scale_on_first_attempt(self, side):
