@@ -129,7 +129,9 @@ def _render_solve(summary: dict) -> None:
     if summary.get("packing"):
         for i, cyc in enumerate(summary["packing"]):
             print(f"  cycle {i} (length {len(cyc)}): {' '.join(map(str, cyc))}")
-    _render_report(summary["report"])
+    if summary["report"]:
+        _render_report(summary["report"])
+    _render_report(summary["hypotheses"])
     print(f"moves: {summary['moves']}  oracle_used: {summary['oracle_used']}")
 
 
@@ -186,11 +188,11 @@ def _cmd_solve(args) -> int:
     with open(args.graph, "r", encoding="ascii") as fh:
         g = parse_graph(fh.read())
     result = pack(g, profile, budget=args.budget, seed=args.seed, oracle_limit=args.oracle_limit)
-    report = result.report if result.status == PACKED else check_hypotheses(g, profile)
     summary = {
         "status": result.status,
         "packing": [list(c) for c in result.packing.cycles] if result.packing else None,
-        "report": report.to_dict(),
+        "report": result.report.to_dict() if result.report is not None else None,
+        "hypotheses": check_hypotheses(g, profile).to_dict(),
         "moves": result.move_counts,
         "iterations": result.iterations,
         "restarts": result.restarts,
@@ -198,8 +200,8 @@ def _cmd_solve(args) -> int:
         "diagnostics": result.diagnostics,
     }
     _emit(summary, args.json, _render_solve)
-    if result.status == PACKED:
-        return EXIT_OK if report.ok else EXIT_INPUT
+    if result.status == PACKED:  # pack raises rather than return a packing the verifier rejects
+        return EXIT_OK
     return EXIT_INFEASIBLE if result.status == INFEASIBLE else EXIT_UNKNOWN
 
 

@@ -62,14 +62,10 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
     g = gen_random_mindeg(cfg.side_size, cfg.side_size, delta, trial_seed, cfg.fill_p)
     hyp = check_hypotheses(g, cfg.profile)
     result = pack(g, cfg.profile, seed=trial_seed, oracle_limit=cfg.oracle_limit)
-    verification = result.report.to_dict() if result.report is not None else None
-    # In the guaranteed regime at certifiable scale a packing must exist, so a
-    # certified "infeasible" can only mean an implementation bug.
-    violation = (
-        hyp.ok
-        and 2 * cfg.side_size <= cfg.oracle_limit
-        and result.status == INFEASIBLE
-    )
+    # In the guaranteed regime a packing must exist, so a certified
+    # "infeasible" (pigeonhole, which the balanced sides rule out, or the
+    # oracle, which runs only within its limit) can only mean a bug.
+    violation = hyp.ok and result.status == INFEASIBLE
     elapsed = time.perf_counter() - started
     row = {
         "trial": index,
@@ -77,8 +73,7 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
         "outcome": result.status,
         "oracle_fallback": result.oracle_used,
         "hypotheses_hold": hyp.ok,
-        "verified": bool(verification and verification["ok"]),
-        "verification": verification,
+        "verified": result.report is not None and result.report.ok,
         "theorem_violation": violation,
         "moves": dict(result.move_counts),
         "iterations": result.iterations,
@@ -154,24 +149,23 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     vertex i). Only non-decreasing row tuples are enumerated, one per multiset
     of rows, and each stands for the side!/(m_1!...m_r!) labelled graphs whose
     rows are its permutations, where m_i counts equal rows. That weight is what
-    ``leaves_visited``, ``hypothesis_satisfying`` and ``packed`` add up, so they
-    stay counts of labelled graphs. This is sound because permuting the rows
-    only relabels X vertices: it keeps every row degree, every column degree
-    and the balance of the sides, and it maps a packing onto a packing. So every
-    graph a multiset stands for meets the hypotheses and has a packing exactly
-    when the tuple enumerated does.
+    ``hypothesis_satisfying`` and ``packed`` add up, so they stay counts of
+    labelled graphs. This is sound because permuting the rows only relabels X
+    vertices: it keeps every row degree, every column degree and the balance of
+    the sides, and it maps a packing onto a packing. So every graph a multiset
+    stands for meets the hypotheses and has a packing exactly when the tuple
+    enumerated does.
 
     Rows under the degree threshold are never tried, and a subtree is abandoned
     as soon as some column can no longer reach the threshold with the rows left
     to place; both prunes can only discard hypothesis-failing graphs. At the
     last row no rows are left, so the column prune has already held every
-    column at the threshold: every leaf satisfies the hypotheses, and
-    ``leaves_visited`` equals ``hypothesis_satisfying`` by construction. Each
-    hypothesis-satisfying multiset builds its own graph and is handed to the
-    exact oracle, whose packing is verified in full; nothing is shared between
-    multisets. An infeasible verdict violates the guarantee and is reported as
-    one ``violations`` entry per multiset, with its sorted ``rows``, the
-    ``graph`` and the ``weight`` of labelled graphs it stands for.
+    column at the threshold: every leaf satisfies the hypotheses. Each leaf
+    builds its own graph and is handed to the exact oracle, whose packing is
+    verified in full; nothing is shared between multisets. An infeasible
+    verdict violates the guarantee and is reported as one ``violations`` entry
+    per multiset, with its sorted ``rows``, the ``graph`` and the ``weight`` of
+    labelled graphs it stands for.
     """
     if side < 1:
         raise ConfigError("side must be >= 1")
@@ -243,7 +237,6 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
         },
         "space_size": space,
         "balance_hypothesis_ok": balance_ok,
-        "leaves_visited": stats["satisfying"],
         "hypothesis_satisfying": stats["satisfying"],
         "packed": stats["packed"],
         "violations": violations,

@@ -54,10 +54,6 @@ class Packing:
 
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def total_vertices(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
 
 @dataclass
 class PackResult:

@@ -35,9 +35,9 @@ class TestRunTrials:
         assert agg["success_rate"] == 1.0
         assert agg["theorem_violations"] == 0
         assert sum(agg["outcomes"].values()) == 25
-        for row in s["trials"]:  # packed rows embed a verification report with ok true
+        for row in s["trials"]:
             assert row["outcome"] == "packed"
-            assert row["verification"]["ok"] is True
+            assert row["verified"] is True
 
     def test_forced_complete_graph(self):
         cfg = TrialConfig(make_profile([6]), side_size=3, delta=3, trials=5, seed=1)
@@ -53,6 +53,24 @@ class TestRunTrials:
         agg = s["aggregates"]
         assert sum(agg["outcomes"].values()) == 20
         assert agg["theorem_violations"] == 0  # no guarantee claimed, but also no false proofs
+
+    def test_rows_record_verified_not_the_report(self):
+        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=2, trials=12, seed=3, fill_p=0.2)
+        rows = run_trials(cfg)["trials"]
+        assert {row["outcome"] for row in rows} == {"packed", "infeasible"}
+        for row in rows:
+            assert "verification" not in row
+            assert row["verified"] == (row["outcome"] == "packed")
+
+    def test_certified_infeasible_in_guaranteed_regime_is_a_violation(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(INFEASIBLE, oracle_used=True))
+        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=4, seed=1)
+        s = run_trials(cfg)
+        assert all(row["hypotheses_hold"] for row in s["trials"])
+        assert s["aggregates"]["theorem_violations"] == cfg.trials
+        assert main(["trials", "--side", "6", "--delta", "5", "--profile", "6,6",
+                     "--trials", "4", "--seed", "1", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["aggregates"]["theorem_violations"] == 4
 
     def test_same_seed_identical_summary(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=15, seed=42)
@@ -124,7 +142,7 @@ class TestRunExhaustive:
                 balanced = side >= profile.n // 2
                 want = sum(c for d, c in hist.items() if d >= profile.threshold) if balanced else 0
                 s = run_exhaustive(side, profile)
-                assert s["leaves_visited"] == s["hypothesis_satisfying"] == want, (side, profile)
+                assert s["hypothesis_satisfying"] == want, (side, profile)
                 assert s["packed"] == want and s["violations"] == []
 
     def test_one_oracle_call_per_row_multiset(self, monkeypatch):
@@ -208,6 +226,26 @@ class TestCli:
         code = main(["solve", "--graph", str(path), "--profile", "6", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["status"] == "packed" and out["report"]["ok"]
+        assert out["hypotheses"]["ok"]
+        assert not any(c["name"].startswith("hypothesis_") for c in out["report"]["checks"])
+
+    def test_solve_infeasible_json_has_no_report(self, tmp_path, capsys):
+        path = tmp_path / "sharp.graph"
+        main(["gen", "sharpness", "--k", "2", "--out", str(path)])
+        capsys.readouterr()
+        code = main(["solve", "--graph", str(path), "--profile", "4,6", "--mode", "conjecture", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2 and out["status"] == "infeasible" and out["report"] is None
+        failed = {c["name"] for c in out["hypotheses"]["checks"] if not c["pass"]}
+        assert failed == {"hypothesis_min_degree"} and not out["hypotheses"]["ok"]
+
+    def test_solve_text_prints_both_reports(self, tmp_path, capsys):
+        path = tmp_path / "k33.graph"
+        main(["gen", "complete", "--m", "3", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["solve", "--graph", str(path), "--profile", "6"]) == 0
+        text = capsys.readouterr().out
+        assert "[PASS] disjointness" in text and "[PASS] hypothesis_min_degree" in text
 
     def test_solve_sharpness_exit_two_order_insensitive(self, tmp_path, capsys):
         path = tmp_path / "sharp.graph"

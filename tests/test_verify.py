@@ -100,10 +100,14 @@ class TestVerifyPacking:
         g = c6_graph()
         report = verify_packing(g, make_profile([6, 6][:1]), [(0, 3, 1, 4, 2, 5)])
         assert report.ok
-        g2, profile2 = gen_sharpness(2)
-        report2 = verify_packing(g2, profile2, [(0, 5, 1, 6), (2, 7, 3, 8)])
-        hyp = [c for c in report2.checks if c.name == "hypothesis_min_degree"]
-        assert hyp and not hyp[0].passed
+
+    def test_checks_only_the_packing(self):
+        # the sharpness host is below the degree threshold: that is check_hypotheses' finding, not ours
+        g, profile = gen_sharpness(2)
+        report = verify_packing(g, profile, [(0, 5, 1, 6), (2, 7, 3, 8)])
+        assert not any(c.name.startswith("hypothesis_") for c in report.checks)
+        assert report.ok == all(c.passed for c in report.checks)
+        assert [c.name for c in report.checks if not c.passed] == ["length"]
 
     def test_report_shape_and_purity(self):
         g = gen_complete(3)
