@@ -22,7 +22,6 @@ from .packer import (
     UNKNOWN,
     ExchangeContext,
     OracleLimitError,
-    Packing,
     PackResult,
     SearchState,
     brute_force_pack,
@@ -49,7 +48,6 @@ __all__ = [
     "uniform_profile",
     "max_matching",
     "longest_alternating_path",
-    "Packing",
     "PackResult",
     "SearchState",
     "ExchangeContext",

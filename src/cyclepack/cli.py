@@ -190,7 +190,7 @@ def _cmd_solve(args) -> int:
     result = pack(g, profile, budget=args.budget, seed=args.seed, oracle_limit=args.oracle_limit)
     summary = {
         "status": result.status,
-        "packing": [list(c) for c in result.packing.cycles] if result.packing else None,
+        "packing": [list(c) for c in result.packing] if result.packing else None,
         "report": result.report.to_dict() if result.report is not None else None,
         "hypotheses": check_hypotheses(g, profile).to_dict(),
         "moves": result.move_counts,

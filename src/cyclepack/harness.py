@@ -78,7 +78,7 @@ def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
         "moves": dict(result.move_counts),
         "iterations": result.iterations,
         "restarts": result.restarts,
-        "packing": [list(c) for c in result.packing.cycles] if result.packing else None,
+        "packing": [list(c) for c in result.packing] if result.packing else None,
     }
     return row, elapsed
 

@@ -48,20 +48,14 @@ class OracleLimitError(ValueError):
     """Instance too large for the exact oracle."""
 
 
-@dataclass(frozen=True)
-class Packing:
-    """k pairwise disjoint simple cycles, aligned with the profile's sorted entries."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-
 @dataclass
 class PackResult:
     """What a solve did: its verdict, and the moves, iterations, restarts and
     diagnostics spent reaching it."""
 
     status: str = UNKNOWN
-    packing: Packing | None = None
+    # k pairwise disjoint simple cycles, aligned with the profile's sorted entries
+    packing: tuple[tuple[int, ...], ...] | None = None
     move_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(MOVE_KINDS, 0))
     iterations: int = 0
     restarts: int = 0
@@ -259,9 +253,31 @@ def _rotate_extend(st: SearchState, p: list[int]) -> list[int] | None:
     return None
 
 
+def _attachments(st: SearchState, q: list[int]):
+    """Yield (i, j, q oriented), by i then j, for each pair of path positions
+    i <= j where p[i] sees the oriented q's first end and p[j] its last;
+    j > i unless q has at least 3 vertices."""
+    adj, p = st.adj, st.path
+    e0, e1 = q[0], q[-1]
+    lo = 0 if len(q) >= 3 else 1
+    for i in range(len(p)):
+        ai = adj[p[i]]
+        i_e0, i_e1 = ai >> e0 & 1, ai >> e1 & 1
+        if not (i_e0 or i_e1):
+            continue
+        for j in range(i + lo, len(p)):
+            aj = adj[p[j]]
+            if i_e0 and aj >> e1 & 1:
+                yield i, j, q
+            elif i_e1 and aj >> e0 & 1:
+                yield i, j, q[::-1]
+
+
 def move_extend_path(st: SearchState) -> bool:
     """Strictly lengthen the pool path: seed it, extend an endpoint, rotate to
-    expose an extendable endpoint, or splice in an alternating-walk detour."""
+    expose an extendable endpoint, or splice a detour q in at an attachment
+    (i, j) with i < j <= i + len(q), giving p[:i+1] + q + p[j:]. Neither end
+    then sees outside the path, so q never attaches at an end."""
     adj = st.adj
     if not st.path:
         if not st.pool:
@@ -289,37 +305,11 @@ def move_extend_path(st: SearchState) -> bool:
             return True
 
     if outside:
-        s = len(p)
-        head_adj, tail_adj = adj[p[0]], adj[p[-1]]
         for q in _alternating_family(st):
-            e0, e1 = q[0], q[-1]
-            if head_adj >> e0 & 1:
-                st.set_path(q[::-1] + p)
-                return True
-            if head_adj >> e1 & 1:
-                st.set_path(q + p)
-                return True
-            if tail_adj >> e0 & 1:
-                st.set_path(p + q)
-                return True
-            if tail_adj >> e1 & 1:
-                st.set_path(p + q[::-1])
-                return True
-            t = len(q)
-            for i in range(s):
-                ai = adj[p[i]]
-                i_e0 = bool(ai >> e0 & 1)
-                i_e1 = bool(ai >> e1 & 1)
-                if not (i_e0 or i_e1):
-                    continue
-                for j in range(i + 1, min(s, i + t + 1)):  # only strictly lengthening cuts
-                    aj = adj[p[j]]
-                    if i_e0 and aj >> e1 & 1:
-                        st.set_path(p[: i + 1] + q + p[j:])
-                        return True
-                    if i_e1 and aj >> e0 & 1:
-                        st.set_path(p[: i + 1] + q[::-1] + p[j:])
-                        return True
+            for i, j, oq in _attachments(st, q):
+                if i < j <= i + len(q):  # only strictly lengthening cuts
+                    st.set_path(p[: i + 1] + oq + p[j:])
+                    return True
     return False
 
 
@@ -367,8 +357,9 @@ def move_exchange_one(st: SearchState) -> bool:
 
 def move_close_cycle(st: SearchState) -> list[int] | None:
     """Look for a cycle of the current required length (or a bit more) in the pool:
-    a chord across the path, two crossing endpoint chords, or the path plus an
-    alternating-walk detour. Returns the shortest cycle found, favoring tight ones."""
+    a chord across the path, two crossing endpoint chords, or a detour q
+    attached at (i, j), closing p[i:j+1] + q[::-1]. Returns the shortest cycle
+    found, and the first tight one at once."""
     target = st.current_target
     if st.pool.bit_count() < target:
         return None
@@ -404,29 +395,13 @@ def move_close_cycle(st: SearchState) -> list[int] | None:
                         return best
 
     for q in _alternating_family(st):
-        e0, e1 = q[0], q[-1]
-        t = len(q)
-        single = t == 1
-        for i in range(s):
-            ai = adj[p[i]]
-            i_e0 = bool(ai >> e0 & 1)
-            i_e1 = bool(ai >> e1 & 1)
-            if not (i_e0 or i_e1):
+        for i, j, oq in _attachments(st, q):
+            length = (j - i + 1) + len(q)
+            if length < target or (best is not None and length >= len(best)):
                 continue
-            lo_j = i + 1 if single else i
-            for j in range(lo_j, s):
-                length = (j - i + 1) + t
-                if length < target or (best is not None and length >= len(best)):
-                    continue
-                if i == j and t < 3:
-                    continue
-                aj = adj[p[j]]
-                if i_e0 and aj >> e1 & 1:
-                    best = p[i : j + 1] + q[::-1]
-                elif i_e1 and not single and aj >> e0 & 1:
-                    best = p[i : j + 1] + q
-                if best is not None and len(best) == target:
-                    return best
+            best = p[i : j + 1] + oq[::-1]
+            if length == target:
+                return best
     return best
 
 
@@ -443,10 +418,8 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
         return None
     g = st.g
     adj = st.adj
-    e_head, e_tail = p[0], p[-1]
-    e_x, e_y = (e_head, e_tail) if g.is_x(e_head) else (e_tail, e_head)
-    if not g.is_x(e_x) or g.is_x(e_y):
-        return None
+    # an even path ends on opposite sides: e_x in X, e_y in Y
+    e_x, e_y = (p[0], p[-1]) if g.is_x(p[0]) else (p[-1], p[0])
     probes = (p[0], p[1], p[-2], p[-1])
     for jp in range(len(st.fixed)):
         c_p = st.targets[jp]
@@ -647,7 +620,7 @@ def _record(st, counts, kind, before):
 
 
 def _packed(result: PackResult, g, profile, cycles, source: str) -> PackResult:
-    packing = Packing(tuple(cycles))
+    packing = tuple(cycles)
     report = verify_packing(g, profile, packing)
     if not report.ok:
         raise RuntimeError(f"internal error: {source} produced an invalid packing: {report.to_dict()}")

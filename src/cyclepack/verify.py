@@ -61,7 +61,7 @@ def check_hypotheses(g: BipartiteGraph, profile: CycleProfile) -> VerificationRe
     return VerificationReport(tuple(checks))
 
 
-def verify_packing(g: BipartiteGraph, profile: CycleProfile, packing) -> VerificationReport:
+def verify_packing(g: BipartiteGraph, profile: CycleProfile, cycles) -> VerificationReport:
     """Full structural validation of a claimed packing against its profile.
 
     A simple cycle of even length at least c_i realizes profile entry c_i (in a
@@ -69,15 +69,18 @@ def verify_packing(g: BipartiteGraph, profile: CycleProfile, packing) -> Verific
     only failure; it is asserted rather than assumed). Each check records the
     first offending detail for triage.
     """
-    cycles = [tuple(c) for c in getattr(packing, "cycles", packing)]
+    cycles = [tuple(c) for c in cycles]
     n_vertices = g.num_vertices
     adj = g.adjacency
-    x_mask = g.x_mask
+    x_mask, y_mask = g.x_mask, g.y_mask
     checks: list[Check] = []
 
-    bad_edge = next(
-        ((u, next(bits(adj[u] & x_mask))) for u in range(g.x_size) if adj[u] & x_mask), None
-    )
+    bad_edge = None
+    for u in range(n_vertices):  # each row against its own side
+        inside = adj[u] & (x_mask if u < g.x_size else y_mask)
+        if inside:
+            bad_edge = (u, next(bits(inside)))
+            break
     checks.append(
         Check(
             "bipartite_validity",

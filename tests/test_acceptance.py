@@ -153,7 +153,7 @@ def test_criterion_6_property_suite(monkeypatch):
             g = gen_random_mindeg(6, 6, 5, seed=40_000 + i)
             result = pack(g, profile, seed=i)
             assert result.status == "packed"
-            base.append((g, [list(c) for c in result.packing.cycles]))
+            base.append((g, [list(c) for c in result.packing]))
 
         # (a) 6000 mutated packings, 2000 per class, every one rejected
         mutation_checks = 0
@@ -216,7 +216,7 @@ def test_criterion_6_property_suite(monkeypatch):
             if result.packing is None:
                 continue
             assert verify_packing(g, profile, result.packing).ok
-            for cyc in result.packing.cycles:
+            for cyc in result.packing:
                 assert len(cyc) % 2 == 0
                 parity_checks += 1
                 if parity_checks == 1000:

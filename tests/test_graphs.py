@@ -34,6 +34,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             BipartiteGraph(2, 2, [(0, 7)])
 
+    def test_rejects_negative_side(self):
+        with pytest.raises(GraphError, match="nonnegative"):
+            BipartiteGraph(-1, 2, [])
+
     def test_adjacency_symmetry(self):
         g = gen_complete(3)
         for u in range(g.num_vertices):
@@ -141,12 +145,23 @@ class TestParseSerialize:
         with pytest.raises(ParseError):
             parse_graph("p bip 2 2 2\ne 0 2\ne 0 2\n")
 
+    # every parse error names its line, or line 0 when no one line is at fault
     @pytest.mark.parametrize(
         "text, line_no",
         [
             ("p bip 2 2 2\ne 0 2\ne 0 2\n", 3),  # duplicate edge
             ("p bip 2 2 2\ne 0 2\nc reversed\ne 2 0\n", 4),  # Y id first
             ("p bip 2 2 2\ne 0 3\ne 1 4\n", 3),  # Y id past the last vertex
+            ("p bip 1 1 0\np bip 1 1 0\n", 2),  # duplicate header
+            ("p bip 1 1 1\ne 0\n", 2),  # malformed edge line
+            ("p bip 1 1 1\ne 0 a\n", 2),  # non-integer vertex id
+            (b"p bip 1 1 0\n\xff", 0),  # not ASCII
+            ("e 0 1\np bip 1 1 1\n", 1),  # edge before header
+            ("q bip 1 1 0\n", 1),  # unrecognized first line
+            ("p bip 1 one 0\n", 1),  # non-integer header field
+            ("p bip 1 1 -1\n", 1),  # negative count
+            ("", 0),  # missing header
+            ("c only a comment\n", 0),  # missing header
         ],
     )
     def test_parse_edge_error_reports_its_line(self, text, line_no):
@@ -203,6 +218,10 @@ class TestGenerators:
 
     def test_random_full_delta_forces_complete(self):
         assert gen_random_mindeg(6, 6, 6, seed=1) == gen_complete(6)
+
+    def test_random_rejects_empty_sides(self):
+        with pytest.raises(GraphError, match="nonempty"):
+            gen_random_mindeg(0, 0, 0, 1)
 
     def test_random_zero_delta(self):
         g = gen_random_mindeg(4, 4, 0, seed=1)

@@ -7,7 +7,14 @@ from collections import Counter
 
 import pytest
 
-from cyclepack import gen_complete, gen_sharpness, make_profile, parse_graph, serialize_graph
+from cyclepack import (
+    gen_complete,
+    gen_random_mindeg,
+    gen_sharpness,
+    make_profile,
+    parse_graph,
+    serialize_graph,
+)
 from cyclepack import cli, harness
 from cyclepack.cli import main
 from cyclepack.harness import (
@@ -93,6 +100,10 @@ class TestRunTrials:
             run_trials(TrialConfig(make_profile([6]), side_size=2, delta=3, trials=1, seed=0))
         with pytest.raises(ConfigError):
             run_trials(TrialConfig(make_profile([6]), side_size=3, trials=0, seed=0))
+        with pytest.raises(ConfigError, match="side size"):
+            run_trials(TrialConfig(make_profile([6]), side_size=0, trials=1, seed=0))
+        with pytest.raises(ConfigError, match="threads"):
+            run_trials(TrialConfig(make_profile([6]), side_size=3, trials=1, seed=0, threads=0))
 
 
 class TestRunExhaustive:
@@ -112,6 +123,13 @@ class TestRunExhaustive:
     def test_side_cap_enforced(self):
         with pytest.raises(ConfigError):
             run_exhaustive(6, make_profile([6]))
+
+    @pytest.mark.parametrize(
+        "side, oracle_limit, message", [(0, 18, "side must be >= 1"), (4, 7, "oracle limit")]
+    )
+    def test_side_rejected(self, side, oracle_limit, message):
+        with pytest.raises(ConfigError, match=message):
+            run_exhaustive(side, make_profile([6]), oracle_limit=oracle_limit)
 
     def test_balance_failure_short_circuits(self):
         s = run_exhaustive(2, make_profile([6]))
@@ -217,6 +235,32 @@ class TestRunHunt:
         with pytest.raises(ConfigError):
             run_hunt(12, make_profile([4, 4], mode="conjecture"), trials=1, seed=0, out_dir=str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "lengths, trials, message",
+        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "threshold 5 exceeds side size 4")],
+    )
+    def test_config_rejected(self, tmp_path, lengths, trials, message):
+        with pytest.raises(ConfigError, match=message):
+            run_hunt(4, make_profile(lengths, mode="conjecture"), trials=trials, seed=0,
+                     out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_counterexample_files_reproduce_the_instance(self, tmp_path, monkeypatch):
+        # every hypothesis-satisfying trial is then a certified counterexample
+        infeasible = PackResult(INFEASIBLE, oracle_used=True)
+        monkeypatch.setattr(harness, "brute_force_pack", lambda *a, **kw: infeasible)
+        s = run_hunt(4, make_profile([4, 4], mode="conjecture"), trials=3, seed=5, out_dir=str(tmp_path))
+        assert s["counterexample_count"] == 3
+        delta = s["config"]["delta"]
+        for hit in s["counterexamples"]:
+            stem = tmp_path / f"counterexample_{hit['trial']:05d}"
+            meta = json.loads(stem.with_suffix(".json").read_text())
+            assert meta == hit
+            assert set(meta) == {"trial", "seed", "side", "profile", "mode", "graph_file"}
+            assert meta["graph_file"] == str(stem.with_suffix(".graph"))
+            g = parse_graph(stem.with_suffix(".graph").read_text())
+            assert g == gen_random_mindeg(meta["side"], meta["side"], delta, meta["seed"], 0.5)
+
 
 class TestCli:
     def test_solve_packed_exit_zero(self, tmp_path, capsys):
@@ -310,6 +354,24 @@ class TestCli:
         assert summary["aggregates"]["success_rate"] == 1.0
         rows = csv_path.read_text().strip().split("\n")
         assert len(rows) == 9 and rows[0].startswith("trial,seed,outcome")
+
+    def test_trials_non_integer_profile_exit_one(self, capsys):
+        assert main(["trials", "--side", "6", "--profile", "6,x", "--trials", "1", "--seed", "1"]) == 1
+        assert "not a comma-separated integer list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
+             "  success rate     1.0000"),
+            (["exhaustive", "--side", "3", "--profile", "6"], "  packed               1"),
+            (["hunt", "--side", "4", "--profile", "4,4", "--trials", "5", "--seed", "2", "--out", "{tmp}"],
+             "  counterexample candidates       0"),
+        ],
+    )
+    def test_text_output(self, tmp_path, capsys, argv, line):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_exhaustive_cli(self, capsys):
         assert main(["exhaustive", "--side", "3", "--profile", "6", "--json"]) == 0

@@ -143,7 +143,7 @@ class TestMoveShrink:
         shrinks = 0
         for g, profile, seed, oracle_limit in calls:
             r = pack(g, profile, seed=seed, oracle_limit=oracle_limit)
-            cycles = None if r.packing is None else [list(c) for c in r.packing.cycles]
+            cycles = None if r.packing is None else [list(c) for c in r.packing]
             record = [r.status, cycles, r.move_counts, r.iterations, r.restarts]
             digest.update(json.dumps(record, sort_keys=True).encode())
             shrinks += r.move_counts["shrink"]
@@ -156,6 +156,10 @@ class TestSearchState:
         g = gen_complete(6)
         with pytest.raises(ValueError):
             SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8], [2, 8, 3, 9, 4, 10]])
+
+    def test_rejects_cycle_shorter_than_its_target(self):
+        with pytest.raises(ValueError, match="required length"):
+            SearchState(gen_complete(6), make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7]])
 
     def test_rejects_path_outside_pool(self):
         g = gen_complete(6)
@@ -261,6 +265,50 @@ class TestMoveCloseCycle:
         assert cyc is not None and sorted(cyc) == [0, 1, 2, 3]
 
 
+def stuck_path_states(count):
+    """Seeded sparse hosts, each with a random path grown until neither end can
+    extend, so that extend must rotate or splice in a detour."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        side = rng.randint(4, 12)
+        g = gen_random_mindeg(side, side, rng.randint(1, 3), seed=seed, fill_p=rng.choice([0.0, 0.05, 0.15]))
+        profile = make_profile([rng.choice([4, 6, 8])], "conjecture")
+        adj = g.adjacency
+        path = [rng.randrange(g.num_vertices)]
+        for end in (-1, 0):
+            while True:
+                nbrs = [v for v in range(g.num_vertices) if adj[path[end]] >> v & 1 and v not in path]
+                if not nbrs:
+                    break
+                v = rng.choice(nbrs)
+                path = path + [v] if end == -1 else [v] + path
+        yield g, profile, path
+
+
+class TestDetourScan:
+    def test_stuck_path_moves_pinned(self, monkeypatch):
+        # recorded before extend and close shared one detour scan
+        scans = []
+        original = packer._alternating_family
+
+        def family(st):
+            scans.append(1)
+            return original(st)
+
+        monkeypatch.setattr(packer, "_alternating_family", family)
+        digest = hashlib.sha256()
+        extend_scans = 0
+        for g, profile, path in stuck_path_states(400):
+            st = SearchState(g, profile, path=path)
+            scans.clear()
+            grew = move_extend_path(st)
+            extend_scans += bool(scans)
+            cyc = move_close_cycle(SearchState(g, profile, path=path))
+            digest.update(json.dumps([grew, st.path, cyc]).encode())
+        assert extend_scans >= 100
+        assert digest.hexdigest() == "811c9abfe189856231621f520066b6567bc8535950d6aeb911f3cfb58f44b216"
+
+
 def concentration_host(saturate_q=True):
     """Three-entry instance on 9+9: two placed 6-cycles and a spanning pool path.
 
@@ -318,12 +366,12 @@ class TestConcentrationAndDoubleExchange:
 class TestPack:
     def test_k33_single_cycle(self):
         r = pack(gen_complete(3), make_profile([6]))
-        assert r.status == "packed" and len(r.packing.cycles[0]) == 6
+        assert r.status == "packed" and len(r.packing[0]) == 6
 
     def test_k66_two_cycles(self):
         r = pack(gen_complete(6), make_profile([6, 6]))
         assert r.status == "packed"
-        assert [len(c) for c in r.packing.cycles] == [6, 6]
+        assert [len(c) for c in r.packing] == [6, 6]
 
     def test_sharpness_certified_infeasible(self):
         g, profile = gen_sharpness(2)
@@ -443,7 +491,7 @@ class TestPack:
             g = gen_random_mindeg(6, 6, 4, seed=100 + i)
             r = pack(g, make_profile([6, 6]), seed=i)
             if r.packing is not None:
-                assert all(len(c) % 2 == 0 for c in r.packing.cycles)
+                assert all(len(c) % 2 == 0 for c in r.packing)
 
 
 class TestBruteForce:
@@ -542,4 +590,4 @@ class TestBruteForce:
         # so the six-cycle is found only by leaving it uncovered
         edges = [(0, 5), (0, 6), (1, 5), (1, 6)] + [(x, y) for x in (2, 3, 4) for y in (7, 8, 9)]
         r = brute_force_pack(BipartiteGraph(5, 5, edges), make_profile([6]))
-        assert r.status == "packed" and set(r.packing.cycles[0]) <= {2, 3, 4, 7, 8, 9}
+        assert r.status == "packed" and set(r.packing[0]) <= {2, 3, 4, 7, 8, 9}

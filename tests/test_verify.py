@@ -85,15 +85,16 @@ class TestVerifyPacking:
         assert not report.ok and report.failed("simplicity")
 
     def test_edge_inside_one_side_rejected(self):
-        g = gen_complete(3)
-        adj = list(g.adjacency)
-        adj[0] |= 1 << 1
-        adj[1] |= 1 << 0
-        g.adjacency = tuple(adj)
-        report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 5)])
-        assert report.failed("bipartite_validity") and not report.ok
-        bip = next(c for c in report.checks if c.name == "bipartite_validity")
-        assert bip.detail == "edge (0, 1) stays inside one side"
+        for u, v in ((0, 1), (3, 4)):  # inside X, then inside Y
+            g = gen_complete(3)
+            adj = list(g.adjacency)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            g.adjacency = tuple(adj)
+            report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 5)])
+            assert report.failed("bipartite_validity") and not report.ok
+            bip = next(c for c in report.checks if c.name == "bipartite_validity")
+            assert bip.detail == f"edge ({u}, {v}) stays inside one side"
 
     def test_hypothesis_failure_does_not_invalidate(self):
         # correct packing in a graph below the degree threshold still verifies
@@ -132,6 +133,11 @@ class TestCheckHypotheses:
         assert report.failed("hypothesis_min_degree")
         assert not report.failed("hypothesis_balance")
 
+    def test_empty_graph_has_no_degrees(self):
+        report = check_hypotheses(BipartiteGraph(0, 0, []), make_profile([6]))
+        degree = next(c for c in report.checks if c.name == "hypothesis_min_degree")
+        assert not degree.passed and degree.detail == "empty graph has no degrees"
+
     def test_unbalanced_sides(self):
         g = BipartiteGraph(2, 3, [(0, 2), (1, 3), (0, 4), (1, 2), (0, 3), (1, 4)])
         report = check_hypotheses(g, make_profile([4], mode="conjecture"))
@@ -149,7 +155,7 @@ class TestAgainstNaiveWalker:
             assert report.ok
             assert naive_accepts(
                 g.x_size, g.y_size, list(g.edges()), list(profile.lengths),
-                [list(c) for c in result.packing.cycles],
+                [list(c) for c in result.packing],
             )
 
     def test_mutated_packings_rejected_by_both(self):
@@ -158,7 +164,7 @@ class TestAgainstNaiveWalker:
         for i in range(30):
             g = gen_random_mindeg(6, 6, 5, seed=600 + i)
             result = pack(g, profile, seed=i)
-            cycles = [list(c) for c in result.packing.cycles]
+            cycles = [list(c) for c in result.packing]
             mutated = [list(c) for c in cycles]
             kind = i % 3
             if kind == 0:  # duplicate a vertex inside one cycle
