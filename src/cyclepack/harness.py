@@ -292,6 +292,8 @@ def run_hunt(
     delta = profile.threshold
     if delta > side:
         raise ConfigError(f"threshold {delta} exceeds side size {side}")
+    if side < profile.n // 2:
+        raise ConfigError(f"side {side} is below n/2 = {profile.n // 2}; no instance meets the hypotheses")
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     hits: list[dict] = []

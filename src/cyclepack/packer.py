@@ -76,7 +76,14 @@ class ExchangeContext:
 
 
 class SearchState:
-    """Mutable solver state: placed cycles, leftover pool, and the working path."""
+    """Mutable solver state: placed cycles, leftover pool, and the working path.
+
+    ``path_mask == mask_of(path)`` always holds. Two methods write ``path`` and
+    ``path_mask``: ``add_endpoint`` puts one vertex at an end in place and sets
+    its bit (endpoint extension, exchange), and ``set_path`` installs a new
+    list and recomputes the mask in full (seeding, rotation, splice, a cycle
+    taking path vertices, closing a cycle).
+    """
 
     def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None):
         self.g = g
@@ -118,6 +125,15 @@ class SearchState:
     def set_path(self, path: list[int]) -> None:
         self.path = path
         self.path_mask = mask_of(path)
+
+    def add_endpoint(self, v: int, head: bool) -> None:
+        """Put off-path pool vertex v before the head or after the tail of the
+        path, without rebuilding the mask."""
+        if head:
+            self.path.insert(0, v)
+        else:
+            self.path.append(v)
+        self.path_mask |= 1 << v
 
     def fix_cycle(self, cycle) -> None:
         m = mask_of(cycle)
@@ -289,11 +305,11 @@ def move_extend_path(st: SearchState) -> bool:
 
     ext = adj[p[-1]] & outside
     if ext:
-        st.set_path(p + [_pick(st, ext)])
+        st.add_endpoint(_pick(st, ext), head=False)
         return True
     ext = adj[p[0]] & outside
     if ext:
-        st.set_path([_pick(st, ext)] + p)
+        st.add_endpoint(_pick(st, ext), head=True)
         return True
 
     if len(p) >= 3 and outside:
@@ -328,15 +344,15 @@ def move_exchange_one(st: SearchState) -> bool:
     rest = st.pool & ~st.path_mask
     if not rest:
         return False
-    endpoints = [(st.path[0], "head")]
+    endpoints = [(st.path[0], True)]
     if len(st.path) > 1:
-        endpoints.append((st.path[-1], "tail"))
+        endpoints.append((st.path[-1], False))
     for j in range(len(st.fixed)):
         tgt = st.targets[j]
         if len(st.fixed[j]) != tgt:
             continue
         cmask = st.fixed_masks[j]
-        for u1, where in endpoints:
+        for u1, at_head in endpoints:
             d1 = (adj[u1] & cmask).bit_count()
             opposite = g.full_mask ^ g.side_mask(u1)
             for u2 in bits(rest & opposite):
@@ -347,10 +363,7 @@ def move_exchange_one(st: SearchState) -> bool:
                     if ham is None:
                         continue
                     st.replace_cycle(j, ham)  # moves u2 in, v out to the pool
-                    if where == "head":
-                        st.set_path([v] + st.path)
-                    else:
-                        st.set_path(st.path + [v])
+                    st.add_endpoint(v, at_head)  # v joins the path at u1
                     return True
     return False
 

@@ -237,7 +237,8 @@ class TestRunHunt:
 
     @pytest.mark.parametrize(
         "lengths, trials, message",
-        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "threshold 5 exceeds side size 4")],
+        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "threshold 5 exceeds side size 4"),
+         ([4, 4, 4], 1, "side 4 is below n/2 = 6")],
     )
     def test_config_rejected(self, tmp_path, lengths, trials, message):
         with pytest.raises(ConfigError, match=message):
@@ -469,6 +470,14 @@ class TestCli:
                          "--seed", seed, "--json"]) == 0
             seeds.append({row["seed"] for row in json.loads(capsys.readouterr().out)["trials"]})
         assert len(seeds[0]) == 2 and not seeds[0] & seeds[1]
+
+    def test_hunt_rejects_side_below_balance_before_creating_out(self, tmp_path, capsys):
+        # no side-5 host meets |X| = |Y| >= n/2 = 6, so the campaign could examine nothing
+        out = tmp_path / "D"
+        assert main(["hunt", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert "below n/2 = 6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hunt_rejects_fill_p_before_creating_out(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ from cyclepack import (
     verify_packing,
 )
 from cyclepack import packer
+from cyclepack.graphs import mask_of
 from cyclepack.packer import (
     move_close_cycle,
     move_double_exchange,
@@ -45,6 +47,17 @@ def sparse_host():
         (0, 10), (0, 11), (1, 9), (1, 13), (1, 14), (2, 11), (2, 15), (3, 10), (3, 12), (3, 14),
         (4, 8), (4, 12), (5, 9), (5, 12), (6, 8), (6, 9), (6, 13), (7, 11), (7, 14), (7, 15),
     ])
+
+
+def circulant_host(side, delta, seed):
+    """Seeded circulant: X vertex px[i] sees Y vertices py[i .. i+delta-1] (mod
+    side) under random permutations px, py, so every degree is exactly delta."""
+    rng = random.Random(seed)
+    px, py = list(range(side)), list(range(side))
+    rng.shuffle(px)
+    rng.shuffle(py)
+    edges = [(px[i], side + py[(i + j) % side]) for i in range(side) for j in range(delta)]
+    return BipartiteGraph(side, side, edges)
 
 
 class TestMoveShrink:
@@ -196,6 +209,20 @@ class TestMoveExtendPath:
             pass
         assert len(st.path) == 4
 
+    def test_empty_pool_no_move(self):
+        # one placed cycle covers the host: no vertex is left to seed a path
+        st = SearchState(gen_complete(3), make_profile([6, 6]), fixed_cycles=[[0, 3, 1, 4, 2, 5]])
+        assert not st.path and not st.pool
+        assert not move_extend_path(st)
+        assert st.path == [] and st.path_mask == 0
+
+    def test_endpoint_growth_keeps_the_mask(self):
+        # a path 0-3 in K3,3 grows at the tail, then at the head, one vertex at a time
+        st = SearchState(gen_complete(3), make_profile([6]), path=[0, 3])
+        assert move_extend_path(st) and st.path == [0, 3, 1]
+        st.add_endpoint(4, head=True)
+        assert st.path == [4, 0, 3, 1] and st.path_mask == mask_of([4, 0, 3, 1])
+
     def test_rotation_unlocks_extension(self):
         # path 0-3-1-4 stuck at both ends unless rotated: 4~0 chord exposes 1, 1~5 extends
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (0, 4), (2, 5), (1, 5)])
@@ -229,6 +256,12 @@ class TestMoveExchangeOne:
         assert move_exchange_one(st)
         assert len(st.path) == 2 and st.path[-1] == 3
         assert_valid_cycle(g, tuple(st.fixed[0]))
+
+    def test_no_move_without_a_path(self):
+        g = self.exchange_host()
+        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 4, 1, 5, 2, 6]])
+        assert not move_exchange_one(st)
+        assert st.fixed[0] == [0, 4, 1, 5, 2, 6] and st.path == []
 
     def test_no_move_below_degree_sum(self):
         g = self.exchange_host(second_probe_degree=1)
@@ -480,6 +513,66 @@ class TestPack:
         assert r.status == "packed" and trace
         for kind, before, after in trace:
             assert after > before, (kind, before, after)
+
+    def test_path_invariant_after_every_move(self, monkeypatch):
+        # every recorded move leaves a simple path inside the pool whose mask is
+        # mask_of(path); the hosts reach each way a path can change
+        extend_kinds = collections.Counter()
+        original_extend = packer.move_extend_path
+        original_record = packer._record
+
+        def extend(st):
+            old = list(st.path)
+            grew = original_extend(st)
+            if grew:
+                new = st.path
+                if not old:
+                    extend_kinds["seed"] += 1
+                elif new[:-1] == old or new[1:] == old:
+                    extend_kinds["end"] += 1
+                elif sorted(new[:-1]) == sorted(old):
+                    extend_kinds["rotate"] += 1
+                else:
+                    extend_kinds["splice"] += 1
+            return grew
+
+        def checked(st, counts, kind, before):
+            assert st.path_mask == mask_of(st.path), kind
+            assert len(set(st.path)) == len(st.path), kind
+            assert not st.path_mask & ~st.pool, kind
+            return original_record(st, counts, kind, before)
+
+        monkeypatch.setattr(packer, "move_extend_path", extend)
+        monkeypatch.setattr(packer, "_record", checked)
+        # sparse side-60 hosts: shrink fires and every attempt stalls, so the
+        # seeded restarts pick vertices through the rng
+        sparse60 = make_profile([6] * 20)
+        runs = [pack(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, seed=s) for s in (0, 1)]
+        # a side-150 threshold circulant where exchange fires
+        runs.append(pack(circulant_host(150, 101, seed=3), make_profile([6] * 50)))
+        totals = collections.Counter()
+        for r in runs:
+            totals.update(r.move_counts)
+        assert totals["shrink"] > 0 and totals["exchange"] > 0
+        assert runs[0].restarts == packer.DEFAULT_RESTARTS
+        assert runs[2].status == "packed"
+        assert set(extend_kinds) == {"seed", "end", "rotate", "splice"}, extend_kinds
+
+    def test_path_upkeep_is_not_per_iteration(self, monkeypatch):
+        # an endpoint extension sets one bit; rebuilding the path mask on every
+        # one made mask_of run once per iteration (7,751 calls in 7,700 here)
+        calls = []
+        original = packer.mask_of
+
+        def counted(vertices):
+            calls.append(1)
+            return original(vertices)
+
+        monkeypatch.setattr(packer, "mask_of", counted)
+        profile = make_profile([6] * 50)
+        r = pack(gen_random_mindeg(150, 150, profile.threshold, seed=1), profile)
+        assert r.status == "packed" and r.iterations > 50 * profile.k
+        assert len(calls) <= 4 * profile.k
 
     def test_non_improving_move_raises(self, monkeypatch):
         monkeypatch.setattr(packer, "move_extend_path", lambda st: True)
