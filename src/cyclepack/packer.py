@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
@@ -479,32 +480,35 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
     vertices or adjacent pairs out of cycle q) and reassigns each mover to one
     of the other two parts, at most two in. A pattern succeeds when all three
     modified parts simultaneously contain cycles of their required lengths;
-    the first success completes the packing.
+    the first success completes the packing. Each part's departures are built
+    once per call, and the patterns nest them pool, then p, then q.
     """
-    from itertools import combinations, product
-
     adj = st.adj
     g = st.g
     p_idx, q_idx = ctx.p_index, ctx.q_index
     c_cur = st.current_target
     c_p, c_q = st.targets[p_idx], st.targets[q_idx]
-    pool0 = st.pool
-    b1_0 = st.fixed_masks[p_idx]
-    b2_0 = st.fixed_masks[q_idx]
     path = st.path
-    probes = []
-    for v in (path[0], path[1], path[-2], path[-1]):
-        if v not in probes:
-            probes.append(v)
-    p_outs = [ctx.x_star, ctx.y_star]
+    probes = list(dict.fromkeys((path[0], path[1], path[-2], path[-1])))
     qcyc = st.fixed[q_idx]
-    q_len = len(qcyc)
-    q_out_options: list[tuple[int, ...]] = [()]
-    q_out_options += [(v,) for v in qcyc]
-    q_out_options += [(qcyc[i], qcyc[(i + 1) % q_len]) for i in range(q_len)]
 
-    r0_options = [()] + [(v,) for v in probes] + list(combinations(probes, 2))
-    r1_options = [(), (p_outs[0],), (p_outs[1],), tuple(p_outs)]
+    def departures(out_sets) -> list[tuple[int, int, int]]:
+        # (mask leaving, mask arriving at the first other part, at the second)
+        # for each out-set in order and each assignment in product order
+        deps = []
+        for out in out_sets:
+            leave = mask_of(out)
+            for dest in product((0, 1), repeat=len(out)):
+                arrive = [0, 0]
+                for v, d in zip(out, dest):
+                    arrive[d] |= 1 << v
+                deps.append((leave, arrive[0], arrive[1]))
+        return deps
+
+    # pool -> (p, q), cycle p -> (pool, q), cycle q -> (pool, p)
+    pool_deps = departures([()] + [(v,) for v in probes] + list(combinations(probes, 2)))
+    p_deps = departures([(), (ctx.x_star,), (ctx.y_star,), (ctx.x_star, ctx.y_star)])
+    q_deps = departures([()] + [(v,) for v in qcyc] + list(zip(qcyc, qcyc[1:] + qcyc[:1])))
 
     searched: dict[tuple[int, int], tuple[int, ...] | None] = {}
 
@@ -520,37 +524,31 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
             searched[key] = found
         return searched[key]
 
-    for r0 in r0_options:
-        for a0 in product(("p", "q"), repeat=len(r0)):
-            for r1 in r1_options:
-                for a1 in product(("pool", "q"), repeat=len(r1)):
-                    for r2 in q_out_options:
-                        for a2 in product(("pool", "p"), repeat=len(r2)):
-                            ins_pool = [v for v, d in zip(r1, a1) if d == "pool"]
-                            ins_pool += [v for v, d in zip(r2, a2) if d == "pool"]
-                            ins_p = [v for v, d in zip(r0, a0) if d == "p"]
-                            ins_p += [v for v, d in zip(r2, a2) if d == "p"]
-                            ins_q = [v for v, d in zip(r0, a0) if d == "q"]
-                            ins_q += [v for v, d in zip(r1, a1) if d == "q"]
-                            if len(ins_pool) > 2 or len(ins_p) > 2 or len(ins_q) > 2:
-                                continue
-                            pool2 = (pool0 & ~mask_of(r0)) | mask_of(ins_pool)
-                            b1 = (b1_0 & ~mask_of(r1)) | mask_of(ins_p)
-                            b2 = (b2_0 & ~mask_of(r2)) | mask_of(ins_q)
-                            cyc0 = cycle_in(pool2, c_cur)
-                            if cyc0 is None:
-                                continue
-                            cyc1 = cycle_in(b1, c_p)
-                            if cyc1 is None:
-                                continue
-                            cyc2 = cycle_in(b2, c_q)
-                            if cyc2 is None:
-                                continue
-                            result = [tuple(c) for c in st.fixed]
-                            result[p_idx] = cyc1
-                            result[q_idx] = cyc2
-                            result.append(cyc0)
-                            return result
+    pool0, b1_0, b2_0 = st.pool, st.fixed_masks[p_idx], st.fixed_masks[q_idx]
+    for out0, p_from0, q_from0 in pool_deps:
+        for out1, pool_from1, q_from1 in p_deps:
+            into_q = q_from0 | q_from1
+            if into_q.bit_count() > 2:
+                continue
+            for out2, pool_from2, p_from2 in q_deps:
+                into_pool = pool_from1 | pool_from2
+                into_p = p_from0 | p_from2
+                if into_pool.bit_count() > 2 or into_p.bit_count() > 2:
+                    continue
+                cyc0 = cycle_in((pool0 & ~out0) | into_pool, c_cur)
+                if cyc0 is None:
+                    continue
+                cyc1 = cycle_in((b1_0 & ~out1) | into_p, c_p)
+                if cyc1 is None:
+                    continue
+                cyc2 = cycle_in((b2_0 & ~out2) | into_q, c_q)
+                if cyc2 is None:
+                    continue
+                result = [tuple(c) for c in st.fixed]
+                result[p_idx] = cyc1
+                result[q_idx] = cyc2
+                result.append(cyc0)
+                return result
     return None
 
 

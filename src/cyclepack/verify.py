@@ -110,8 +110,6 @@ def verify_packing(g: BipartiteGraph, profile: CycleProfile, cycles) -> Verifica
     passed, detail = True, "consecutive vertices (and the closing pair) are adjacent"
     if ids_ok:
         for i, cyc in enumerate(cycles):
-            if not cyc:
-                continue
             for j in range(len(cyc)):
                 u, w = cyc[j], cyc[(j + 1) % len(cyc)]
                 if not adj[u] >> w & 1:

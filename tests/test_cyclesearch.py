@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cyclepack import BipartiteGraph
+from cyclepack import BipartiteGraph, gen_complete
 from cyclepack.cyclesearch import (
     iter_cycles_through,
     iter_cycles_window,
@@ -81,6 +81,21 @@ def test_shortest_cycle_in_window_agrees_with_networkx():
         assert found is not None and len(found) == min(lengths)
         assert len(set(found)) == len(found) and all(keep >> v & 1 for v in found)
         assert all(nxg.has_edge(a, b) for a, b in zip(found, found[1:] + found[:1]))
+
+
+def test_window_with_hi_below_lo_is_empty():
+    g = gen_complete(3)
+    adj, full = g.adjacency, g.full_mask
+    assert len(list(iter_cycles_window(adj, full, 4, 6))) == 15
+    # hi < lo: without the early return, hi = 0 never stops a walk and all 15 come out
+    assert list(iter_cycles_window(adj, full, 4, 0)) == []
+    assert list(iter_cycles_window(adj, full, 6, 4)) == []
+
+
+def test_shortest_cycle_absent_from_window():
+    g = gen_complete(3)
+    assert shortest_cycle_in_window(g.adjacency, g.full_mask, 8, 12) is None
+    assert shortest_cycle_in_window(g.adjacency, g.full_mask, 4, 6) is not None
 
 
 def test_two_core_agrees_with_networkx_k_core():

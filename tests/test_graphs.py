@@ -71,6 +71,13 @@ class TestDegreeQueries:
         with pytest.raises(GraphError):
             gen_complete(2).degree(99)
 
+    def test_degree_in_rejects_a_set_outside_the_graph(self):
+        g = gen_complete(2)
+        with pytest.raises(GraphError, match="not a subset"):
+            g.degree_in(0, 1 << g.num_vertices)
+        with pytest.raises(GraphError, match="not a subset"):
+            g.degree_in(0, -1)
+
     def test_degree_in_full_side(self):
         g = gen_complete(3)
         assert g.degree_in(0, g.y_mask) == 3

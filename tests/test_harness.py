@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -89,6 +90,20 @@ class TestRunTrials:
         base = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=12, seed=9)
         threaded = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=12, seed=9, threads=4)
         assert summary_without_timing(run_trials(base)) == summary_without_timing(run_trials(threaded))
+
+    def test_relaxed_threshold_double_exchange_pinned(self):
+        # recorded before double exchange built its departure lists: a change
+        # to the order in which swap patterns are tried moves these
+        cfg = TrialConfig(make_profile([4, 4, 4, 6], mode="conjecture"), side_size=9, trials=40,
+                          seed=3, fill_p=0.05)
+        s = run_trials(cfg)
+        assert s["aggregates"]["move_histogram"] == {
+            "close": 142, "double_exchange": 10, "exchange": 0, "extend": 1680, "shrink": 0,
+        }
+        outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
+        assert hashlib.sha256(outcomes.encode()).hexdigest() == (
+            "450487e85dd23df32d483b7fa0ec92fb1635385313fad99f66c6231694a71987"
+        )
 
     def test_delta_defaults_to_threshold(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, trials=3, seed=0)
@@ -395,6 +410,15 @@ class TestCli:
     def test_sharpness_odd_k_rejected(self, capsys):
         assert main(["sharpness", "--k", "3"]) == 1
         capsys.readouterr()
+
+    def test_hunt_text_lists_each_counterexample(self, tmp_path, capsys, monkeypatch):
+        infeasible = PackResult(INFEASIBLE, oracle_used=True)
+        monkeypatch.setattr(harness, "brute_force_pack", lambda *a, **kw: infeasible)
+        assert main(["hunt", "--side", "4", "--profile", "4,4", "--trials", "2", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for i in range(2):
+            assert f"    trial {i} -> {tmp_path / f'counterexample_{i:05d}.graph'}" in lines
 
     def test_hunt_cli_and_reproduction_contract(self, tmp_path, capsys):
         out_dir = tmp_path / "hunt"

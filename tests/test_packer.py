@@ -394,6 +394,52 @@ class TestConcentrationAndDoubleExchange:
         assert cycles is not None
         report = verify_packing(g, make_profile([6, 6, 6]), cycles)
         assert report.ok, report.to_dict()
+        # recorded before the departure lists: the first success in enumeration order
+        assert cycles == [(1, 9, 6, 11, 2, 10), (0, 12, 4, 13, 5, 14), (3, 15, 7, 16, 8, 17)]
+
+    def test_no_pattern_succeeds(self):
+        # without the probes' adjacency into cycle q no swap frees three
+        # cycles; the context is built by hand since selection refuses it
+        st = self.make_state(concentration_host(saturate_q=False))
+        assert move_double_exchange(st, ExchangeContext(0, 1, 0, 10)) is None
+
+    def test_no_context_on_an_odd_path(self):
+        # 4+5 host: a placed 4-cycle and a 5-vertex path spanning the odd pool
+        g = BipartiteGraph(4, 5, [(0, 4), (1, 4), (1, 5), (0, 5), (2, 6), (2, 7), (3, 7), (3, 8)])
+        st = SearchState(g, make_profile([4, 4], "conjecture"), fixed_cycles=[[0, 4, 1, 5]],
+                         path=[6, 2, 7, 3, 8])
+        assert st.stage == st.profile.k - 1 and st.path_mask == st.pool
+        assert select_concentration(st) is None
+
+    def test_oversized_cycle_is_neither_p_nor_q(self):
+        # targets (6, 4, 4): cycle A is tight and concentrated, but cycle B
+        # (6 vertices for a 4-target) can serve neither as q nor as p
+        st = SearchState(
+            concentration_host(),
+            make_profile([6, 4, 4], "conjecture"),
+            fixed_cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
+            path=[6, 15, 7, 16, 8, 17],
+        )
+        assert select_concentration(st) is None
+
+
+class TestStallBoundDiagnostic:
+    def test_violation_reported_against_tight_cycles_only(self):
+        # chord 6-16 gives endpoint 6 two pool neighbours and three on cycle A:
+        # 5 > 4 // 2 + 6 // 2 - 1; the oversized cycle B is not checked
+        g = concentration_host()
+        g = BipartiteGraph(9, 9, list(g.edges()) + [(6, 16)])
+        st = SearchState(
+            g,
+            make_profile([6, 4, 4], "conjecture"),
+            fixed_cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
+            path=[6, 15, 7, 16, 8, 17],
+        )
+        diagnostics = []
+        packer._stall_bound_diagnostic(st, diagnostics)
+        assert diagnostics == [
+            "stall-bound violation: endpoint 6 has combined degree 5 > 4 against placed cycle 0"
+        ]
 
 
 class TestPack:

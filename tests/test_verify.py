@@ -69,6 +69,11 @@ class TestVerifyPacking:
         report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4)])
         assert not report.ok and report.failed("length")
 
+    def test_empty_claim_passes_adjacency_and_fails_length(self):
+        report = verify_packing(gen_complete(3), make_profile([6]), [()])
+        assert not report.failed("adjacency")
+        assert report.failed("length")
+
     def test_nonadjacent_step_rejected(self):
         g = c6_graph()
         report = verify_packing(g, make_profile([6]), [(0, 3, 2, 4, 1, 5)])
