@@ -27,7 +27,7 @@ from .packer import (
     brute_force_pack,
     pack,
 )
-from .profiles import CycleProfile, ProfileError, degree_threshold, make_profile, uniform_profile
+from .profiles import CycleProfile, ProfileError, degree_threshold, make_profile
 from .verify import VerificationReport, check_hypotheses, verify_packing
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "ProfileError",
     "make_profile",
     "degree_threshold",
-    "uniform_profile",
     "max_matching",
     "longest_alternating_path",
     "PackResult",

@@ -12,8 +12,6 @@ from typing import Iterable, Iterator
 
 from .profiles import make_profile
 
-VertexSet = int  # dense bitmask over vertex ids
-
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
@@ -66,6 +64,13 @@ class BipartiteGraph:
             adj[v] |= 1 << u
         self.adjacency = tuple(adj)
 
+    @classmethod
+    def _trusted(cls, x_size: int, y_size: int, adjacency: list[int]) -> BipartiteGraph:
+        """A graph over an adjacency its caller built and checked; nothing is re-checked."""
+        g = cls.__new__(cls)
+        g.x_size, g.y_size, g.adjacency = x_size, y_size, tuple(adjacency)
+        return g
+
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -84,41 +89,9 @@ class BipartiteGraph:
     def y_mask(self) -> int:
         return self.full_mask ^ self.x_mask
 
-    def is_x(self, v: int) -> bool:
-        return v < self.x_size
-
     def side_mask(self, v: int) -> int:
         """Bitmask of the side containing ``v``."""
         return self.x_mask if v < self.x_size else self.y_mask
-
-    def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.num_vertices):
-            raise GraphError(f"invalid vertex id {v!r}")
-
-    def _check_subset(self, s: int) -> None:
-        if s < 0 or s & ~self.full_mask:
-            raise GraphError(f"vertex set {bin(s)} is not a subset of the graph")
-
-    # -- queries -----------------------------------------------------------
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency[v].bit_count()
-
-    def degree_in(self, v: int, s: VertexSet) -> int:
-        """Number of neighbors of ``v`` inside the vertex set ``s``."""
-        self._check_vertex(v)
-        self._check_subset(s)
-        return (self.adjacency[v] & s).bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(bits(self.adjacency[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adjacency[u] >> v & 1)
 
     def min_degree(self) -> int:
         if self.num_vertices == 0:
@@ -143,12 +116,6 @@ class BipartiteGraph:
             and self.adjacency == other.adjacency
         )
 
-    def __hash__(self) -> int:
-        return hash((self.x_size, self.y_size, self.adjacency))
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph({self.x_size}+{self.y_size}, {self.edge_count} edges)"
-
 
 # -- file format -----------------------------------------------------------
 #
@@ -160,12 +127,57 @@ class BipartiteGraph:
 
 
 def parse_graph(text: str | bytes) -> BipartiteGraph:
-    """Parse the line-oriented graph format; raise :class:`ParseError` on bad input."""
+    """Parse the line-oriented graph format; raise :class:`ParseError` on bad input.
+
+    A canonical file (the header on line 1, then exactly its ``m`` edge lines
+    ``e u v``, each ended by LF) is checked and built in bulk; any other file,
+    and every malformed one, goes to the line pass, the only source of errors.
+    No misaligned line passes the bulk checks. In a slice of L whole lines
+    that all start with ``e``, each line's first token starts with ``e``, which
+    ``int`` rejects; with ``e`` exactly at every third token and ints between,
+    every line starts on an ``e`` slot and holds a nonzero multiple of 3
+    tokens, and 3L tokens over L lines leave exactly 3 per line.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ParseError(0, f"not ASCII: {exc}") from None
+    return _parse_bulk(text) or _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> BipartiteGraph | None:
+    """The graph of a canonical file, or None for any other file."""
+    head, _, body = text.partition("\n")
+    fields = head.split()
+    shape = (body.count("\n"), body.count("\ne"), body[:1], body[-1:])
+    try:  # a ValueError is a missing or non-integer header field or id
+        x_size, y_size, m = map(int, fields[2:])
+        canonical = (m, m - 1, "e", "\n") if m else (0, 0, "", "")  # m lines, each e ... LF
+        if fields[:2] != ["p", "bip"] or min(x_size, y_size) < 0 or shape != canonical:
+            return None
+        adj = [0] * (x_size + y_size)
+        start = 0
+        while start < len(body):  # about 16 kB of whole lines at a time keeps each token list small
+            end = body.find("\n", start + 16384) + 1 or len(body)
+            part = body[start:end]
+            tokens, lines = part.split(), part.count("\n")
+            us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+            if len(tokens) != 3 * lines or tokens[::3].count("e") != lines or not (
+                    0 <= min(us) and max(us) < x_size <= min(vs) and max(vs) < len(adj)):
+                return None
+            for u, v in zip(us, vs):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            start = end
+    except ValueError:
+        return None
+    duplicates = m - sum(a.bit_count() for a in adj[:x_size])  # a duplicate edge sets no new bit
+    return None if duplicates else BipartiteGraph._trusted(x_size, y_size, adj)
+
+
+def _parse_lines(text: str) -> BipartiteGraph:
+    """Parse ``text`` line by line, raising at the first bad line."""
     lines = ((no, raw.strip()) for no, raw in enumerate(text.split("\n"), start=1))
     lines = ((no, line) for no, line in lines if line and not line.startswith("c"))
     for line_no, line in lines:
@@ -256,8 +268,8 @@ def gen_random_mindeg(
             if not present[u] >> w & 1 and rng.random() < fill_p:
                 present[u] |= 1 << w
     _repair(present, x_size, y_size, delta, rng)
-    edges = [(u, x_size + w) for u in range(x_size) for w in bits(present[u])]
-    return BipartiteGraph(x_size, y_size, edges)
+    y_rows = [sum(1 << u for u in range(x_size) if present[u] >> w & 1) for w in range(y_size)]
+    return BipartiteGraph._trusted(x_size, y_size, [row << x_size for row in present] + y_rows)
 
 
 def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> None:

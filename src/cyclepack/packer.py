@@ -433,7 +433,7 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
     g = st.g
     adj = st.adj
     # an even path ends on opposite sides: e_x in X, e_y in Y
-    e_x, e_y = (p[0], p[-1]) if g.is_x(p[0]) else (p[-1], p[0])
+    e_x, e_y = (p[0], p[-1]) if p[0] < g.x_size else (p[-1], p[0])
     probes = (p[0], p[1], p[-2], p[-1])
     for jp in range(len(st.fixed)):
         c_p = st.targets[jp]

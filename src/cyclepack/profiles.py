@@ -58,15 +58,3 @@ def make_profile(lengths, mode: str = THEOREM) -> CycleProfile:
 def degree_threshold(profile: CycleProfile) -> int:
     """Minimum-degree bound n/2 - k + 1 that guarantees the packing exists."""
     return profile.n // 2 - profile.k + 1
-
-
-def uniform_profile(s: int, k: int) -> CycleProfile:
-    """Uniform profile of k cycles of length 2s (the equal-lengths special case).
-
-    Its threshold collapses to (s-1)k + 1: 2sk/2 - k + 1.
-    """
-    if s < 3:
-        raise ProfileError("uniform_profile requires s >= 3")
-    if k < 1:
-        raise ProfileError("uniform_profile requires k >= 1")
-    return CycleProfile((2 * s,) * k, THEOREM)

@@ -14,6 +14,7 @@ from cyclepack import (
     parse_graph,
     serialize_graph,
 )
+from cyclepack.graphs import _parse_bulk, _parse_lines
 
 
 def path_graph():
@@ -42,55 +43,43 @@ class TestConstruction:
         g = gen_complete(3)
         for u in range(g.num_vertices):
             for v in range(g.num_vertices):
-                assert g.has_edge(u, v) == g.has_edge(v, u)
+                assert g.adjacency[u] >> v & 1 == g.adjacency[v] >> u & 1
 
     def test_degree_sums(self):
         g = gen_random_mindeg(5, 5, 2, seed=3)
-        x_sum = sum(g.degree(v) for v in range(g.x_size))
-        y_sum = sum(g.degree(v) for v in range(g.x_size, g.num_vertices))
+        x_sum = sum(a.bit_count() for a in g.adjacency[: g.x_size])
+        y_sum = sum(a.bit_count() for a in g.adjacency[g.x_size :])
         assert x_sum == y_sum == g.edge_count
 
 
 class TestDegreeQueries:
     def test_complete_degree(self):
         g = gen_complete(3)
-        assert all(g.degree(v) == 3 for v in range(6))
+        assert all(g.adjacency[v].bit_count() == 3 for v in range(6))
 
     def test_empty_graph_degree(self):
         g = BipartiteGraph(2, 2, [])
-        assert all(g.degree(v) == 0 for v in range(4))
+        assert g.adjacency == (0, 0, 0, 0)
 
     def test_sharpness_special_vertex_degree(self):
         # u is adjacent to the k vertices of Y1 plus v
         g, _ = gen_sharpness(2)
         u = 2 * 2
-        assert g.degree(u) == 3
-        assert sorted(g.neighbors(u)) == [5, 6, 9]  # Y1 = {5,6}, v = 9
-
-    def test_degree_invalid_vertex(self):
-        with pytest.raises(GraphError):
-            gen_complete(2).degree(99)
-
-    def test_degree_in_rejects_a_set_outside_the_graph(self):
-        g = gen_complete(2)
-        with pytest.raises(GraphError, match="not a subset"):
-            g.degree_in(0, 1 << g.num_vertices)
-        with pytest.raises(GraphError, match="not a subset"):
-            g.degree_in(0, -1)
+        assert g.adjacency[u] == 1 << 5 | 1 << 6 | 1 << 9  # Y1 = {5,6}, v = 9
 
     def test_degree_in_full_side(self):
         g = gen_complete(3)
-        assert g.degree_in(0, g.y_mask) == 3
-        assert g.degree_in(0, g.x_mask) == 0
+        assert (g.adjacency[0] & g.y_mask).bit_count() == 3
+        assert (g.adjacency[0] & g.x_mask).bit_count() == 0
 
     def test_degree_in_path(self):
         g = path_graph()
-        assert g.degree_in(2, 1 << 0) == 1
+        assert (g.adjacency[2] & 1 << 0).bit_count() == 1
 
     def test_degree_in_equals_degree_on_full_set(self):
         g = gen_random_mindeg(4, 4, 2, seed=9)
         for v in range(g.num_vertices):
-            assert g.degree_in(v, g.full_mask) == g.degree(v)
+            assert g.adjacency[v] & g.full_mask == g.adjacency[v]
 
     def test_min_degree_complete(self):
         assert gen_complete(4).min_degree() == 4
@@ -117,7 +106,7 @@ class TestInduced:
     def test_single_edge(self):
         g = gen_complete(3)
         s = 1 << 0 | 1 << 3
-        assert g.degree_in(0, s) == 1 and g.degree_in(3, s) == 1
+        assert (g.adjacency[0] & s).bit_count() == 1 and (g.adjacency[3] & s).bit_count() == 1
         assert self.induced_edges(g, s) == [(0, 3)]
 
     def test_identity(self):
@@ -129,7 +118,7 @@ class TestInduced:
         g = BipartiteGraph(4, 4, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (0, 7)])
         members = [0, 4, 1, 5, 2, 6]
         s = sum(1 << v for v in members)
-        degrees = sorted(g.degree_in(v, s) for v in members)
+        degrees = sorted((g.adjacency[v] & s).bit_count() for v in members)
         assert degrees == [1, 1, 2, 2, 2, 2]
 
 
@@ -210,6 +199,95 @@ class TestParseSerialize:
             g = BipartiteGraph(x, y, edges)
             again = parse_graph(serialize_graph(g))
             assert again == g
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: the graph, or its error's message and line."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    return ("graph", g.x_size, g.y_size, g.adjacency)
+
+
+class TestBulkParse:
+    # a canonical file is built in bulk; every other file takes the line pass
+    @pytest.mark.parametrize(
+        "text, bulk",
+        [
+            ("p bip 2 2 2\ne 0 2 e 1 3\n\n", False),  # two edges on one line, blank line after
+            ("p bip 2 2 2\ne 0 2 e 1 3\n \t\n", False),  # the same, whitespace-only line after
+            ("p bip 2 2 1\ne 0 2 e 0 2\n", False),  # a repeated edge on one line keeps the popcount
+            ("p bip 2 2 2\r\ne 0 2\r\ne 1 3\r\n", True),  # CRLF line endings
+            ("p bip 2 2 2\ne 0 2\n e 1 3\n", False),  # leading blank on an edge line
+            ("p bip 2 2 2\ne 0 2\nc note\ne 1 3\n", False),  # comment in the body
+            ("c note\np bip 2 2 2\ne 0 2\ne 1 3\n", False),  # header after a comment
+            ("p bip 2 2 0\ne 0 2\n", False),  # m = 0, then an edge line
+            ("p bip 2 2 0\nc tail\n", False),  # m = 0, then a comment
+            ("p bip 2 2 0\n", True),
+            ("p bip 2 2 2\ne 0 2\ne 1 3", False),  # no newline after the last edge
+            ("p bip 2 2 2\ne 0 2\ne 0 2\n", False),  # duplicate edge
+            ("p bip 2 2 1\ne 0 2\ne 1 3\n", False),  # more edge lines than declared
+            ("p bip 2 2 2\ne 2 0\ne 1 3\n", False),  # Y id first
+            ("p bip 2 2 1\ne 0 2 3\n", False),  # a fourth token on the line
+            ("p bip 2 2 1\nex 0 2\n", False),  # a line tag other than e
+            ("p bip 2 2 1\ne -1 2\n", False),  # negative X id
+            ("p bip 2 2 1\ne 2 3\n", False),  # X id on the Y side
+            ("p bip 2 2 2\ne 0 1\ne 1 0\n", False),  # one edge inside X, both ways: popcount 2
+            ("p bip 2 2 1\ne 0 4\n", False),  # Y id past the last vertex
+            ("p bip 2 2 1\ne 0 2.0\n", False),  # non-integer id
+            ("p bip 300 300 2\ne 0 599\ne 299 300\n", True),
+        ],
+    )
+    def test_trap_agrees_with_line_pass(self, text, bulk):
+        assert (_parse_bulk(text) is not None) == bulk
+        assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+    def test_bytes_input_goes_through_bulk(self):
+        text = "p bip 2 2 2\ne 0 2\ne 1 3\n"
+        assert _parse_bulk(text) is not None
+        assert parse_graph(text.encode("ascii")) == _parse_lines(text)
+
+    def test_random_mutations_agree_with_line_pass(self):
+        rng = random.Random(2024)
+        alphabet = ["e", "c", " ", "\n", "\t", "\r", "-", *"0123456789", "\ne 0 2 e 1 3\n"]
+        bulk_accepted = 0
+        for trial in range(3000):
+            x, y = rng.randint(0, 4), rng.randint(0, 4)
+            edges = [(u, x + w) for u in range(x) for w in range(y) if rng.random() < 0.5]
+            text = serialize_graph(BipartiteGraph(x, y, edges))
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randint(0, len(text))
+                if rng.random() < 0.5 and at < len(text):
+                    text = text[:at] + text[at + 1 :]
+                else:
+                    text = text[:at] + rng.choice(alphabet) + text[at:]
+            bulk_accepted += _parse_bulk(text) is not None
+            assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text), (trial, text)
+        assert 0 < bulk_accepted < 3000
+
+    def test_round_trip_any_graph(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def graphs(draw):
+            x, y = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+            if not (x and y):
+                return BipartiteGraph(x, y, [])
+            edge = st.tuples(st.integers(0, x - 1), st.integers(x, x + y - 1))
+            return BipartiteGraph(x, y, draw(st.sets(edge, max_size=80)))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(graphs())
+        @hypothesis.example(BipartiteGraph(0, 0, []))
+        @hypothesis.example(BipartiteGraph(200, 200, [(0, 200), (199, 399), (128, 300)]))
+        def round_trip(g):
+            text = serialize_graph(g)
+            assert _parse_bulk(text) == g  # a serialized graph is canonical
+            assert parse_graph(text) == g
+
+        round_trip()
 
 
 class TestGenerators:

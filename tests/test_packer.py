@@ -37,7 +37,7 @@ def assert_valid_cycle(g, cyc, min_len=4):
     assert len(cyc) >= min_len and len(cyc) % 2 == 0
     assert len(set(cyc)) == len(cyc)
     for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-        assert g.has_edge(a, b), f"{a}-{b} missing in {cyc}"
+        assert g.adjacency[a] >> b & 1, f"{a}-{b} missing in {cyc}"
 
 
 def sparse_host():
@@ -653,7 +653,7 @@ class TestBruteForce:
         g, profile = gen_sharpness(2)
         for u in range(g.x_size):
             for v in range(g.x_size, g.num_vertices):
-                if g.has_edge(u, v):
+                if g.adjacency[u] >> v & 1:
                     continue
                 augmented = BipartiteGraph(g.x_size, g.y_size, list(g.edges()) + [(u, v)])
                 assert brute_force_pack(augmented, profile).status == "packed", (u, v)

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclepack import CycleProfile, ProfileError, degree_threshold, make_profile, uniform_profile
+from cyclepack import CycleProfile, ProfileError, degree_threshold, make_profile
 
 
 def test_single_cycle():
@@ -46,26 +46,11 @@ def test_threshold_values():
     assert degree_threshold(make_profile([4, 6], mode="conjecture")) == 4
 
 
-def test_uniform_profile_basic():
-    p = uniform_profile(3, 2)
-    assert p.lengths == (6, 6)
-    assert p.threshold == 5
-    assert uniform_profile(4, 1).threshold == 4
-    assert uniform_profile(3, 1).lengths == (6,)
-
-
-def test_uniform_profile_validation():
-    with pytest.raises(ProfileError):
-        uniform_profile(2, 1)
-    with pytest.raises(ProfileError):
-        uniform_profile(3, 0)
-
-
 def test_uniform_threshold_consistency_exhaustive():
-    # the uniform profile's n/2 - k + 1 equals (s-1)k + 1 across the whole grid
+    # k cycles of length 2s: n/2 - k + 1 equals (s-1)k + 1 across the whole grid
     for s in range(3, 11):
         for k in range(1, 11):
-            assert degree_threshold(uniform_profile(s, k)) == (s - 1) * k + 1
+            assert degree_threshold(make_profile([2 * s] * k)) == (s - 1) * k + 1
 
 
 def test_profile_is_hashable_value():
