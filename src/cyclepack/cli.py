@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 
@@ -46,6 +47,7 @@ def _emit(summary: dict, as_json: bool, render) -> None:
         render(summary)
 
 
+@functools.cache  # built on first use, then reused: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclepack",

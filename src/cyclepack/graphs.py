@@ -8,6 +8,9 @@ counting inside a vertex subset a masked popcount.
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator
 
 from .profiles import make_profile
@@ -134,9 +137,17 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     and every malformed one, goes to the line pass, the only source of errors.
     No misaligned line passes the bulk checks. In a slice of L whole lines
     that all start with ``e``, each line's first token starts with ``e``, which
-    ``int`` rejects; with ``e`` exactly at every third token and ints between,
+    no id decodes; with ``e`` exactly at every third token and ids between,
     every line starts on an ``e`` slot and holds a nonzero multiple of 3
-    tokens, and 3L tokens over L lines leave exactly 3 per line.
+    tokens, and 3L tokens over L lines leave exactly 3 per line. A token
+    decodes only if it is the canonical decimal spelling of an in-range id on
+    its side, so a decoded edge crosses the bipartition and lands in its own
+    cell of an x_size × y_size byte matrix. A duplicate sets no new cell, so
+    the matrix holds ``m`` set cells exactly when the ``m`` edges are distinct.
+    The matrix takes x·y bytes, about 8/3 of the adjacency bits it builds
+    when no X vertex is isolated, and is freed on return; a file whose matrix would be larger than both
+    ``_BULK_CELLS_FLOOR`` and ``_BULK_CELLS_PER_BYTE`` times its body (a large,
+    sparse host) takes the line pass instead.
     """
     if isinstance(text, bytes):
         try:
@@ -146,34 +157,51 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     return _parse_bulk(text) or _parse_lines(text)
 
 
+_BULK_CELLS_FLOOR = 1 << 20  # a 1 MiB matrix, side 1024, is always allowed
+_BULK_CELLS_PER_BYTE = 8  # beyond it, the matrix may take 8 bytes per byte of edge lines
+
+
 def _parse_bulk(text: str) -> BipartiteGraph | None:
     """The graph of a canonical file, or None for any other file."""
     head, _, body = text.partition("\n")
     fields = head.split()
     shape = (body.count("\n"), body.count("\ne"), body[:1], body[-1:])
-    try:  # a ValueError is a missing or non-integer header field or id
+    try:  # a missing or non-integer header field
         x_size, y_size, m = map(int, fields[2:])
-        canonical = (m, m - 1, "e", "\n") if m else (0, 0, "", "")  # m lines, each e ... LF
-        if fields[:2] != ["p", "bip"] or min(x_size, y_size) < 0 or shape != canonical:
-            return None
-        adj = [0] * (x_size + y_size)
-        start = 0
-        while start < len(body):  # about 16 kB of whole lines at a time keeps each token list small
-            end = body.find("\n", start + 16384) + 1 or len(body)
-            part = body[start:end]
-            tokens, lines = part.split(), part.count("\n")
-            us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
-            if len(tokens) != 3 * lines or tokens[::3].count("e") != lines or not (
-                    0 <= min(us) and max(us) < x_size <= min(vs) and max(vs) < len(adj)):
-                return None
-            for u, v in zip(us, vs):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            start = end
     except ValueError:
         return None
-    duplicates = m - sum(a.bit_count() for a in adj[:x_size])  # a duplicate edge sets no new bit
-    return None if duplicates else BipartiteGraph._trusted(x_size, y_size, adj)
+    canonical = (m, m - 1, "e", "\n") if m else (0, 0, "", "")  # m lines, each e ... LF
+    if (fields[:2] != ["p", "bip"] or min(x_size, y_size) < 0 or shape != canonical
+            or x_size * y_size > max(_BULK_CELLS_FLOOR, _BULK_CELLS_PER_BYTE * len(body))):
+        return None
+    if not x_size * y_size:  # a side is empty, so no edge line could decode
+        return None if m else BipartiteGraph._trusted(x_size, y_size, [0] * (x_size + y_size))
+    x_cell = {str(u): u * y_size for u in range(x_size)}  # X id -> first cell of its matrix row
+    y_cell = {str(x_size + w): w for w in range(y_size)}  # Y id -> its matrix column
+    cells = bytearray(b"0" * (x_size * y_size))
+    start = 0
+    while start < len(body):  # about 16 kB of whole lines at a time keeps each token list small
+        end = body.find("\n", start + 16384) + 1 or len(body)
+        part = body[start:end]
+        tokens, lines = part.split(), part.count("\n")
+        if len(tokens) != 3 * lines or tokens[::3].count("e") != lines:
+            return None
+        try:
+            at = map(add, map(x_cell.__getitem__, tokens[1::3]), map(y_cell.__getitem__, tokens[2::3]))
+            deque(map(cells.__setitem__, at, repeat(49)), maxlen=0)  # 49 is ord("1")
+        except KeyError:  # an id out of range, on the wrong side or not in canonical decimal
+            return None
+        start = end
+    if cells.count(49) != m:  # a duplicate edge sets no new cell
+        return None
+    x_rows = [int(cells[i : i + y_size][::-1], 2) << x_size for i in range(0, len(cells), y_size)]
+    return BipartiteGraph._trusted(x_size, y_size, x_rows + _y_rows(cells, y_size))
+
+
+def _y_rows(cells: str | bytes | bytearray, y_size: int) -> list[int]:
+    """Y adjacency rows of a nonempty x_size × y_size 0/1 matrix given row-major
+    as ASCII ``0``/``1``: row w is the X-side bitmask of column w."""
+    return [int(cells[w::y_size][::-1], 2) for w in range(y_size)]
 
 
 def _parse_lines(text: str) -> BipartiteGraph:
@@ -268,7 +296,7 @@ def gen_random_mindeg(
             if not present[u] >> w & 1 and rng.random() < fill_p:
                 present[u] |= 1 << w
     _repair(present, x_size, y_size, delta, rng)
-    y_rows = [sum(1 << u for u in range(x_size) if present[u] >> w & 1) for w in range(y_size)]
+    y_rows = _y_rows("".join(format(row, f"0{y_size}b")[::-1] for row in present), y_size)
     return BipartiteGraph._trusted(x_size, y_size, [row << x_size for row in present] + y_rows)
 
 

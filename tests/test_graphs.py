@@ -237,11 +237,23 @@ class TestBulkParse:
             ("p bip 2 2 1\ne 0 4\n", False),  # Y id past the last vertex
             ("p bip 2 2 1\ne 0 2.0\n", False),  # non-integer id
             ("p bip 300 300 2\ne 0 599\ne 299 300\n", True),
+            ("p bip 2 2 1\ne 00 2\n", False),  # ids int() reads but that are not canonical decimal
+            ("p bip 2 2 1\ne +0 2\n", False),
+            ("p bip 2 2 1\ne 0 0_2\n", False),
+            ("p bip 0 3 0\n", True),  # empty sides
+            ("p bip 3 0 0\n", True),
+            ("p bip 2000 2000 1\ne 0 2000\n", False),  # sparse: the cell matrix would be 4 MB
+            pytest.param(serialize_graph(gen_random_mindeg(150, 150, 101, 1)), True,
+                         id="side-150 guaranteed-regime host"),  # a silent fall-back is caught here
         ],
     )
     def test_trap_agrees_with_line_pass(self, text, bulk):
         assert (_parse_bulk(text) is not None) == bulk
         assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+    @pytest.mark.parametrize("u, v", [("00", "2"), ("+0", "2"), ("0", "0_2")])
+    def test_noncanonical_ids_read_as_their_value(self, u, v):
+        assert _parse_lines(f"p bip 2 2 1\ne {u} {v}\n") == BipartiteGraph(2, 2, [(0, 2)])
 
     def test_bytes_input_goes_through_bulk(self):
         text = "p bip 2 2 2\ne 0 2\ne 1 3\n"

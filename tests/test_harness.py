@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -332,6 +334,42 @@ class TestCli:
         main(["gen", "complete", "--m", "3", "--out", str(path)])
         assert main(["solve", "--graph", str(path), "--profile", "6", "--json"] + flag) == 1
         assert "must be >= 0" in capsys.readouterr().err
+
+    def test_parser_reused_after_rejected_call(self, tmp_path, capsys):
+        path = tmp_path / "k33.graph"
+        main(["gen", "complete", "--m", "3", "--out", str(path)])
+        solve = ["solve", "--graph", str(path), "--profile", "6", "--json"]
+        capsys.readouterr()
+        cli.build_parser.cache_clear()
+        assert main(solve) == 0
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["solve", "--graph", str(path), "--profile", "6", "--budget", "x"])
+        capsys.readouterr()
+        assert main(solve) == 0
+        assert capsys.readouterr().out == alone
+
+    def test_parser_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        # a sparse 22-vertex host past the oracle limit: the restart seed shows in the output
+        path = tmp_path / "sparse.graph"
+        main(["gen", "random", "--x", "11", "--y", "11", "--delta", "2", "--seed", "12",
+              "--fill-p", "0.05", "--out", str(path)])
+        solve = ["solve", "--graph", str(path), "--profile", "6,6", "--json"]
+        capsys.readouterr()
+        outputs = {}
+        for seed in ("0", "5"):
+            assert main(solve + ["--seed", seed]) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs["0"] != outputs["5"]
+        assert main(solve) == 0  # right after --seed 5
+        assert capsys.readouterr().out == outputs["0"]
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import cyclepack.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.strip() == "0"
 
     def test_gen_to_stdout_is_only_the_graph(self, capsys):
         assert main(["gen", "complete", "--m", "3", "--out", "-"]) == 0
