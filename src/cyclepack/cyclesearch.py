@@ -69,8 +69,6 @@ def find_cycle_at_least(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, 
 def hamilton_cycle_on(adj: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     """A cycle spanning exactly the vertices of mask, or None."""
     size = mask.bit_count()
-    if size < 4 or size % 2:
-        return None
     return next(iter_cycles_window(adj, mask, size, size), None)
 
 

@@ -67,13 +67,6 @@ class BipartiteGraph:
             adj[v] |= 1 << u
         self.adjacency = tuple(adj)
 
-    @classmethod
-    def _trusted(cls, x_size: int, y_size: int, adjacency: list[int]) -> BipartiteGraph:
-        """A graph over an adjacency its caller built and checked; nothing is re-checked."""
-        g = cls.__new__(cls)
-        g.x_size, g.y_size, g.adjacency = x_size, y_size, tuple(adjacency)
-        return g
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -118,6 +111,25 @@ class BipartiteGraph:
             and self.y_size == other.y_size
             and self.adjacency == other.adjacency
         )
+
+
+def graph_of_rows(x_size: int, y_size: int, rows: Iterable[int]) -> BipartiteGraph:
+    """The graph whose X vertex u is joined to Y vertex ``x_size + w`` for each
+    set bit w of ``rows[u]``; for rows the program computed, so nothing is checked.
+    Both sides must be nonempty and every row below ``2**y_size``."""
+    return _from_cells(x_size, y_size, "".join(format(row, f"0{y_size}b")[::-1] for row in rows))
+
+
+def _from_cells(x_size: int, y_size: int, cells: str | bytes | bytearray) -> BipartiteGraph:
+    """The graph of a nonempty x_size × y_size 0/1 matrix given row-major as
+    ASCII ``0``/``1``, cell (u, w) joining X vertex u to Y vertex ``x_size + w``.
+    The one place adjacency is derived from rows: X rows are row slices, Y rows
+    strided column slices. Nothing is re-checked."""
+    x_rows = [int(cells[i : i + y_size][::-1], 2) << x_size for i in range(0, len(cells), y_size)]
+    y_rows = [int(cells[w::y_size][::-1], 2) for w in range(y_size)]
+    g = BipartiteGraph.__new__(BipartiteGraph)
+    g.x_size, g.y_size, g.adjacency = x_size, y_size, tuple(x_rows + y_rows)
+    return g
 
 
 # -- file format -----------------------------------------------------------
@@ -175,7 +187,7 @@ def _parse_bulk(text: str) -> BipartiteGraph | None:
             or x_size * y_size > max(_BULK_CELLS_FLOOR, _BULK_CELLS_PER_BYTE * len(body))):
         return None
     if not x_size * y_size:  # a side is empty, so no edge line could decode
-        return None if m else BipartiteGraph._trusted(x_size, y_size, [0] * (x_size + y_size))
+        return None if m else BipartiteGraph(x_size, y_size, ())
     x_cell = {str(u): u * y_size for u in range(x_size)}  # X id -> first cell of its matrix row
     y_cell = {str(x_size + w): w for w in range(y_size)}  # Y id -> its matrix column
     cells = bytearray(b"0" * (x_size * y_size))
@@ -194,14 +206,7 @@ def _parse_bulk(text: str) -> BipartiteGraph | None:
         start = end
     if cells.count(49) != m:  # a duplicate edge sets no new cell
         return None
-    x_rows = [int(cells[i : i + y_size][::-1], 2) << x_size for i in range(0, len(cells), y_size)]
-    return BipartiteGraph._trusted(x_size, y_size, x_rows + _y_rows(cells, y_size))
-
-
-def _y_rows(cells: str | bytes | bytearray, y_size: int) -> list[int]:
-    """Y adjacency rows of a nonempty x_size × y_size 0/1 matrix given row-major
-    as ASCII ``0``/``1``: row w is the X-side bitmask of column w."""
-    return [int(cells[w::y_size][::-1], 2) for w in range(y_size)]
+    return _from_cells(x_size, y_size, cells)
 
 
 def _parse_lines(text: str) -> BipartiteGraph:
@@ -265,7 +270,7 @@ def gen_complete(m: int) -> BipartiteGraph:
     """Complete bipartite graph K_{m,m}."""
     if m < 1:
         raise GraphError("gen_complete requires m >= 1")
-    return BipartiteGraph(m, m, [(u, m + v) for u in range(m) for v in range(m)])
+    return graph_of_rows(m, m, [(1 << m) - 1] * m)
 
 
 def gen_random_mindeg(
@@ -296,8 +301,7 @@ def gen_random_mindeg(
             if not present[u] >> w & 1 and rng.random() < fill_p:
                 present[u] |= 1 << w
     _repair(present, x_size, y_size, delta, rng)
-    y_rows = _y_rows("".join(format(row, f"0{y_size}b")[::-1] for row in present), y_size)
-    return BipartiteGraph._trusted(x_size, y_size, [row << x_size for row in present] + y_rows)
+    return graph_of_rows(x_size, y_size, present)
 
 
 def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> None:
@@ -398,19 +402,8 @@ def gen_sharpness(k: int):
     """
     if k < 2 or k % 2:
         raise GraphError("gen_sharpness requires an even k >= 2")
-    x_size = 2 * k + 1
-    u = 2 * k
-    y1 = [x_size + i for i in range(k)]
-    y2 = [x_size + k + i for i in range(k)]
-    v = x_size + 2 * k
-    edges = []
-    for i in range(k):  # X1 = 0..k-1, X2 = k..2k-1
-        edges.extend((i, y) for y in y1)
-        edges.extend((k + i, y) for y in y2)
-        edges.append((i, y2[i]))
-        edges.append((k + i, v))
-    edges.extend((u, y) for y in y1)
-    edges.append((u, v))
-    g = BipartiteGraph(x_size, x_size, edges)
+    y1, v = (1 << k) - 1, 1 << 2 * k  # Y offsets: Y1 = 0..k-1, Y2 = k..2k-1, v = 2k
+    rows = [y1 | 1 << k + i for i in range(k)] + [y1 << k | v] * k + [y1 | v]  # X1, X2, u
+    g = graph_of_rows(2 * k + 1, 2 * k + 1, rows)
     profile = make_profile([4] * (k - 1) + [6], mode="conjecture")
     return g, profile

@@ -15,7 +15,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .graphs import BipartiteGraph, gen_random_mindeg, gen_sharpness, serialize_graph
+from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, brute_force_pack, mix_seed, pack
 from .profiles import CycleProfile
 from .verify import check_hypotheses
@@ -194,13 +194,7 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
                     math.factorial(m) for m in Counter(rows).values()
                 )
                 stats["satisfying"] += weight
-                edges = [
-                    (i, side + j)
-                    for i, row in enumerate(rows)
-                    for j in range(side)
-                    if row >> j & 1
-                ]
-                g = BipartiteGraph(side, side, edges)
+                g = graph_of_rows(side, side, rows)
                 verdict = brute_force_pack(g, profile, oracle_limit)
                 if verdict.status == PACKED:
                     stats["packed"] += weight

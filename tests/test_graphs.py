@@ -14,7 +14,7 @@ from cyclepack import (
     parse_graph,
     serialize_graph,
 )
-from cyclepack.graphs import _parse_bulk, _parse_lines
+from cyclepack.graphs import _parse_bulk, _parse_lines, graph_of_rows
 
 
 def path_graph():
@@ -309,6 +309,18 @@ class TestGenerators:
         assert gen_complete(1).edge_count == 1
         assert gen_complete(5).edge_count == 25
 
+    def test_complete_equals_checked_construction(self):
+        for m in range(1, 7):
+            assert gen_complete(m) == BipartiteGraph(m, m, [(u, m + w) for u in range(m) for w in range(m)])
+
+    def test_rows_agree_with_checked_construction(self):
+        rng = random.Random(2024)
+        shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (12, 5), (64, 65)]
+        for x, y in shapes:
+            for rows in ([0] * x, [(1 << y) - 1] * x, [rng.getrandbits(y) for _ in range(x)]):
+                edges = [(u, x + w) for u, row in enumerate(rows) for w in range(y) if row >> w & 1]
+                assert graph_of_rows(x, y, rows) == BipartiteGraph(x, y, edges), (x, y, rows)
+
     def test_complete_zero_rejected(self):
         with pytest.raises(GraphError):
             gen_complete(0)
@@ -377,6 +389,19 @@ class TestGenerators:
     def test_random_instances_pinned(self, shape, digest):
         # (x, y, delta, seed, fill_p): `gen random`, `trials` and `hunt` draw these exact hosts
         text = serialize_graph(gen_random_mindeg(*shape))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (2, "4a5d1eaae04a4f7093ff44bc5eb6f52f87bee8e94d6570a3e22f5dbccb731b12"),
+            (4, "6085d34d24fd539bd6510e2df402f4db982dbe2a17732b5875d8754bd3e476a3"),
+            (8, "eabe26c22822450d18f4acd640441c2f0b967581454ce6bca50ade8171d43c1e"),
+        ],
+    )
+    def test_sharpness_instances_pinned(self, k, digest):
+        # `gen sharpness` and `sharpness` certify these exact hosts
+        text = serialize_graph(gen_sharpness(k)[0])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_random_infeasible_delta(self):

@@ -263,6 +263,20 @@ class TestRunHunt:
                      out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    def test_host_failing_the_hypotheses_is_skipped(self, tmp_path, monkeypatch):
+        # a generator fault must not reach the oracle or be written out as a counterexample
+        def below(side, _y, delta, seed, _fill_p):
+            return gen_random_mindeg(side, side, delta - 1, seed, fill_p=0.0)
+
+        def oracle(*a, **kw):
+            raise AssertionError("the oracle ran on a host that fails the hypotheses")
+
+        monkeypatch.setattr(harness, "gen_random_mindeg", below)
+        monkeypatch.setattr(harness, "brute_force_pack", oracle)
+        s = run_hunt(4, make_profile([4, 4], mode="conjecture"), trials=5, seed=5, out_dir=str(tmp_path))
+        assert s["hypothesis_satisfying"] == 0 and s["counterexample_count"] == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_counterexample_files_reproduce_the_instance(self, tmp_path, monkeypatch):
         # every hypothesis-satisfying trial is then a certified counterexample
         infeasible = PackResult(INFEASIBLE, oracle_used=True)

@@ -532,6 +532,12 @@ class TestPack:
             shrinks += r.move_counts["shrink"]
         assert shrinks > 0
 
+    def test_invalid_engine_packing_is_an_internal_error(self, monkeypatch):
+        # the verifier stands between the engine and every packed result
+        monkeypatch.setattr(packer, "_attempt", lambda *a: [(0, 4, 1, 5), (0, 4, 1, 5)])
+        with pytest.raises(RuntimeError, match="internal error: engine produced an invalid packing"):
+            pack(gen_complete(4), make_profile([4, 4], "conjecture"))
+
     def test_explicit_budget_caps_each_attempt(self):
         profile = make_profile([6] * 33)
         g = gen_random_mindeg(100, 100, profile.threshold, seed=1)
