@@ -79,11 +79,12 @@ class ExchangeContext:
 class SearchState:
     """Mutable solver state: placed cycles, leftover pool, and the working path.
 
-    ``path_mask == mask_of(path)`` always holds. Two methods write ``path`` and
-    ``path_mask``: ``add_endpoint`` puts one vertex at an end in place and sets
-    its bit (endpoint extension, exchange), and ``set_path`` installs a new
-    list and recomputes the mask in full (seeding, rotation, splice, a cycle
-    taking path vertices, closing a cycle).
+    ``path_mask == mask_of(path)`` always holds. Three writers change ``path``
+    and ``path_mask``: ``move_extend_path``'s endpoint run appends and prepends
+    in place and sets the run's bits at once, ``add_endpoint`` puts one vertex
+    at an end in place and sets its bit (exchange), and ``set_path`` installs a
+    new list and recomputes the mask in full (seeding, rotation, splice, a
+    cycle taking path vertices, closing a cycle).
     """
 
     def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None):
@@ -250,7 +251,7 @@ def _alternating_family(st: SearchState) -> list[list[int]]:
 
 def _pick(st: SearchState, cands_mask: int) -> int:
     if st.rng is None or cands_mask & (cands_mask - 1) == 0:
-        return _lowest(cands_mask)
+        return (cands_mask & -cands_mask).bit_length() - 1  # the lowest id
     return st.rng.choice(list(bits(cands_mask)))
 
 
@@ -290,28 +291,48 @@ def _attachments(st: SearchState, q: list[int]):
                 yield i, j, q[::-1]
 
 
-def move_extend_path(st: SearchState) -> bool:
-    """Strictly lengthen the pool path: seed it, extend an endpoint, rotate to
-    expose an extendable endpoint, or splice a detour q in at an attachment
-    (i, j) with i < j <= i + len(q), giving p[:i+1] + q + p[j:]. Neither end
-    then sees outside the path, so q never attaches at an end."""
+def move_extend_path(st: SearchState, room: int | None = None) -> int:
+    """Strictly lengthen the pool path and return the number of moves made
+    (False when none applies): seed it, extend its endpoints, rotate to expose
+    an extendable endpoint, or splice a detour q in at an attachment (i, j)
+    with i < j <= i + len(q), giving p[:i+1] + q + p[j:]. Neither end then
+    sees outside the path, so q never attaches at an end.
+
+    Endpoint extension is a run: it appends at the tail while the tail sees
+    outside the path, then prepends at the head while the head does, one
+    vertex and one move at a time, until ``room`` (>= 1; None for no cap)
+    moves are made. That is the sequence one-move calls would make: the
+    outside set only shrinks, so a stuck tail stays stuck, and shrink, tried
+    before each call, stays failed while no placed cycle changes. Seed,
+    rotation and splice are one move each.
+    """
     adj = st.adj
     if not st.path:
         if not st.pool:
             return False
         st.set_path([_pick(st, st.pool)])
-        return True
+        return 1
     p = st.path
     outside = st.pool & ~st.path_mask
 
+    moves = 0
     ext = adj[p[-1]] & outside
-    if ext:
-        st.add_endpoint(_pick(st, ext), head=False)
-        return True
+    while ext and moves != room:
+        v = _pick(st, ext)
+        p.append(v)
+        outside ^= 1 << v
+        moves += 1
+        ext = adj[v] & outside
     ext = adj[p[0]] & outside
-    if ext:
-        st.add_endpoint(_pick(st, ext), head=True)
-        return True
+    while ext and moves != room:
+        v = _pick(st, ext)
+        p.insert(0, v)
+        outside ^= 1 << v
+        moves += 1
+        ext = adj[v] & outside
+    if moves:
+        st.path_mask = st.pool ^ outside  # the path is the pool minus outside
+        return moves
 
     if len(p) >= 3 and outside:
         rotated = _rotate_extend(st, p)
@@ -319,14 +340,14 @@ def move_extend_path(st: SearchState) -> bool:
             rotated = _rotate_extend(st, p[::-1])
         if rotated is not None:
             st.set_path(rotated)
-            return True
+            return 1
 
     if outside:
         for q in _alternating_family(st):
             for i, j, oq in _attachments(st, q):
                 if i < j <= i + len(q):  # only strictly lengthening cuts
                     st.set_path(p[: i + 1] + oq + p[j:])
-                    return True
+                    return 1
     return False
 
 
@@ -586,7 +607,12 @@ def _attempt(g, profile, budget, rng, result):
     """One restart-free run of the move loop, adding its moves, iterations and
     diagnostics to ``result``; returns the full cycle list or None. The
     potential ends the loop (see the module docstring); ``budget``, when not
-    None, caps this attempt's iterations."""
+    None, caps this attempt's iterations.
+
+    An iteration is one move. An endpoint run of m extensions is made in one
+    pass of the loop but counts m iterations and m ``extend`` moves, and it
+    stops where the budget would, so the budget and the iteration bound keep
+    their meaning."""
     st = SearchState(g, profile, rng=rng)
     counts = result.move_counts
     stop = None if budget is None else result.iterations + budget
@@ -601,8 +627,10 @@ def _attempt(g, profile, budget, rng, result):
             if move_shrink(st):
                 _record(st, counts, "shrink", before)
                 continue
-            if move_extend_path(st):
-                _record(st, counts, "extend", before)
+            moves = move_extend_path(st, None if stop is None else stop - result.iterations + 1)
+            if moves:
+                result.iterations += moves - 1
+                _record(st, counts, "extend", before, moves)
                 continue
             if move_exchange_one(st):
                 _record(st, counts, "exchange", before)
@@ -623,11 +651,17 @@ def _attempt(g, profile, budget, rng, result):
     return [tuple(c) for c in st.fixed]
 
 
-def _record(st, counts, kind, before):
-    counts[kind] += 1
+def _record(st, counts, kind, before, moves=1):
+    """Count ``moves`` moves of ``kind`` and check the potential they left: one
+    move must raise it; a run of several must keep the pool and lengthen the
+    path by exactly one vertex per move."""
+    counts[kind] += moves
     after = st.potential()
-    if not after > before:
-        raise RuntimeError(f"move {kind} failed to improve the potential: {before} -> {after}")
+    if moves == 1:
+        if not after > before:
+            raise RuntimeError(f"move {kind} failed to improve the potential: {before} -> {after}")
+    elif after != (before[0], before[1] + moves):
+        raise RuntimeError(f"run of {moves} {kind} moves changed the potential {before} -> {after}")
 
 
 def _packed(result: PackResult, g, profile, cycles, source: str) -> PackResult:

@@ -186,9 +186,9 @@ def test_criterion_6_property_suite(monkeypatch):
         trace = []
         original_record = packer._record
 
-        def logged_record(st, counts, kind, before):
+        def logged_record(st, counts, kind, before, moves=1):
             trace.append((kind, before, st.potential()))
-            return original_record(st, counts, kind, before)
+            return original_record(st, counts, kind, before, moves)
 
         trace_checks = 0
         seed_stream = 0

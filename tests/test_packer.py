@@ -193,8 +193,14 @@ class TestMoveExtendPath:
     def test_single_vertex_grows(self):
         g = gen_complete(2)
         st = SearchState(g, make_profile([4], mode="conjecture"), path=[0])
-        assert move_extend_path(st)
+        assert move_extend_path(st, room=1) == 1
         assert len(st.path) == 2
+
+    def test_run_spans_the_host_in_one_call(self):
+        # without a cap the tail run takes every vertex of K2,2, lowest id first
+        st = SearchState(gen_complete(2), make_profile([4], mode="conjecture"), path=[0])
+        assert move_extend_path(st) == 3
+        assert st.path == [0, 2, 1, 3] and st.path_mask == mask_of(st.path)
 
     def test_hamilton_path_no_move(self):
         g = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])
@@ -219,9 +225,31 @@ class TestMoveExtendPath:
     def test_endpoint_growth_keeps_the_mask(self):
         # a path 0-3 in K3,3 grows at the tail, then at the head, one vertex at a time
         st = SearchState(gen_complete(3), make_profile([6]), path=[0, 3])
-        assert move_extend_path(st) and st.path == [0, 3, 1]
+        assert move_extend_path(st, room=1) == 1 and st.path == [0, 3, 1]
         st.add_endpoint(4, head=True)
         assert st.path == [4, 0, 3, 1] and st.path_mask == mask_of([4, 0, 3, 1])
+
+    @staticmethod
+    def run_host():
+        # path 0-3: the tail 3 sees only 1, a dead end; the head 0 leads on to 4, 2, 5
+        g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (0, 4), (2, 4), (2, 5)])
+        return SearchState(g, make_profile([6]), path=[0, 3])
+
+    def test_head_run_continues_after_the_tail_stalls(self):
+        st = self.run_host()
+        assert move_extend_path(st) == 4
+        assert st.path == [5, 2, 4, 0, 3, 1] and st.path_mask == mask_of(st.path)
+        # the same path, vertex by vertex, as one-move calls build it
+        one = self.run_host()
+        while move_extend_path(one, room=1):
+            assert one.path_mask == mask_of(one.path)
+        assert one.path == st.path
+
+    def test_room_stops_the_run_exactly(self):
+        st = self.run_host()
+        assert move_extend_path(st, room=3) == 3
+        assert st.path == [2, 4, 0, 3, 1] and st.path_mask == mask_of(st.path)
+        assert move_extend_path(st, room=3) == 1 and st.path == [5, 2, 4, 0, 3, 1]
 
     def test_rotation_unlocks_extension(self):
         # path 0-3-1-4 stuck at both ends unless rotated: 4~0 chord exposes 1, 1~5 extends
@@ -337,7 +365,7 @@ class TestDetourScan:
             grew = move_extend_path(st)
             extend_scans += bool(scans)
             cyc = move_close_cycle(SearchState(g, profile, path=path))
-            digest.update(json.dumps([grew, st.path, cyc]).encode())
+            digest.update(json.dumps([bool(grew), st.path, cyc]).encode())
         assert extend_scans >= 100
         assert digest.hexdigest() == "811c9abfe189856231621f520066b6567bc8535950d6aeb911f3cfb58f44b216"
 
@@ -555,9 +583,9 @@ class TestPack:
         trace = []
         original = packer._record
 
-        def logged(st, counts, kind, before):
+        def logged(st, counts, kind, before, moves=1):
             trace.append((kind, before, st.potential()))
-            return original(st, counts, kind, before)
+            return original(st, counts, kind, before, moves)
 
         monkeypatch.setattr(packer, "_record", logged)
         g = gen_random_mindeg(7, 7, 5, seed=23)
@@ -573,26 +601,28 @@ class TestPack:
         original_extend = packer.move_extend_path
         original_record = packer._record
 
-        def extend(st):
+        def extend(st, room=None):
             old = list(st.path)
-            grew = original_extend(st)
+            grew = original_extend(st, room)
             if grew:
                 new = st.path
                 if not old:
                     extend_kinds["seed"] += 1
-                elif new[:-1] == old or new[1:] == old:
+                elif any(new[i : i + len(old)] == old for i in range(len(new) - len(old) + 1)):
+                    # an endpoint run: old is a contiguous slice, new vertices only at the ends
                     extend_kinds["end"] += 1
+                    extend_kinds["end run"] += grew > 1
                 elif sorted(new[:-1]) == sorted(old):
                     extend_kinds["rotate"] += 1
                 else:
                     extend_kinds["splice"] += 1
             return grew
 
-        def checked(st, counts, kind, before):
+        def checked(st, counts, kind, before, moves=1):
             assert st.path_mask == mask_of(st.path), kind
             assert len(set(st.path)) == len(st.path), kind
             assert not st.path_mask & ~st.pool, kind
-            return original_record(st, counts, kind, before)
+            return original_record(st, counts, kind, before, moves)
 
         monkeypatch.setattr(packer, "move_extend_path", extend)
         monkeypatch.setattr(packer, "_record", checked)
@@ -608,7 +638,8 @@ class TestPack:
         assert totals["shrink"] > 0 and totals["exchange"] > 0
         assert runs[0].restarts == packer.DEFAULT_RESTARTS
         assert runs[2].status == "packed"
-        assert set(extend_kinds) == {"seed", "end", "rotate", "splice"}, extend_kinds
+        assert set(extend_kinds) == {"seed", "end", "end run", "rotate", "splice"}, extend_kinds
+        assert extend_kinds["end run"] > 0
 
     def test_path_upkeep_is_not_per_iteration(self, monkeypatch):
         # an endpoint extension sets one bit; rebuilding the path mask on every
@@ -627,9 +658,56 @@ class TestPack:
         assert len(calls) <= 4 * profile.k
 
     def test_non_improving_move_raises(self, monkeypatch):
-        monkeypatch.setattr(packer, "move_extend_path", lambda st: True)
+        monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: True)
         with pytest.raises(RuntimeError, match="failed to improve the potential"):
             pack(gen_complete(3), make_profile([6]))
+
+    def test_run_claiming_more_moves_than_the_path_grew_raises(self, monkeypatch):
+        # the seed adds one vertex; reported as two moves, the check must catch it
+        original = packer.move_extend_path
+        monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: 2 * original(st, room))
+        with pytest.raises(RuntimeError, match=r"run of 2 extend moves changed the potential \(6, 0\) -> \(6, 1\)"):
+            pack(gen_complete(3), make_profile([6]))
+
+    def test_runs_match_one_move_per_call(self, monkeypatch):
+        # sparse side-60 hosts, where restarts pick through the rng; side-30
+        # threshold hosts under budgets that end inside a run; side-9 hosts
+        # below the threshold, where the oracle decides after the engine stalls
+        sparse60 = make_profile([6] * 20)
+        cases = [(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, None) for s in (0, 1)]
+        side30 = make_profile([6] * 10)
+        for s in (0, 1):
+            g = gen_random_mindeg(30, 30, 21, seed=s)
+            cases += [(g, side30, s, budget) for budget in (7, 12, 19, 26)]
+        side9 = make_profile([6, 6, 6])
+        cases += [(gen_random_mindeg(9, 9, 4, seed=s), side9, s, None) for s in range(12)]
+        runs = [pack(g, profile, seed=seed, budget=budget) for g, profile, seed, budget in cases]
+        # the engine as it was before endpoint runs: every extend call makes one move
+        original = packer.move_extend_path
+        monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: original(st, 1))
+        singles = [pack(g, profile, seed=seed, budget=budget) for g, profile, seed, budget in cases]
+        for case, run, single in zip(cases, runs, singles):
+            fields = ("status", "packing", "iterations", "restarts", "move_counts", "diagnostics")
+            assert [getattr(run, f) for f in fields] == [getattr(single, f) for f in fields], case[2:]
+        assert all(r.restarts == packer.DEFAULT_RESTARTS for r in runs[:2])
+        assert all(r.status == "unknown" for r in runs[2:10])
+        assert any(r.oracle_used for r in runs[10:])
+
+    def test_loop_passes_are_not_per_iteration(self, monkeypatch):
+        # every pass of the move loop tries shrink first; an endpoint run of m
+        # vertices is one pass, so passes are far fewer than iterations
+        calls = []
+        original = packer.move_shrink
+
+        def counted(st):
+            calls.append(1)
+            return original(st)
+
+        monkeypatch.setattr(packer, "move_shrink", counted)
+        profile = make_profile([6] * 50)
+        r = pack(gen_random_mindeg(150, 150, profile.threshold, seed=1), profile)
+        assert r.status == "packed" and r.iterations > 50 * profile.k
+        assert len(calls) < r.iterations / 10
 
     def test_even_lengths_always(self):
         for i in range(20):
