@@ -107,6 +107,21 @@ class TestRunTrials:
             "450487e85dd23df32d483b7fa0ec92fb1635385313fad99f66c6231694a71987"
         )
 
+    def test_guaranteed_regime_summaries_pinned(self):
+        # recorded before the detour scan dropped the alternating walks of a
+        # maximum matching; at the threshold the engine never reached them
+        cfgs = [
+            TrialConfig(make_profile([6] * 6), side_size=18, fill_p=0.0, oracle_limit=0, trials=200, seed=3),
+            TrialConfig(make_profile([6, 6]), side_size=9, delta=5, trials=1000, seed=7),
+            TrialConfig(make_profile([10, 8] + [6] * 7), side_size=30, fill_p=0.02, trials=100, seed=5),
+        ]
+        digest = hashlib.sha256()
+        for cfg in cfgs:
+            s = run_trials(cfg)
+            assert s["aggregates"]["success_rate"] == 1.0
+            digest.update(summary_without_timing(s).encode())
+        assert digest.hexdigest() == "447333f704db8227d9edb3a8c17ea5ec69a7e04f53fe79a122785330888db463"
+
     def test_delta_defaults_to_threshold(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, trials=3, seed=0)
         s = run_trials(cfg)
