@@ -15,7 +15,6 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .matching import longest_alternating_path, max_matching
 from .packer import (
     INFEASIBLE,
     PACKED,
@@ -45,8 +44,6 @@ __all__ = [
     "ProfileError",
     "make_profile",
     "degree_threshold",
-    "max_matching",
-    "longest_alternating_path",
     "PackResult",
     "SearchState",
     "ExchangeContext",

@@ -13,8 +13,8 @@ import functools
 import json
 import sys
 
-from .graphs import GraphError, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
-from .harness import ConfigError, TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
+from .graphs import gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
+from .harness import TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, MOVE_KINDS, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GraphError, ProfileError, ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError, ProfileError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -31,7 +31,6 @@ from itertools import combinations, product
 
 from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
-from .matching import longest_alternating_path, max_matching
 from .profiles import CycleProfile
 from .verify import VerificationReport, verify_packing
 
@@ -83,8 +82,8 @@ class SearchState:
     and ``path_mask``: ``move_extend_path``'s endpoint run appends and prepends
     in place and sets the run's bits at once, ``add_endpoint`` puts one vertex
     at an end in place and sets its bit (exchange), and ``set_path`` installs a
-    new list and recomputes the mask in full (seeding, rotation, splice, a
-    cycle taking path vertices, closing a cycle).
+    new list and recomputes the mask in full (seeding, rotation, a cycle
+    taking path vertices, closing a cycle).
     """
 
     def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None):
@@ -220,35 +219,6 @@ def move_shrink(st: SearchState) -> bool:
     return False
 
 
-def _alternating_family(st: SearchState) -> list[list[int]]:
-    """Candidate detour paths in the pool outside the current path: maximal
-    alternating walks of a maximum matching (from unmatched vertices, and from
-    matched vertices leaving along the matching edge), plus bare vertices."""
-    rest = st.pool & ~st.path_mask
-    if not rest:
-        return []
-    adj = st.adj
-    m = max_matching(adj, rest, st.g.x_mask)
-    qs: list[list[int]] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def add(q: list[int]) -> None:
-        t = tuple(q)
-        if t not in seen:
-            seen.add(t)
-            qs.append(q)
-
-    for v in bits(rest):
-        if v not in m:
-            add(longest_alternating_path(adj, rest, m, v, False))
-    for v in bits(rest):
-        if v in m:
-            add(longest_alternating_path(adj, rest, m, v, True))
-    for v in bits(rest):
-        add([v])
-    return qs
-
-
 def _pick(st: SearchState, cands_mask: int) -> int:
     if st.rng is None or cands_mask & (cands_mask - 1) == 0:
         return (cands_mask & -cands_mask).bit_length() - 1  # the lowest id
@@ -271,40 +241,20 @@ def _rotate_extend(st: SearchState, p: list[int]) -> list[int] | None:
     return None
 
 
-def _attachments(st: SearchState, q: list[int]):
-    """Yield (i, j, q oriented), by i then j, for each pair of path positions
-    i <= j where p[i] sees the oriented q's first end and p[j] its last;
-    j > i unless q has at least 3 vertices."""
-    adj, p = st.adj, st.path
-    e0, e1 = q[0], q[-1]
-    lo = 0 if len(q) >= 3 else 1
-    for i in range(len(p)):
-        ai = adj[p[i]]
-        i_e0, i_e1 = ai >> e0 & 1, ai >> e1 & 1
-        if not (i_e0 or i_e1):
-            continue
-        for j in range(i + lo, len(p)):
-            aj = adj[p[j]]
-            if i_e0 and aj >> e1 & 1:
-                yield i, j, q
-            elif i_e1 and aj >> e0 & 1:
-                yield i, j, q[::-1]
-
-
 def move_extend_path(st: SearchState, room: int | None = None) -> int:
     """Strictly lengthen the pool path and return the number of moves made
-    (False when none applies): seed it, extend its endpoints, rotate to expose
-    an extendable endpoint, or splice a detour q in at an attachment (i, j)
-    with i < j <= i + len(q), giving p[:i+1] + q + p[j:]. Neither end then
-    sees outside the path, so q never attaches at an end.
+    (False when none applies): seed it, extend its endpoints, or rotate to
+    expose an extendable endpoint (Posa). There is no detour splice: putting
+    an off-path vertex v between p[i] and p[i+1] needs v to see both, and in a
+    bipartite host they lie on opposite sides.
 
     Endpoint extension is a run: it appends at the tail while the tail sees
     outside the path, then prepends at the head while the head does, one
     vertex and one move at a time, until ``room`` (>= 1; None for no cap)
     moves are made. That is the sequence one-move calls would make: the
     outside set only shrinks, so a stuck tail stays stuck, and shrink, tried
-    before each call, stays failed while no placed cycle changes. Seed,
-    rotation and splice are one move each.
+    before each call, stays failed while no placed cycle changes. Seed and
+    rotation are one move each.
     """
     adj = st.adj
     if not st.path:
@@ -342,12 +292,6 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
             st.set_path(rotated)
             return 1
 
-    if outside:
-        for q in _alternating_family(st):
-            for i, j, oq in _attachments(st, q):
-                if i < j <= i + len(q):  # only strictly lengthening cuts
-                    st.set_path(p[: i + 1] + oq + p[j:])
-                    return 1
     return False
 
 
@@ -392,9 +336,10 @@ def move_exchange_one(st: SearchState) -> bool:
 
 def move_close_cycle(st: SearchState) -> list[int] | None:
     """Look for a cycle of the current required length (or a bit more) in the pool:
-    a chord across the path, two crossing endpoint chords, or a detour q
-    attached at (i, j), closing p[i:j+1] + q[::-1]. Returns the shortest cycle
-    found, and the first tight one at once."""
+    a chord across the path, two crossing endpoint chords, or an off-path pool
+    vertex v seen by p[i] and p[j], closing p[i:j+1] + [v] (v ascending, then
+    i, then j). Returns the shortest cycle found, and the first tight one at
+    once."""
     target = st.current_target
     if st.pool.bit_count() < target:
         return None
@@ -429,12 +374,14 @@ def move_close_cycle(st: SearchState) -> list[int] | None:
                     if length == target:
                         return best
 
-    for q in _alternating_family(st):
-        for i, j, oq in _attachments(st, q):
-            length = (j - i + 1) + len(q)
+    pos = {u: i for i, u in enumerate(p)}
+    for v in bits(st.pool & ~st.path_mask):
+        sees = sorted(pos[u] for u in bits(adj[v] & st.path_mask))
+        for i, j in combinations(sees, 2):
+            length = j - i + 2
             if length < target or (best is not None and length >= len(best)):
                 continue
-            best = p[i : j + 1] + oq[::-1]
+            best = p[i : j + 1] + [v]
             if length == target:
                 return best
     return best
