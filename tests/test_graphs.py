@@ -15,6 +15,7 @@ from cyclepack import (
     serialize_graph,
 )
 from cyclepack.graphs import _parse_bulk, _parse_lines, graph_of_rows
+from cyclepack.packer import mix_seed
 
 
 def path_graph():
@@ -390,6 +391,25 @@ class TestGenerators:
         # (x, y, delta, seed, fill_p): `gen random`, `trials` and `hunt` draw these exact hosts
         text = serialize_graph(gen_random_mindeg(*shape))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_random_hosts_wide_pinned(self):
+        # every shape at sides 1-12 (equal and unequal, every delta, five fills),
+        # the first 25 trial hosts of each benchmark trials-desk config and the
+        # benchmark trials-scale hosts, all at campaign seed 1024
+        shapes = []
+        for x in range(1, 13):
+            for y in range(1, 13):
+                for d in range(min(x, y) + 1):
+                    for fill in (0, 0.05, 0.1, 0.5, 0.9):
+                        shapes.append((x, y, d, len(shapes), fill))
+        for side, d, fill in [(6, 5, 0.5), (9, 5, 0.5), (8, 2, 0.1), (9, 3, 0.05)]:
+            shapes += [(side, side, d, mix_seed(1024, i), fill) for i in range(25)]
+        shapes += [(s, s, 2 * s // 3 + 1, mix_seed(1024, 0), 0.5) for s in range(60, 91, 6)]
+        digest = hashlib.sha256()
+        for shape in shapes:
+            digest.update(serialize_graph(gen_random_mindeg(*shape)).encode())
+        assert len(shapes) == 4076
+        assert digest.hexdigest() == "597cd07bf492eb5f8401efe655c01c34d2eccd4d9ba62c43ec5824bf784bff94"
 
     @pytest.mark.parametrize(
         "k, digest",
