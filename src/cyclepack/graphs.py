@@ -281,26 +281,34 @@ def gen_random_mindeg(
     Builds a base of ``delta`` rounds of random perfect matchings between the
     sides (the smaller side padded to the larger by virtual aliases of its own
     vertices), each round avoiding edges already present, then adds every
-    remaining non-edge independently with probability ``fill_p``. With equal
-    side sizes the matching base alone guarantees the floor; with unequal sides
-    an occasional round can wedge, so deficient vertices are then topped up
-    with random missing edges.
+    remaining non-edge independently with probability ``fill_p``, drawing one
+    number per unset cell in row-major order. With equal sides every round is
+    a perfect matching of new edges (see :func:`_add_matching_round`), so the
+    base alone gives every vertex ``delta`` distinct neighbours. With unequal
+    sides a round can leave a slot unmatched, so only then are deficient
+    vertices topped up with random missing edges.
     """
-    if delta < 0 or delta > min(x_size, y_size):
-        raise GraphError(f"delta {delta} infeasible for sides {x_size}+{y_size}")
     if x_size < 1 or y_size < 1:
         raise GraphError("sides must be nonempty")
+    if delta < 0 or delta > min(x_size, y_size):
+        raise GraphError(f"delta {delta} infeasible for sides {x_size}+{y_size}")
     if not 0 <= fill_p <= 1:
         raise GraphError(f"fill_p {fill_p} is not a probability in [0, 1]")
     rng = random.Random(seed)
     present = [0] * x_size  # per-x bitmask of chosen y offsets
     for _ in range(delta):
         _add_matching_round(present, x_size, y_size, rng)
-    for u in range(x_size):
-        for w in range(y_size):
-            if not present[u] >> w & 1 and rng.random() < fill_p:
-                present[u] |= 1 << w
-    _repair(present, x_size, y_size, delta, rng)
+    draw, y_full = rng.random, (1 << y_size) - 1
+    for u, row in enumerate(present):
+        unset = ~row & y_full
+        while unset:  # one draw per unset cell, lowest first
+            low = unset & -unset
+            if draw() < fill_p:
+                row |= low
+            unset ^= low
+        present[u] = row
+    if x_size != y_size:
+        _repair(present, x_size, y_size, delta, rng)
     return graph_of_rows(x_size, y_size, present)
 
 
@@ -312,17 +320,18 @@ def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> No
     hands every vertex on both sides at least one new distinct neighbor.
     A random permutation proposes each left slot's partner; slots whose
     proposal is a present edge are rematched by :func:`augment` over bitmask
-    rows of allowed partners. With equal sides the allowed pairs form a regular
-    bipartite graph, which by Hall's theorem has a perfect matching, so the
-    round always completes; with unequal sides a slot can stay unmatched.
+    rows of allowed partners (a slot's free Y offsets, repeated once per
+    alias by one multiply with a repunit). With equal sides the allowed pairs
+    form a regular bipartite graph, which by Hall's theorem has a perfect
+    matching, so the round always completes and adds exactly one new
+    neighbour to every vertex; with unequal sides a slot can stay unmatched.
     """
     size = max(x_size, y_size)
     full = (1 << size) - 1
-    reps = -(-size // y_size)
-    allowed = []  # per left slot: bitmask of right slots it may be matched to
-    for l in range(size):
-        free_y = ~present[l % x_size] & ((1 << y_size) - 1)
-        allowed.append(sum(free_y << (j * y_size) for j in range(reps)) & full)
+    y_full = (1 << y_size) - 1
+    repunit = sum(1 << j * y_size for j in range(-(-size // y_size)))
+    # per left slot: bitmask of right slots it may be matched to
+    allowed = [(~present[l % x_size] & y_full) * repunit & full for l in range(size)]
     match_l = list(range(size))
     rng.shuffle(match_l)
     match_r = [-1] * size
@@ -350,13 +359,16 @@ def augment(allowed, match_l: list[int], match_r: list[int], free_r: int, root: 
     ``match_l``/``match_r`` hold partners (-1 if unmatched) and are updated in
     place, ``free_r`` marks unmatched right vertices. The path ends at the
     lowest-id free neighbour of the first queued vertex that has one; if none
-    exists nothing changes. Iterative, so path length is not bounded by the
-    recursion limit.
+    exists nothing changes. The queue holds each searched vertex's unseen
+    candidates as one mask and takes their partners lowest bit first, so
+    candidates behind the first free slot are never visited. Iterative, so
+    path length is not bounded by the recursion limit.
     """
     parent = {}
     seen = 0
-    queue = [root]
-    for u in queue:
+    queue = deque()  # (vertex, candidates whose partners are not yet searched)
+    u = root
+    while True:
         cands = allowed[u] & ~seen
         seen |= cands
         ends = cands & free_r
@@ -367,17 +379,25 @@ def augment(allowed, match_l: list[int], match_r: list[int], free_r: int, root: 
                 match_r[r] = u
                 match_l[u], r = r, match_l[u]
                 if u == root:
-                    break
+                    return free_r
                 u = parent[r]
-            break
-        for r in bits(cands):
-            parent[r] = u
-            queue.append(match_r[r])
-    return free_r
+        if cands:
+            queue.append((u, cands))
+        if not queue:
+            return free_r
+        owner, cands = queue[0]
+        low = cands & -cands
+        if cands == low:
+            queue.popleft()
+        else:
+            queue[0] = (owner, cands ^ low)
+        r = low.bit_length() - 1
+        parent[r] = owner
+        u = match_r[r]
 
 
 def _repair(present: list[int], x_size: int, y_size: int, delta: int, rng) -> None:
-    """Top up any still-deficient vertex with random missing edges."""
+    """Top up any still-deficient vertex with random missing edges (unequal sides)."""
     for u in range(x_size):
         short = delta - present[u].bit_count()
         if short > 0:

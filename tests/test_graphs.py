@@ -14,7 +14,8 @@ from cyclepack import (
     parse_graph,
     serialize_graph,
 )
-from cyclepack.graphs import _parse_bulk, _parse_lines, graph_of_rows
+from cyclepack import graphs
+from cyclepack.graphs import _add_matching_round, _parse_bulk, _parse_lines, graph_of_rows
 from cyclepack.packer import mix_seed
 
 
@@ -347,7 +348,7 @@ class TestGenerators:
         assert a == b
         assert a != c
 
-    def test_random_min_degree_property(self):
+    def test_random_min_degree_property(self, monkeypatch):
         rng = random.Random(777)
         for trial in range(60):
             x = rng.randint(2, 7)
@@ -356,6 +357,38 @@ class TestGenerators:
             g = gen_random_mindeg(x, y, d, seed=trial, fill_p=rng.choice([0.1, 0.5, 0.9]))
             assert g.min_degree() >= d
             assert all((u < x) != (v < x) for u, v in g.edges())
+        # with unequal sides the rounds can leave vertices short on both sides,
+        # and only the top-up restores the floor; at fill 0 nothing else adds edges
+        short = {"x": 0, "y": 0}
+
+        def counting_repair(present, x_size, y_size, delta, rng):
+            short["x"] += sum(row.bit_count() < delta for row in present)
+            short["y"] += sum(sum(row >> w & 1 for row in present) < delta for w in range(y_size))
+            repair(present, x_size, y_size, delta, rng)
+
+        repair = graphs._repair
+        monkeypatch.setattr(graphs, "_repair", counting_repair)
+        for trial in range(300):
+            x, y = rng.sample(range(1, 17), 2)
+            d = rng.randint(0, min(x, y))
+            g = gen_random_mindeg(x, y, d, seed=trial, fill_p=0)
+            assert g.min_degree() >= d, (x, y, d, trial)
+        assert short["x"] > 0 and short["y"] > 0
+
+    def test_equal_sides_rounds_leave_nothing_to_repair(self):
+        # Hall: with equal sides a round's allowed pairs form a regular bipartite
+        # graph, so each round is a perfect matching of new edges and delta rounds
+        # give every vertex exactly delta neighbours; the top-up would add nothing
+        rng = random.Random(4040)
+        for side in range(1, 41):
+            for _ in range(3):
+                delta = rng.randint(0, side)
+                present = [0] * side
+                draws = random.Random(rng.getrandbits(32))
+                for _ in range(delta):
+                    _add_matching_round(present, side, side, draws)
+                assert all(row.bit_count() == delta for row in present), (side, delta)
+                assert all(sum(row >> w & 1 for row in present) == delta for w in range(side)), (side, delta)
 
     def test_random_equal_sides_no_fill_is_regular(self):
         for seed in range(40):

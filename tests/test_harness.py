@@ -420,6 +420,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert "not a probability" in captured.err and captured.out == ""
 
+    def test_gen_random_negative_side_names_the_sides(self, capsys):
+        # delta 0 fits under min(-1, 5) only by accident; the sides are what is wrong
+        assert main(["gen", "random", "--x", "-1", "--y", "5", "--delta", "0", "--seed", "1", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert "sides must be nonempty" in captured.err and captured.out == ""
+
     def test_theorem_mode_rejects_conjecture_profile(self, tmp_path, capsys):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])

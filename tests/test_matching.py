@@ -123,3 +123,77 @@ def test_matching_size_agrees_with_networkx_hopcroft_karp():
         m = max_matching(g, keep)
         assert len(m) // 2 == len(reference) // 2
         check_matching_shape(g, keep, m)
+
+
+def eager_augment(allowed, match_l, match_r, free_r, root):
+    """``augment`` as it was before its search went lazy: a searched vertex
+    queues the partners of all its unseen candidates at once. The reference
+    that the generator's byte-identical output rests on."""
+    parent = {}
+    seen = 0
+    queue = [root]
+    for u in queue:
+        cands = allowed[u] & ~seen
+        seen |= cands
+        ends = cands & free_r
+        if ends:
+            r = (ends & -ends).bit_length() - 1
+            free_r ^= 1 << r
+            while True:
+                match_r[r] = u
+                match_l[u], r = r, match_l[u]
+                if u == root:
+                    break
+                u = parent[r]
+            break
+        for r in bits(cands):
+            parent[r] = u
+            queue.append(match_r[r])
+    return free_r
+
+
+def replay_both(allowed, match_l, match_r, free_r, roots):
+    """Augment from each root in turn with both searches, each on its own copy
+    of the matching (``match_l is match_r`` is kept), comparing after every call."""
+    runs = []
+    for search in (augment, eager_augment):
+        ml = match_l[:]
+        runs.append([search, ml, ml if match_r is match_l else match_r[:], free_r])
+    for root in roots:
+        for run in runs:
+            run[3] = run[0](allowed, run[1], run[2], run[3], root)
+        assert runs[0][1:] == runs[1][1:], root
+
+
+def test_lazy_search_matches_eager_search_on_slot_rows():
+    # the generator's layout: list rows over right slots, separate partner lists,
+    # a random permutation's allowed pairs kept and the other slots rematched
+    rng = random.Random(5150)
+    for trial in range(400):
+        size = rng.randint(1, 24)
+        p = rng.choice([0.1, 0.3, 0.6, 0.9])
+        allowed = [sum(1 << r for r in range(size) if rng.random() < p) for _ in range(size)]
+        match_l = list(range(size))
+        rng.shuffle(match_l)
+        match_r = [-1] * size
+        free_r = (1 << size) - 1
+        for l, r in enumerate(match_l):
+            if allowed[l] >> r & 1:
+                match_r[r] = l
+                free_r ^= 1 << r
+            else:
+                match_l[l] = -1
+        replay_both(allowed, match_l, match_r, free_r, [l for l, r in enumerate(match_l) if r == -1])
+
+
+def test_lazy_search_matches_eager_search_on_views():
+    # the layout of `max_matching` above: dict rows over global ids, one partner list
+    rng = random.Random(6160)
+    for trial in range(300):
+        x, y = rng.randint(1, 14), rng.randint(1, 14)
+        p = rng.uniform(0.05, 0.7)
+        g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
+        keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
+        allowed = {u: g.adjacency[u] & keep for u in bits(keep & g.x_mask)}
+        mate = [-1] * g.num_vertices
+        replay_both(allowed, mate, mate, keep & ~g.x_mask, list(allowed))
