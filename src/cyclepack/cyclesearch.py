@@ -3,7 +3,9 @@
 Enumeration is anchored at each cycle's minimum vertex (or, for
 ``iter_cycles_through``, at the given vertex) and canonicalized by direction
 (second vertex below last), so every simple cycle in the window is produced
-exactly once. Intended for desk-scale sets (up to ~26 vertices).
+exactly once. Intended for desk-scale sets (up to ~26 vertices): it serves only
+the exact oracle, bounded by its limit, and shrink; exchange and double
+exchange take their cycles from the move loop.
 """
 from __future__ import annotations
 
@@ -59,17 +61,6 @@ def _extend(
         path.append(w)
         yield from _extend(adj, abit, higher, lo, hi, w, visited | 1 << w, path)
         path.pop()
-
-
-def find_cycle_at_least(adj: tuple[int, ...], mask: int, lo: int) -> tuple[int, ...] | None:
-    """First simple cycle of length >= lo within mask, or None (search is exhaustive)."""
-    return next(iter_cycles_window(adj, mask, lo, mask.bit_count()), None)
-
-
-def hamilton_cycle_on(adj: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
-    """A cycle spanning exactly the vertices of mask, or None."""
-    size = mask.bit_count()
-    return next(iter_cycles_window(adj, mask, size, size), None)
 
 
 def shortest_cycle_in_window(

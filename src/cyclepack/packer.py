@@ -18,20 +18,24 @@ takes at most N//2 + 1 even values and the path length at most N + 1, so
 between two shrinks the path lengthens at most N times and a stage ends within
 (N//2 + 1)(N + 1) iterations, the last a close or a stall (Posa's
 rotation-extension argument, Posa 1976). An attempt over k stages thus takes at
-most k(N//2 + 1)(N + 1) iterations. On a host within the oracle limit, an
-exact backtracking oracle decides once the first attempt stalls; only larger
-hosts get seeded restarts, which perturb the construction order.
+most k(N//2 + 1)(N + 1) iterations. Exchange and double exchange take each
+cycle they test from one more single-stage run of this loop, bounded the same
+way, on the vertex set in question; it may miss a cycle, and the move then
+fails. On a host within the oracle limit, an exact backtracking oracle decides
+once the first attempt stalls; only larger hosts get seeded restarts, which
+perturb the construction order.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
-from .profiles import CycleProfile
+from .profiles import CONJECTURE, CycleProfile, make_profile
 from .verify import VerificationReport, verify_packing
 
 PACKED = "packed"
@@ -78,6 +82,8 @@ class ExchangeContext:
 class SearchState:
     """Mutable solver state: placed cycles, leftover pool, and the working path.
 
+    The pool is ``vertices`` (the whole host when None) minus the placed cycles.
+
     ``path_mask == mask_of(path)`` always holds. Three writers change ``path``
     and ``path_mask``: ``move_extend_path``'s endpoint run appends and prepends
     in place and sets the run's bits at once, ``add_endpoint`` puts one vertex
@@ -86,7 +92,7 @@ class SearchState:
     taking path vertices, closing a cycle).
     """
 
-    def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None):
+    def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None, vertices=None):
         self.g = g
         self.adj = g.adjacency
         self.profile = profile
@@ -100,7 +106,7 @@ class SearchState:
             if len(self.fixed[i]) < self.targets[i] or len(self.fixed[i]) % 2:
                 raise ValueError(f"placed cycle {i} does not meet its required length")
             used |= m
-        self.pool = g.full_mask & ~used
+        self.pool = (g.full_mask if vertices is None else vertices) & ~used
         self.path: list[int] = list(path)
         self.path_mask = mask_of(self.path)
         if self.path_mask & ~self.pool or len(set(self.path)) != len(self.path):
@@ -295,14 +301,28 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
     return False
 
 
+def _cycle_in(g: BipartiteGraph, mask: int, need: int) -> tuple[int, ...] | None:
+    """A cycle of length >= ``need`` inside ``mask``, or None: one run of the
+    move loop on the pool ``mask`` with profile [need], lowest-id picks and a
+    throwaway result. With nothing placed, shrink, exchange and concentration
+    never fire, so it does not recurse and ends within (N//2 + 1)(N + 1)
+    iterations for N = |mask|. It may miss a cycle that exists. A cycle
+    alternates sides, so fewer than need/2 vertices on a side rule it out."""
+    if 2 * min((mask & g.x_mask).bit_count(), (mask & g.y_mask).bit_count()) < need:
+        return None
+    found = _attempt(g, make_profile([need], CONJECTURE), None, None, PackResult(), mask)
+    return None if found is None else found[0]
+
+
 def move_exchange_one(st: SearchState) -> bool:
     """Trade one vertex between a tight placed cycle and the pool.
 
     When a path endpoint u' and an off-path pool vertex u'' on the opposite
     side together see at least c_j - 1 vertices of a cycle at its required
     length, some neighbor v of u' on that cycle can step out while u'' steps
-    in; v then extends the path at u'. Placed size is unchanged, the path grows.
-    """
+    in; v then extends the path at u'. The new cycle spans the swap set, found
+    by one ``_cycle_in`` run (need c_j) that may miss it. Placed size is
+    unchanged, the path grows."""
     if not st.path:
         return False
     adj = st.adj
@@ -325,7 +345,7 @@ def move_exchange_one(st: SearchState) -> bool:
                 if d1 + (adj[u2] & cmask).bit_count() < tgt - 1:
                     continue
                 for v in bits(adj[u1] & cmask):
-                    ham = cs.hamilton_cycle_on(adj, (cmask ^ 1 << v) | 1 << u2)
+                    ham = _cycle_in(g, (cmask ^ 1 << v) | 1 << u2, tgt)  # spans the swap set
                     if ham is None:
                         continue
                     st.replace_cycle(j, ham)  # moves u2 in, v out to the pool
@@ -449,9 +469,9 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
     of the other two parts, at most two in. A pattern succeeds when all three
     modified parts simultaneously contain cycles of their required lengths;
     the first success completes the packing. Each part's departures are built
-    once per call, and the patterns nest them pool, then p, then q.
-    """
-    adj = st.adj
+    once per call, and the patterns nest them pool, then p, then q. Each part's
+    cycle comes from one ``_cycle_in`` run, memoised per call; a run may miss
+    a cycle, and the pattern then fails."""
     g = st.g
     p_idx, q_idx = ctx.p_index, ctx.q_index
     c_cur = st.current_target
@@ -478,19 +498,7 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
     p_deps = departures([(), (ctx.x_star,), (ctx.y_star,), (ctx.x_star, ctx.y_star)])
     q_deps = departures([()] + [(v,) for v in qcyc] + list(zip(qcyc, qcyc[1:] + qcyc[:1])))
 
-    searched: dict[tuple[int, int], tuple[int, ...] | None] = {}
-
-    def cycle_in(mask: int, need: int) -> tuple[int, ...] | None:
-        key = (mask, need)
-        if key not in searched:
-            found = None
-            if mask.bit_count() >= need:
-                xs = (mask & g.x_mask).bit_count()
-                ys = (mask & g.y_mask).bit_count()
-                if xs >= need // 2 and ys >= need // 2:
-                    found = cs.find_cycle_at_least(adj, mask, need)
-            searched[key] = found
-        return searched[key]
+    cycle_in = cache(lambda mask, need: _cycle_in(g, mask, need))
 
     pool0, b1_0, b2_0 = st.pool, st.fixed_masks[p_idx], st.fixed_masks[q_idx]
     for out0, p_from0, q_from0 in pool_deps:
@@ -550,8 +558,9 @@ def _stall_bound_diagnostic(st: SearchState, diagnostics: list[str]) -> None:
                 )
 
 
-def _attempt(g, profile, budget, rng, result):
-    """One restart-free run of the move loop, adding its moves, iterations and
+def _attempt(g, profile, budget, rng, result, vertices):
+    """One restart-free run of the move loop on the vertex set ``vertices``
+    (``pack`` passes the whole host), adding its moves, iterations and
     diagnostics to ``result``; returns the full cycle list or None. The
     potential ends the loop (see the module docstring); ``budget``, when not
     None, caps this attempt's iterations.
@@ -560,7 +569,7 @@ def _attempt(g, profile, budget, rng, result):
     pass of the loop but counts m iterations and m ``extend`` moves, and it
     stops where the budget would, so the budget and the iteration bound keep
     their meaning."""
-    st = SearchState(g, profile, rng=rng)
+    st = SearchState(g, profile, rng=rng, vertices=vertices)
     counts = result.move_counts
     stop = None if budget is None else result.iterations + budget
     while st.stage < profile.k:
@@ -653,7 +662,7 @@ def pack(
     for attempt in range(restarts + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
-        cycles = _attempt(g, profile, budget, rng, result)
+        cycles = _attempt(g, profile, budget, rng, result, g.full_mask)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")
     if g.num_vertices <= oracle_limit:

@@ -4,7 +4,6 @@ import pytest
 
 from cyclepack import BipartiteGraph, gen_complete
 from cyclepack.cyclesearch import (
-    hamilton_cycle_on,
     iter_cycles_through,
     iter_cycles_window,
     shortest_cycle_in_window,
@@ -97,17 +96,6 @@ def test_shortest_cycle_absent_from_window():
     g = gen_complete(3)
     assert shortest_cycle_in_window(g.adjacency, g.full_mask, 8, 12) is None
     assert shortest_cycle_in_window(g.adjacency, g.full_mask, 4, 6) is not None
-
-
-def test_hamilton_cycle_on_even_spanning_masks_only():
-    g = gen_complete(3)
-    adj = g.adjacency
-    # a bipartite host closes no odd cycle, and the window search yields none below 4
-    assert hamilton_cycle_on(adj, 0b011111) is None
-    assert hamilton_cycle_on(adj, 0b001001) is None
-    cyc = hamilton_cycle_on(adj, g.full_mask)
-    assert cyc is not None and sorted(cyc) == list(range(6))
-    assert all(adj[a] >> b & 1 for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_two_core_agrees_with_networkx_k_core():

@@ -2,7 +2,10 @@ import collections
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,7 @@ from cyclepack import (
     verify_packing,
 )
 from cyclepack import packer
+from cyclepack.cyclesearch import iter_cycles_window
 from cyclepack.graphs import mask_of
 from cyclepack.packer import (
     move_close_cycle,
@@ -303,6 +307,54 @@ class TestMoveExchangeOne:
         assert not move_exchange_one(st)
 
 
+class TestCycleIn:
+    """``_cycle_in``: one single-stage run of the move loop over a vertex set,
+    the cycle source of exchange and double exchange."""
+
+    def test_cycles_are_simple_alternating_and_long_enough(self, monkeypatch):
+        # random small hosts and masks: every returned cycle lies in the mask,
+        # alternates sides and reaches the need; each run stays within the
+        # potential bound for its mask
+        original = packer._attempt
+        spans = []
+
+        def measured(g, profile, budget, rng, result, vertices):
+            found = original(g, profile, budget, rng, result, vertices)
+            spans.append((vertices.bit_count(), result.iterations))
+            return found
+
+        monkeypatch.setattr(packer, "_attempt", measured)
+        rng = random.Random(2024)
+        found = exists = 0
+        for _ in range(400):
+            x, y = rng.randint(2, 7), rng.randint(2, 7)
+            p = rng.uniform(0.3, 0.9)
+            g = BipartiteGraph(x, y, [(u, x + w) for u in range(x) for w in range(y) if rng.random() < p])
+            mask = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.8)
+            need = rng.choice((4, 6, 8, 10))
+            cyc = packer._cycle_in(g, mask, need)
+            exists += next(iter_cycles_window(g.adjacency, mask, need, mask.bit_count()), None) is not None
+            if cyc is None:
+                continue
+            found += 1
+            assert_valid_cycle(g, cyc, min_len=need)
+            assert mask_of(cyc) & ~mask == 0
+            assert all((a < x) != (b < x) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        assert 0 < found <= exists
+        for n, iterations in spans:
+            assert iterations <= (n // 2 + 1) * (n + 1)
+
+    def test_spanning_query_on_k33(self):
+        g = gen_complete(3)
+        # exchange asks for need = |mask|: only the full mask is spanned
+        cyc = packer._cycle_in(g, g.full_mask, 6)
+        assert cyc is not None and sorted(cyc) == list(range(6))
+        assert_valid_cycle(g, cyc, min_len=6)
+        # a bipartite host closes no odd cycle, and an edge holds no cycle
+        assert packer._cycle_in(g, 0b011111, 5) is None
+        assert packer._cycle_in(g, 0b001001, 4) is None
+
+
 class TestMoveCloseCycle:
     def test_spanning_closure(self):
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
@@ -553,9 +605,9 @@ class TestPack:
         spans = []
         original = packer._attempt
 
-        def measured(g, profile, budget, rng, result):
+        def measured(g, profile, budget, rng, result, vertices):
             before = result.iterations
-            found = original(g, profile, budget, rng, result)
+            found = original(g, profile, budget, rng, result, vertices)
             spans.append(result.iterations - before)
             return found
 
@@ -727,6 +779,48 @@ class TestPack:
             r = pack(g, make_profile([6, 6]), seed=i)
             if r.packing is not None:
                 assert all(len(c) % 2 == 0 for c in r.packing)
+
+
+def block_complement_rows(side, block):
+    """Rows of K_{side,side} minus disjoint K_{block,block} blocks on matching
+    X and Y ranges (the last block smaller): every degree is side - block."""
+    full = (1 << side) - 1
+    rows = []
+    for u in range(side):
+        start = u - u % block
+        rows.append(full & ~(((1 << min(block, side - start)) - 1) << start))
+    return rows
+
+
+STRUCTURED_HOSTS = {
+    # tight side s = n/2, every degree exactly at the threshold n/2 - k + 1
+    "side84_k10_blocks": (84, 10, [40, 30, 26, 18, 18] + [6] * 6),
+    "side84_k6_blocks": (84, 6, [38, 36, 24, 24, 22, 18, 6]),
+    "side66_k6_blocks": (66, 6, [38, 34, 20, 20, 8, 6, 6]),
+}
+
+
+class TestStructuredTightSideHosts:
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_HOSTS))
+    def test_packs_on_first_attempt_within_20s(self, name):
+        # an exhaustive Hamilton search inside double exchange once hung on
+        # the side-84 hosts; a child process is killed at the time bound
+        side, block, lengths = STRUCTURED_HOSTS[name]
+        probe = (
+            "import json, sys\n"
+            "from cyclepack import check_hypotheses, make_profile, pack\n"
+            "from cyclepack.graphs import graph_of_rows\n"
+            "side, rows, lengths = json.loads(sys.argv[1])\n"
+            "g, profile = graph_of_rows(side, side, rows), make_profile(lengths)\n"
+            "r = pack(g, profile)\n"
+            "print(json.dumps([r.status, r.restarts, r.report is not None and r.report.ok,\n"
+            "                  check_hypotheses(g, profile).ok]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(packer.__file__))
+        arg = json.dumps([side, block_complement_rows(side, block), lengths])
+        done = subprocess.run([sys.executable, "-c", probe, arg], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=20, check=True)
+        assert json.loads(done.stdout) == ["packed", 0, True, True]
 
 
 class TestBruteForce:
