@@ -1,11 +1,9 @@
 """Exact simple-cycle search inside small vertex subsets, on raw adjacency bitmasks.
 
-Enumeration is anchored at each cycle's minimum vertex (or, for
-``iter_cycles_through``, at the given vertex) and canonicalized by direction
-(second vertex below last), so every simple cycle in the window is produced
-exactly once. Intended for desk-scale sets (up to ~26 vertices): it serves only
-the exact oracle, bounded by its limit, and shrink; exchange and double
-exchange take their cycles from the move loop.
+It serves only the exact oracle, which is bounded by its vertex limit; the move
+engine takes every cycle it tests from its own move loop. Enumeration is
+anchored at the given vertex and canonicalized by direction (second vertex
+below last), so every simple cycle through it is produced exactly once.
 """
 from __future__ import annotations
 
@@ -14,64 +12,31 @@ from typing import Iterator
 from .graphs import bits
 
 
-def iter_cycles_window(
-    adj: tuple[int, ...], mask: int, lo: int, hi: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield each simple cycle within ``mask`` whose length is in [lo, hi] once."""
-    lo = max(lo, 4)  # simple bipartite cycles have length >= 4
-    if hi < lo:
-        return
-    for a in bits(mask):
-        abit = 1 << a
-        higher = mask & ~((abit << 1) - 1)
-        if higher.bit_count() + 1 < lo:
-            break  # later anchors have even fewer vertices available
-        yield from _extend(adj, abit, higher, lo, hi, a, 0, [a])
-
-
 def iter_cycles_through(
     adj: tuple[int, ...], mask: int, v: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
     """Yield each simple cycle within ``mask`` that passes through ``v`` and whose
-    length is in [lo, hi] once, as a vertex sequence starting at ``v``."""
-    lo = max(lo, 4)
+    length is in [lo, hi] once, as a vertex sequence starting at ``v``.
+
+    Requires v in ``mask`` and 4 <= lo <= hi. The oracle meets this: v is the
+    chosen vertex of a nonempty core, lo is a needed length (>= 4 in every
+    mode), and hi = max needed + slack with slack >= 0; an empty core has
+    negative slack and stops before the search."""
     vbit = 1 << v
-    if hi < lo or not mask & vbit:
-        return
-    yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, 0, [v])
+    yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, [v])
 
 
 def _extend(
-    adj: tuple[int, ...],
-    abit: int,
-    higher: int,
-    lo: int,
-    hi: int,
-    v: int,
-    visited: int,
-    path: list[int],
+    adj: tuple[int, ...], vbit: int, free: int, lo: int, hi: int, v: int, path: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    if len(path) >= lo and adj[v] & abit and path[1] < v:
+    if len(path) >= lo and adj[v] & vbit and path[1] < v:
         yield tuple(path)
-    if len(path) == hi:
+    if len(path) == hi or len(path) + free.bit_count() < lo:
         return
-    if len(path) + (higher & ~visited).bit_count() < lo:
-        return
-    for w in bits(adj[v] & higher & ~visited):
+    for w in bits(adj[v] & free):
         path.append(w)
-        yield from _extend(adj, abit, higher, lo, hi, w, visited | 1 << w, path)
+        yield from _extend(adj, vbit, free & ~(1 << w), lo, hi, w, path)
         path.pop()
-
-
-def shortest_cycle_in_window(
-    adj: tuple[int, ...], mask: int, lo: int, hi_exclusive: int
-) -> tuple[int, ...] | None:
-    """First cycle found at the shortest length in [lo, hi_exclusive), or None."""
-    for length in range(max(lo, 4), hi_exclusive, 2):
-        cyc = next(iter_cycles_window(adj, mask, length, length), None)
-        if cyc is not None:
-            return cyc
-    return None
 
 
 def two_core(adj: tuple[int, ...], mask: int) -> tuple[int, int]:

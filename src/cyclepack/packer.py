@@ -18,12 +18,12 @@ takes at most N//2 + 1 even values and the path length at most N + 1, so
 between two shrinks the path lengthens at most N times and a stage ends within
 (N//2 + 1)(N + 1) iterations, the last a close or a stall (Posa's
 rotation-extension argument, Posa 1976). An attempt over k stages thus takes at
-most k(N//2 + 1)(N + 1) iterations. Exchange and double exchange take each
-cycle they test from one more single-stage run of this loop, bounded the same
-way, on the vertex set in question; it may miss a cycle, and the move then
-fails. On a host within the oracle limit, an exact backtracking oracle decides
-once the first attempt stalls; only larger hosts get seeded restarts, which
-perturb the construction order.
+most k(N//2 + 1)(N + 1) iterations. Shrink, exchange and double exchange take
+each cycle they test from one more single-stage run of this loop, bounded the
+same way, on the vertex set in question; it may miss a cycle, and the move then
+fails. On a host within the oracle limit, an exact backtracking oracle, the
+only exhaustive cycle search, decides once the first attempt stalls; only
+larger hosts get seeded restarts, which perturb the construction order.
 """
 from __future__ import annotations
 
@@ -186,8 +186,11 @@ def move_shrink(st: SearchState) -> bool:
     """Replace an oversized placed cycle by a shorter one (still meeting its
     required length) routed through a vertex with heavy adjacency into it.
 
-    Applies when some pool or on-cycle vertex has at least c_j/2 neighbors on a
-    cycle longer than c_j; the total placed size strictly drops. After a failed
+    Applies when some pool or on-cycle vertex u has at least c_j/2 neighbors on
+    a cycle longer than c_j. The candidate comes from one ``_cycle_in`` run
+    (need c_j) on the cycle plus u, which may miss a shorter cycle that exists;
+    it is taken only when strictly shorter than the best so far (at first, the
+    placed cycle), so the total placed size strictly drops. After a failed
     call it returns False at once until a placed cycle changes.
     """
     if not st.shrink_stale:
@@ -205,16 +208,13 @@ def move_shrink(st: SearchState) -> bool:
             if (adj[u] & cmask).bit_count() < tgt // 2:
                 continue
             if cmask >> u & 1:
-                # every on-cycle u searches cmask itself; after the first such
-                # search best is no longer than cmask's shortest fit, so a
-                # repeat would only search [tgt, len(best)) and find nothing
+                # every on-cycle u searches cmask itself, and the run is
+                # deterministic, so a repeat would return the same cycle
                 if cycle_searched:
                     continue
                 cycle_searched = True
-            search = cmask | 1 << u
-            hi = size if best is None else len(best)
-            found = cs.shortest_cycle_in_window(adj, search, tgt, hi)
-            if found is not None and (best is None or len(found) < len(best)):
+            found = _cycle_in(st.g, cmask | 1 << u, tgt)
+            if found is not None and len(found) < (size if best is None else len(best)):
                 best = found
                 if len(best) == tgt:
                     break

@@ -2,34 +2,9 @@ import random
 
 import pytest
 
-from cyclepack import BipartiteGraph, gen_complete
-from cyclepack.cyclesearch import (
-    iter_cycles_through,
-    iter_cycles_window,
-    shortest_cycle_in_window,
-    two_core,
-)
+from cyclepack import BipartiteGraph
+from cyclepack.cyclesearch import iter_cycles_through, two_core
 from cyclepack.graphs import bits
-
-
-def test_cycle_counts_agree_with_networkx_simple_cycles():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(77)
-    for trial in range(40):
-        x = rng.randint(2, 6)
-        y = rng.randint(2, 6)
-        p = rng.uniform(0.3, 0.8)
-        g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
-        keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
-        lo = rng.choice((4, 6, 8))
-        hi = rng.randint(lo, 12)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(bits(keep))
-        nxg.add_edges_from((u, v) for u, v in g.edges() if keep >> u & 1 and keep >> v & 1)
-        expected = sum(1 for c in nx.simple_cycles(nxg, length_bound=hi) if len(c) >= lo)
-        found = list(iter_cycles_window(g.adjacency, keep, lo, hi))
-        assert len(found) == expected
-        assert len(set(found)) == len(found)
 
 
 def test_cycles_through_agree_with_networkx_simple_cycles():
@@ -42,6 +17,7 @@ def test_cycles_through_agree_with_networkx_simple_cycles():
         g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
         keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
         anchor = rng.randrange(g.num_vertices)
+        keep |= 1 << anchor  # the search requires its anchor inside the mask
         lo = rng.choice((4, 6, 8))
         hi = rng.randint(lo, 12)
         nxg = nx.Graph()
@@ -64,38 +40,6 @@ def _masked_instance(rng, nx):
     nxg.add_nodes_from(bits(keep))
     nxg.add_edges_from((a, b) for a, b in g.edges() if keep >> a & 1 and keep >> b & 1)
     return g, keep, nxg
-
-
-def test_shortest_cycle_in_window_agrees_with_networkx():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(79)
-    for trial in range(40):
-        g, keep, nxg = _masked_instance(rng, nx)
-        lo = rng.choice((4, 6, 8))
-        hi = rng.randint(lo + 1, 14)
-        lengths = [len(c) for c in nx.simple_cycles(nxg, length_bound=hi - 1) if len(c) >= lo]
-        found = shortest_cycle_in_window(g.adjacency, keep, lo, hi)
-        if not lengths:
-            assert found is None
-            continue
-        assert found is not None and len(found) == min(lengths)
-        assert len(set(found)) == len(found) and all(keep >> v & 1 for v in found)
-        assert all(nxg.has_edge(a, b) for a, b in zip(found, found[1:] + found[:1]))
-
-
-def test_window_with_hi_below_lo_is_empty():
-    g = gen_complete(3)
-    adj, full = g.adjacency, g.full_mask
-    assert len(list(iter_cycles_window(adj, full, 4, 6))) == 15
-    # hi < lo: without the early return, hi = 0 never stops a walk and all 15 come out
-    assert list(iter_cycles_window(adj, full, 4, 0)) == []
-    assert list(iter_cycles_window(adj, full, 6, 4)) == []
-
-
-def test_shortest_cycle_absent_from_window():
-    g = gen_complete(3)
-    assert shortest_cycle_in_window(g.adjacency, g.full_mask, 8, 12) is None
-    assert shortest_cycle_in_window(g.adjacency, g.full_mask, 4, 6) is not None
 
 
 def test_two_core_agrees_with_networkx_k_core():

@@ -23,8 +23,8 @@ from cyclepack import (
     verify_packing,
 )
 from cyclepack import packer
-from cyclepack.cyclesearch import iter_cycles_window
-from cyclepack.graphs import mask_of
+from cyclepack.cyclesearch import iter_cycles_through
+from cyclepack.graphs import bits, mask_of
 from cyclepack.packer import (
     move_close_cycle,
     move_double_exchange,
@@ -96,35 +96,40 @@ class TestMoveShrink:
         st = SearchState(g2, make_profile([6, 6]), fixed_cycles=[cycle8])
         assert not move_shrink(st)
 
-    def test_no_mask_searched_twice_in_one_call(self, monkeypatch):
-        searched = []
-        original_search = packer.cs.shortest_cycle_in_window
-        original_shrink = packer.move_shrink
+    @staticmethod
+    def track_shrink_searches(monkeypatch):
+        """Wrap ``move_shrink`` and ``_cycle_in``: each finished shrink call
+        appends the masks it searched. Exchange also calls ``_cycle_in``; only
+        calls made while a shrink call is on the stack are recorded."""
+        calls, active = [], []
+        original_cycle_in, original_shrink = packer._cycle_in, packer.move_shrink
 
-        def search(adj, mask, lo, hi):
-            assert mask not in searched[-1], "one shrink call searched a mask twice"
-            searched[-1].add(mask)
-            return original_search(adj, mask, lo, hi)
+        def cycle_in(g, mask, need):
+            if active:
+                active[-1].append(mask)
+            return original_cycle_in(g, mask, need)
 
         def shrink(st):
-            searched.append(set())
-            return original_shrink(st)
+            active.append([])
+            try:
+                return original_shrink(st)
+            finally:
+                calls.append(active.pop())
 
-        monkeypatch.setattr(packer.cs, "shortest_cycle_in_window", search)
+        monkeypatch.setattr(packer, "_cycle_in", cycle_in)
         monkeypatch.setattr(packer, "move_shrink", shrink)
+        return calls
+
+    def test_no_mask_searched_twice_in_one_call(self, monkeypatch):
+        calls = self.track_shrink_searches(monkeypatch)
         # shrink is reached only on restarts here, which run beyond the oracle limit
         pack(sparse_host(), make_profile([4, 4, 4, 4], "conjecture"), seed=0, oracle_limit=15)
-        assert any(searched)
+        assert any(calls)
+        for masks in calls:
+            assert len(set(masks)) == len(masks), "one shrink call searched a mask twice"
 
     def test_failed_shrink_waits_for_a_placed_cycle_to_change(self, monkeypatch):
-        searches = []
-        original_search = packer.cs.shortest_cycle_in_window
-
-        def search(adj, mask, lo, hi):
-            searches.append(mask)
-            return original_search(adj, mask, lo, hi)
-
-        monkeypatch.setattr(packer.cs, "shortest_cycle_in_window", search)
+        calls = self.track_shrink_searches(monkeypatch)
         # an 8-cycle with no chord placed for a 4-cycle, and a spare 4-cycle in the pool
         cycle8 = [0, 6, 1, 7, 2, 8, 3, 9]
         edges = [(0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (3, 8), (3, 9), (0, 9)]
@@ -133,9 +138,8 @@ class TestMoveShrink:
         st = SearchState(g, make_profile([4, 4, 4], "conjecture"), fixed_cycles=[cycle8])
 
         def searched_by_shrink():
-            del searches[:]
-            assert not move_shrink(st)
-            return len(searches)
+            assert not packer.move_shrink(st)
+            return len(calls[-1])  # inner runs' shrink calls finish first
 
         assert searched_by_shrink() == 1
         st.set_path([4, 10])
@@ -145,6 +149,17 @@ class TestMoveShrink:
         assert searched_by_shrink() == 0
         st.fix_cycle([4, 10, 5, 11])
         assert searched_by_shrink() == 1
+
+    def test_offer_not_shorter_is_refused(self, monkeypatch):
+        # a run that misses the apex's 6-cycle and returns the placed 8-cycle
+        # itself: taking it would not lower the placed size, so shrink fails
+        g, cycle8 = self.host_with_apex()
+        monkeypatch.setattr(packer, "_cycle_in", lambda g, mask, need: tuple(cycle8))
+        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[cycle8])
+        before = (st.potential(), st.pool, st.path, [list(c) for c in st.fixed], list(st.fixed_masks))
+        assert not move_shrink(st)
+        assert (st.potential(), st.pool, st.path, st.fixed, st.fixed_masks) == before
+        assert not st.shrink_stale
 
     def test_seeded_outputs_pinned(self):
         # recorded before shrink skipped repeat searches: sparse side-60 hosts
@@ -169,9 +184,10 @@ class TestMoveShrink:
         assert shrinks > 0
         # every host is below the threshold; re-recorded when the detour scan
         # dropped the alternating walks of a maximum matching, which moved the
-        # moves and packings but no status
+        # moves and packings but no status, and when shrink took its cycle
+        # from the move loop, which moved the side-60 hosts' shrink counts
         assert statuses == ["unknown"] * 18 + ["packed"] + ["unknown"] * 23
-        assert digest.hexdigest() == "da2e0d2eb85954bcbbf0ac847f1c142f12394da5d5ac28b87088828bf85bd1b1"
+        assert digest.hexdigest() == "f984b8cc595fe2a66a43d5c403087f26a59564995145d2f16bbd469fedeb0368"
 
 
 class TestSearchState:
@@ -333,7 +349,8 @@ class TestCycleIn:
             mask = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.8)
             need = rng.choice((4, 6, 8, 10))
             cyc = packer._cycle_in(g, mask, need)
-            exists += next(iter_cycles_window(g.adjacency, mask, need, mask.bit_count()), None) is not None
+            n = mask.bit_count()
+            exists += any(next(iter_cycles_through(g.adjacency, mask, v, need, n), None) for v in bits(mask))
             if cyc is None:
                 continue
             found += 1
@@ -603,12 +620,16 @@ class TestPack:
         # sparse side-60 hosts far below the threshold, where shrink fires and
         # every attempt ends on a stall
         spans = []
+        inner = []  # (|mask|, iterations) of each single-stage run made by a move
         original = packer._attempt
 
         def measured(g, profile, budget, rng, result, vertices):
             before = result.iterations
             found = original(g, profile, budget, rng, result, vertices)
-            spans.append(result.iterations - before)
+            if vertices == g.full_mask:
+                spans.append(result.iterations - before)
+            else:
+                inner.append((vertices.bit_count(), result.iterations - before))
             return found
 
         monkeypatch.setattr(packer, "_attempt", measured)
@@ -622,7 +643,9 @@ class TestPack:
             assert r.status == "unknown" and len(spans) == packer.DEFAULT_RESTARTS + 1
             assert 0 < max(spans) <= bound
             shrinks += r.move_counts["shrink"]
-        assert shrinks > 0
+        assert shrinks > 0 and inner
+        for size, iterations in inner:
+            assert iterations <= (size // 2 + 1) * (size + 1)
 
     def test_invalid_engine_packing_is_an_internal_error(self, monkeypatch):
         # the verifier stands between the engine and every packed result
