@@ -101,16 +101,10 @@ def run_trials(cfg: TrialConfig) -> dict:
 
     rows = [r for r, _ in outcomes]
     times = [t for _, t in outcomes]
-    counts: dict[str, int] = {}
-    move_hist: dict[str, int] = {}
-    fallbacks = violations = packed = 0
+    counts = Counter(row["outcome"] for row in rows)
+    move_hist: Counter[str] = Counter()
     for row in rows:
-        counts[row["outcome"]] = counts.get(row["outcome"], 0) + 1
-        for kind, c in row["moves"].items():
-            move_hist[kind] = move_hist.get(kind, 0) + c
-        fallbacks += bool(row["oracle_fallback"])
-        violations += bool(row["theorem_violation"])
-        packed += row["outcome"] == PACKED
+        move_hist.update(row["moves"])  # zero counts are kept
     summary = {
         "command": "trials",
         "config": {
@@ -125,10 +119,10 @@ def run_trials(cfg: TrialConfig) -> dict:
         },
         "trials": rows,
         "aggregates": {
-            "success_rate": packed / cfg.trials,
+            "success_rate": counts[PACKED] / cfg.trials,
             "outcomes": {k: counts[k] for k in sorted(counts)},
-            "oracle_fallbacks": fallbacks,
-            "theorem_violations": violations,
+            "oracle_fallbacks": sum(row["oracle_fallback"] for row in rows),
+            "theorem_violations": sum(row["theorem_violation"] for row in rows),
             "move_histogram": {k: move_hist[k] for k in sorted(move_hist)},
         },
         "timing": {

@@ -12,18 +12,21 @@ improves the lexicographic potential
 On an N-vertex host the placed cycles are disjoint and the pool is the host
 minus their union, so the pool size is N minus the total placed size and the
 order is that of (-(total placed size), path length). Each attempt therefore
-terminates without an iteration counter: shrink grows the pool; extend and
-exchange keep it and lengthen the path. The placed size within one stage
-takes at most N//2 + 1 even values and the path length at most N + 1, so
-between two shrinks the path lengthens at most N times and a stage ends within
-(N//2 + 1)(N + 1) iterations, the last a close or a stall (Posa's
-rotation-extension argument, Posa 1976). An attempt over k stages thus takes at
-most k(N//2 + 1)(N + 1) iterations. Shrink, exchange and double exchange take
-each cycle they test from one more single-stage run of this loop, bounded the
-same way, on the vertex set in question; it may miss a cycle, and the move then
-fails. On a host within the oracle limit, an exact backtracking oracle, the
-only exhaustive cycle search, decides once the first attempt stalls; only
-larger hosts get seeded restarts, which perturb the construction order.
+terminates without an iteration counter: shrink grows the pool (and empties
+the path when its new cycle takes path vertices); extend and exchange keep the
+pool and lengthen the path. The placed size within one stage takes at most
+N//2 + 1 even values and the path length at most N + 1, so between two shrinks
+the path lengthens at most N times and a stage ends within (N//2 + 1)(N + 1)
+iterations, the last a close or a stall (Posa's rotation-extension argument,
+Posa 1976). An attempt over k stages thus takes at most k(N//2 + 1)(N + 1)
+iterations. Shrink, exchange and double exchange take each cycle they test
+from one more single-stage run of this loop, bounded the same way, on the
+vertex set in question, and each takes the first cycle that fits (for shrink,
+the first strictly shorter than the placed one); a run may miss a cycle, and
+the move then fails. On a host within the oracle limit, an exact backtracking
+oracle, the only exhaustive cycle search, decides once the first attempt
+stalls; only larger hosts get seeded restarts, which perturb the construction
+order.
 """
 from __future__ import annotations
 
@@ -84,12 +87,11 @@ class SearchState:
 
     The pool is ``vertices`` (the whole host when None) minus the placed cycles.
 
-    ``path_mask == mask_of(path)`` always holds. Three writers change ``path``
+    ``path_mask == mask_of(path)`` always holds. Two writers change ``path``
     and ``path_mask``: ``move_extend_path``'s endpoint run appends and prepends
-    in place and sets the run's bits at once, ``add_endpoint`` puts one vertex
-    at an end in place and sets its bit (exchange), and ``set_path`` installs a
-    new list and recomputes the mask in full (seeding, rotation, a cycle
-    taking path vertices, closing a cycle).
+    in place and sets the run's bits at once, and ``set_path`` installs a new
+    list and recomputes the mask in full (seeding, rotation, exchange, closing
+    a cycle, and a replaced cycle taking path vertices, which empties the path).
     """
 
     def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None, vertices=None):
@@ -133,15 +135,6 @@ class SearchState:
         self.path = path
         self.path_mask = mask_of(path)
 
-    def add_endpoint(self, v: int, head: bool) -> None:
-        """Put off-path pool vertex v before the head or after the tail of the
-        path, without rebuilding the mask."""
-        if head:
-            self.path.insert(0, v)
-        else:
-            self.path.append(v)
-        self.path_mask |= 1 << v
-
     def fix_cycle(self, cycle) -> None:
         m = mask_of(cycle)
         assert m & self.pool == m and len(cycle) % 2 == 0
@@ -161,22 +154,9 @@ class SearchState:
         self.pool = (self.pool | released) & ~taken
         self.shrink_stale = True
         if taken & self.path_mask:
-            self._drop_from_path(taken)
-
-    def _drop_from_path(self, removed_mask: int) -> None:
-        # keep the longest contiguous stretch that survives
-        best: list[int] = []
-        cur: list[int] = []
-        for v in self.path:
-            if removed_mask >> v & 1:
-                if len(cur) > len(best):
-                    best = cur
-                cur = []
-            else:
-                cur.append(v)
-        if len(cur) > len(best):
-            best = cur
-        self.set_path(best)
+            # only shrink takes path vertices, and it grows the pool, so the
+            # potential rises even with the path gone
+            self.set_path([])
 
 
 # -- moves -------------------------------------------------------------------
@@ -188,10 +168,10 @@ def move_shrink(st: SearchState) -> bool:
 
     Applies when some pool or on-cycle vertex u has at least c_j/2 neighbors on
     a cycle longer than c_j. The candidate comes from one ``_cycle_in`` run
-    (need c_j) on the cycle plus u, which may miss a shorter cycle that exists;
-    it is taken only when strictly shorter than the best so far (at first, the
-    placed cycle), so the total placed size strictly drops. After a failed
-    call it returns False at once until a placed cycle changes.
+    (need c_j) on the cycle plus u, which may miss a shorter cycle that exists.
+    The first candidate strictly shorter than the placed cycle is taken, so
+    the total placed size strictly drops. After a failed call it returns
+    False at once until a placed cycle changes.
     """
     if not st.shrink_stale:
         return False
@@ -202,7 +182,6 @@ def move_shrink(st: SearchState) -> bool:
         if size <= tgt:
             continue
         cmask = st.fixed_masks[j]
-        best: tuple[int, ...] | None = None
         cycle_searched = False
         for u in bits(st.pool | cmask):
             if (adj[u] & cmask).bit_count() < tgt // 2:
@@ -214,20 +193,20 @@ def move_shrink(st: SearchState) -> bool:
                     continue
                 cycle_searched = True
             found = _cycle_in(st.g, cmask | 1 << u, tgt)
-            if found is not None and len(found) < (size if best is None else len(best)):
-                best = found
-                if len(best) == tgt:
-                    break
-        if best is not None:
-            st.replace_cycle(j, best)
-            return True
+            if found is not None and len(found) < size:
+                st.replace_cycle(j, found)
+                return True
     st.shrink_stale = False
     return False
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _pick(st: SearchState, cands_mask: int) -> int:
     if st.rng is None or cands_mask & (cands_mask - 1) == 0:
-        return (cands_mask & -cands_mask).bit_length() - 1  # the lowest id
+        return _lowest(cands_mask)
     return st.rng.choice(list(bits(cands_mask)))
 
 
@@ -349,7 +328,7 @@ def move_exchange_one(st: SearchState) -> bool:
                     if ham is None:
                         continue
                     st.replace_cycle(j, ham)  # moves u2 in, v out to the pool
-                    st.add_endpoint(v, at_head)  # v joins the path at u1
+                    st.set_path([v] + st.path if at_head else st.path + [v])  # v joins at u1
                     return True
     return False
 
@@ -456,10 +435,6 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
     return None
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[int, ...]] | None:
     """Generalized bounded swap among the pool, cycle p, and cycle q.
 
@@ -536,34 +511,12 @@ def mix_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFFFFFF
 
 
-def _stall_bound_diagnostic(st: SearchState, diagnostics: list[str]) -> None:
-    # Sanity bound at a terminal stall: with the path spanning the pool and no
-    # closing chord, each endpoint sees fewer than half the still-needed cycle
-    # in the pool, so its combined adjacency into any tight placed cycle stays
-    # below c_cur/2 + c_j/2 - 1. A violation means the move scan missed something.
-    if st.stage != st.profile.k - 1 or st.path_mask != st.pool or not st.path:
-        return
-    adj = st.adj
-    c_cur = st.current_target
-    for j, cyc in enumerate(st.fixed):
-        if len(cyc) != st.targets[j]:
-            continue
-        bound = c_cur // 2 + st.targets[j] // 2 - 1
-        for z in (st.path[0], st.path[-1]):
-            got = (adj[z] & st.pool).bit_count() + (adj[z] & st.fixed_masks[j]).bit_count()
-            if got > bound:
-                diagnostics.append(
-                    f"stall-bound violation: endpoint {z} has combined degree {got} > {bound} "
-                    f"against placed cycle {j}"
-                )
-
-
 def _attempt(g, profile, budget, rng, result, vertices):
     """One restart-free run of the move loop on the vertex set ``vertices``
-    (``pack`` passes the whole host), adding its moves, iterations and
-    diagnostics to ``result``; returns the full cycle list or None. The
-    potential ends the loop (see the module docstring); ``budget``, when not
-    None, caps this attempt's iterations.
+    (``pack`` passes the whole host), adding its moves and iterations to
+    ``result``; returns the full cycle list or None. The potential ends the
+    loop (see the module docstring); ``budget``, when not None, caps this
+    attempt's iterations.
 
     An iteration is one move. An endpoint run of m extensions is made in one
     pass of the loop but counts m iterations and m ``extend`` moves, and it
@@ -602,7 +555,6 @@ def _attempt(g, profile, budget, rng, result, vertices):
                 if full is not None:
                     counts["double_exchange"] += 1
                     return full
-            _stall_bound_diagnostic(st, result.diagnostics)
             return None
     return [tuple(c) for c in st.fixed]
 

@@ -205,14 +205,15 @@ class TestSearchState:
         with pytest.raises(ValueError):
             SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[0])
 
-    def test_replace_cycle_repairs_path(self):
+    def test_replace_cycle_taking_path_vertices_empties_path(self):
         g = gen_complete(6)
         st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[3, 9, 4, 10, 5])
-        # pull 9 into the cycle in place of 6: the path must drop 9, keeping its longest piece
+        pool = st.pool
+        # pull 9 into the cycle in place of 6: the path loses a vertex and is dropped whole
         st.replace_cycle(0, [0, 9, 1, 7, 2, 8])
-        assert st.path == [4, 10, 5]
-        assert not st.path_mask & st.fixed_masks[0]
-        assert st.pool >> 6 & 1 and not st.pool >> 9 & 1
+        assert st.path == [] and st.path_mask == 0
+        assert st.fixed_masks == [mask_of([0, 9, 1, 7, 2, 8])]
+        assert st.pool == pool ^ (1 << 6 | 1 << 9)
 
 
 class TestMoveExtendPath:
@@ -249,11 +250,10 @@ class TestMoveExtendPath:
         assert st.path == [] and st.path_mask == 0
 
     def test_endpoint_growth_keeps_the_mask(self):
-        # a path 0-3 in K3,3 grows at the tail, then at the head, one vertex at a time
+        # a path 0-3 in K3,3 grows at the tail by one vertex
         st = SearchState(gen_complete(3), make_profile([6]), path=[0, 3])
         assert move_extend_path(st, room=1) == 1 and st.path == [0, 3, 1]
-        st.add_endpoint(4, head=True)
-        assert st.path == [4, 0, 3, 1] and st.path_mask == mask_of([4, 0, 3, 1])
+        assert st.path_mask == mask_of([0, 3, 1])
 
     @staticmethod
     def run_host():
@@ -303,6 +303,22 @@ class TestMoveExchangeOne:
         assert 7 in st.fixed[0] and 4 not in st.fixed[0]
         assert len(st.fixed[0]) == 6
         assert_valid_cycle(g, tuple(st.fixed[0]))
+
+    @pytest.mark.parametrize("path, grown", [
+        ([4, 9, 3], [4, 9, 3, 5]),
+        ([3, 9, 4], [5, 3, 9, 4]),
+    ])
+    def test_ejected_vertex_joins_its_endpoint(self, path, grown):
+        # tight 6-cycle 0-5-1-6-2-7 on 5+5; endpoint 3 sees 5, 6, 7 and off-path
+        # 8 sees 0, 1; endpoint 4 sees none, so only 3 qualifies, head or tail
+        edges = [(0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (0, 7)]
+        edges += [(3, 5), (3, 6), (3, 7), (0, 8), (1, 8), (3, 9), (4, 9)]
+        g = BipartiteGraph(5, 5, edges)
+        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 5, 1, 6, 2, 7]], path=path)
+        assert move_exchange_one(st)
+        assert st.path == grown and st.path_mask == mask_of(grown)
+        assert mask_of(st.fixed[0]) == st.fixed_masks[0] == mask_of([0, 1, 2, 6, 7, 8])
+        assert_valid_cycle(g, st.fixed[0], 6)
 
     def test_saturated_newcomer_any_ejection_works(self):
         g = self.exchange_host(second_probe_degree=3)
@@ -532,23 +548,44 @@ class TestConcentrationAndDoubleExchange:
         assert select_concentration(st) is None
 
 
-class TestStallBoundDiagnostic:
-    def test_violation_reported_against_tight_cycles_only(self):
-        # chord 6-16 gives endpoint 6 two pool neighbours and three on cycle A:
-        # 5 > 4 // 2 + 6 // 2 - 1; the oversized cycle B is not checked
-        g = concentration_host()
-        g = BipartiteGraph(9, 9, list(g.edges()) + [(6, 16)])
-        st = SearchState(
-            g,
-            make_profile([6, 4, 4], "conjecture"),
-            fixed_cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
-            path=[6, 15, 7, 16, 8, 17],
-        )
-        diagnostics = []
-        packer._stall_bound_diagnostic(st, diagnostics)
-        assert diagnostics == [
-            "stall-bound violation: endpoint 6 has combined degree 5 > 4 against placed cycle 0"
-        ]
+class TestStallPremise:
+    """An attempt ends where the path spans the pool and ``move_close_cycle``
+    finds nothing. An endpoint's pool neighbours then sit at odd path
+    distances, so target/2 of them put one at distance >= target - 1, and the
+    chord scan closes that chord: at a stall each endpoint sees fewer than
+    target/2 pool vertices."""
+
+    def test_endpoint_seeing_half_the_target_closes(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        hs = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(hs.data())
+        def check(data):
+            s = data.draw(hs.integers(4, 14), label="path length")
+            target = data.draw(hs.sampled_from(range(4, s + 1, 2)), label="target")
+            placed = data.draw(hs.sampled_from(range(target, target + 5, 2)), label="placed cycle")
+            # path and placed cycle alternate sides; X takes even positions
+            x_size, y_size = (s + 1) // 2 + placed // 2, s // 2 + placed // 2
+            xs = data.draw(hs.permutations(range(x_size)), label="X ids")
+            ys = data.draw(hs.permutations(range(x_size, x_size + y_size)), label="Y ids")
+            path = [xs[i // 2] if i % 2 == 0 else ys[i // 2] for i in range(s)]
+            cycle = [xs[(s + 1) // 2 + i // 2] if i % 2 == 0 else ys[s // 2 + i // 2] for i in range(placed)]
+            edges = {tuple(sorted(e)) for e in zip(path, path[1:])}
+            edges |= {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+            extra = [(x, y) for x in xs for y in ys if (x, y) not in edges]
+            keep = data.draw(hs.lists(hs.booleans(), min_size=len(extra), max_size=len(extra)), label="edges")
+            g = BipartiteGraph(x_size, y_size, sorted(edges) + [e for e, k in zip(extra, keep) if k])
+            state = SearchState(g, make_profile([placed, target], "conjecture"), fixed_cycles=[cycle], path=path)
+            assert state.path_mask == state.pool
+            seen = max((g.adjacency[z] & state.pool).bit_count() for z in (path[0], path[-1]))
+            hypothesis.assume(seen >= target // 2)
+            found = move_close_cycle(state)
+            assert found is not None
+            assert_valid_cycle(g, found, target)
+            assert mask_of(found) & ~state.pool == 0
+
+        check()
 
 
 class TestPack:
