@@ -19,14 +19,13 @@ from .packer import (
     INFEASIBLE,
     PACKED,
     UNKNOWN,
-    ExchangeContext,
     OracleLimitError,
     PackResult,
     SearchState,
     brute_force_pack,
     pack,
 )
-from .profiles import CycleProfile, ProfileError, degree_threshold, make_profile
+from .profiles import CycleProfile, ProfileError, make_profile
 from .verify import VerificationReport, check_hypotheses, verify_packing
 
 __version__ = "0.1.0"
@@ -43,10 +42,8 @@ __all__ = [
     "CycleProfile",
     "ProfileError",
     "make_profile",
-    "degree_threshold",
     "PackResult",
     "SearchState",
-    "ExchangeContext",
     "OracleLimitError",
     "pack",
     "brute_force_pack",

@@ -278,8 +278,6 @@ def run_hunt(
     if not 0 <= fill_p <= 1:
         raise ConfigError(f"fill_p must be in [0, 1], got {fill_p}")
     delta = profile.threshold
-    if delta > side:
-        raise ConfigError(f"threshold {delta} exceeds side size {side}")
     if side < profile.n // 2:
         raise ConfigError(f"side {side} is below n/2 = {profile.n // 2}; no instance meets the hypotheses")
     os.makedirs(out_dir, exist_ok=True)

@@ -38,7 +38,7 @@ from itertools import combinations, product
 
 from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
-from .profiles import CONJECTURE, CycleProfile, make_profile
+from .profiles import CycleProfile
 from .verify import VerificationReport, verify_packing
 
 PACKED = "packed"
@@ -71,20 +71,10 @@ class PackResult:
     report: VerificationReport | None = None  # the verifier's report on ``packing``
 
 
-@dataclass(frozen=True)
-class ExchangeContext:
-    """Two placed cycles singled out by degree concentration from the path probes,
-    with the distinguished swap vertices on the first of them."""
-
-    p_index: int
-    q_index: int
-    x_star: int
-    y_star: int
-
-
 class SearchState:
     """Mutable solver state: placed cycles, leftover pool, and the working path.
 
+    ``targets`` are the required lengths, longest first (a profile's ``lengths``).
     The pool is ``vertices`` (the whole host when None) minus the placed cycles.
 
     ``path_mask == mask_of(path)`` always holds. Two writers change ``path``
@@ -94,11 +84,10 @@ class SearchState:
     a cycle, and a replaced cycle taking path vertices, which empties the path).
     """
 
-    def __init__(self, g: BipartiteGraph, profile: CycleProfile, fixed_cycles=(), path=(), rng=None, vertices=None):
+    def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], fixed_cycles=(), path=(), rng=None, vertices=None):
         self.g = g
         self.adj = g.adjacency
-        self.profile = profile
-        self.targets = profile.lengths
+        self.targets = targets
         self.fixed: list[list[int]] = [list(c) for c in fixed_cycles]
         self.fixed_masks: list[int] = [mask_of(c) for c in self.fixed]
         used = 0
@@ -239,12 +228,10 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
     moves are made. That is the sequence one-move calls would make: the
     outside set only shrinks, so a stuck tail stays stuck, and shrink, tried
     before each call, stays failed while no placed cycle changes. Seed and
-    rotation are one move each.
+    rotation are one move each. The pool is never empty (see ``_attempt``).
     """
     adj = st.adj
     if not st.path:
-        if not st.pool:
-            return False
         st.set_path([_pick(st, st.pool)])
         return 1
     p = st.path
@@ -282,14 +269,14 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
 
 def _cycle_in(g: BipartiteGraph, mask: int, need: int) -> tuple[int, ...] | None:
     """A cycle of length >= ``need`` inside ``mask``, or None: one run of the
-    move loop on the pool ``mask`` with profile [need], lowest-id picks and a
+    move loop on the pool ``mask`` with targets (need,), lowest-id picks and a
     throwaway result. With nothing placed, shrink, exchange and concentration
     never fire, so it does not recurse and ends within (N//2 + 1)(N + 1)
     iterations for N = |mask|. It may miss a cycle that exists. A cycle
     alternates sides, so fewer than need/2 vertices on a side rule it out."""
     if 2 * min((mask & g.x_mask).bit_count(), (mask & g.y_mask).bit_count()) < need:
         return None
-    found = _attempt(g, make_profile([need], CONJECTURE), None, None, PackResult(), mask)
+    found = _attempt(g, (need,), None, None, PackResult(), mask)
     return None if found is None else found[0]
 
 
@@ -301,9 +288,7 @@ def move_exchange_one(st: SearchState) -> bool:
     length, some neighbor v of u' on that cycle can step out while u'' steps
     in; v then extends the path at u'. The new cycle spans the swap set, found
     by one ``_cycle_in`` run (need c_j) that may miss it. Placed size is
-    unchanged, the path grows."""
-    if not st.path:
-        return False
+    unchanged, the path grows. The path is nonempty (see ``_attempt``)."""
     adj = st.adj
     g = st.g
     rest = st.pool & ~st.path_mask
@@ -338,40 +323,37 @@ def move_close_cycle(st: SearchState) -> list[int] | None:
     a chord across the path, two crossing endpoint chords, or an off-path pool
     vertex v seen by p[i] and p[j], closing p[i:j+1] + [v] (v ascending, then
     i, then j). Returns the shortest cycle found, and the first tight one at
-    once."""
+    once. The path is nonempty (see ``_attempt``); a path shorter than the
+    target (>= 4) yields no chord cycle, so the first two scans find none."""
     target = st.current_target
-    if st.pool.bit_count() < target:
-        return None
     adj = st.adj
     p = st.path
     s = len(p)
     best: list[int] | None = None
 
-    if s >= target:
-        for span in range(target, s + 1, 2):
-            for i in range(s - span + 1):
-                j = i + span - 1
-                if adj[p[i]] >> p[j] & 1:
-                    best = p[i : j + 1]
-                    break
-            if best is not None:
+    for span in range(target, s + 1, 2):
+        for i in range(s - span + 1):
+            j = i + span - 1
+            if adj[p[i]] >> p[j] & 1:
+                best = p[i : j + 1]
                 break
+        if best is not None:
+            break
     if best is not None and len(best) == target:
         return best
 
-    if s >= 4:
-        head_adj, tail_adj = adj[p[0]], adj[p[-1]]
-        for i in range(s - 1):
-            if not tail_adj >> p[i] & 1:
+    head_adj, tail_adj = adj[p[0]], adj[p[-1]]
+    for i in range(s - 1):
+        if not tail_adj >> p[i] & 1:
+            continue
+        for j in range(i + 1, s - 1):
+            if not head_adj >> p[j] & 1:
                 continue
-            for j in range(i + 1, s - 1):
-                if not head_adj >> p[j] & 1:
-                    continue
-                length = (i + 1) + (s - j)
-                if length >= target and (best is None or length < len(best)):
-                    best = p[: i + 1] + p[j:][::-1]
-                    if length == target:
-                        return best
+            length = (i + 1) + (s - j)
+            if length >= target and (best is None or length < len(best)):
+                best = p[: i + 1] + p[j:][::-1]
+                if length == target:
+                    return best
 
     pos = {u: i for i, u in enumerate(p)}
     for v in bits(st.pool & ~st.path_mask):
@@ -386,22 +368,20 @@ def move_close_cycle(st: SearchState) -> list[int] | None:
     return best
 
 
-def select_concentration(st: SearchState) -> ExchangeContext | None:
+def select_concentration(st: SearchState) -> tuple[int, int, int, int] | None:
     """When the path spans the whole pool and single-vertex moves are out, look
     for a placed cycle p nearly saturated by the path endpoints and a second
     cycle q whose adjacency from the six probe vertices is concentrated enough
-    (sum at least 3c_q - 5) to justify the two-vertex swap family."""
-    if st.stage != st.profile.k - 1 or st.path_mask != st.pool:
-        return None
+    (sum at least 3c_q - 5) to justify the two-vertex swap family; returns
+    (p index, q index, x*, y*). A spanning path has at least the target (>= 4)
+    vertices (see ``_attempt``), and dx + dy >= c_p - 1 puts max(dx, dy) at c_p/2."""
     p = st.path
-    s = len(p)
-    if s < 4 or s % 2:
+    if st.stage != len(st.targets) - 1 or st.path_mask != st.pool or len(p) % 2:
         return None
     g = st.g
     adj = st.adj
     # an even path ends on opposite sides: e_x in X, e_y in Y
     e_x, e_y = (p[0], p[-1]) if p[0] < g.x_size else (p[-1], p[0])
-    probes = (p[0], p[1], p[-2], p[-1])
     for jp in range(len(st.fixed)):
         c_p = st.targets[jp]
         if len(st.fixed[jp]) != c_p:
@@ -409,7 +389,7 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
         cmask = st.fixed_masks[jp]
         dx = (adj[e_x] & cmask).bit_count()
         dy = (adj[e_y] & cmask).bit_count()
-        if dx + dy < c_p - 1 or max(dx, dy) < c_p // 2:
+        if dx + dy < c_p - 1:
             continue
         other = e_y if dx == c_p // 2 else e_x
         opp = cmask & ~g.side_mask(other)
@@ -422,7 +402,7 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
         if not y_cands:
             continue
         y_star = _lowest(y_cands)
-        S = list(probes) + [x_star, y_star]
+        S = (p[0], p[1], p[-2], p[-1], x_star, y_star)  # the six probes
         for jq in range(len(st.fixed)):
             if jq == jp:
                 continue
@@ -431,11 +411,11 @@ def select_concentration(st: SearchState) -> ExchangeContext | None:
                 continue
             qmask = st.fixed_masks[jq]
             if sum((adj[z] & qmask).bit_count() for z in S) >= 3 * c_q - 5:
-                return ExchangeContext(jp, jq, x_star, y_star)
+                return jp, jq, x_star, y_star
     return None
 
 
-def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[int, ...]] | None:
+def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> list[tuple[int, ...]] | None:
     """Generalized bounded swap among the pool, cycle p, and cycle q.
 
     Enumerates every pattern that moves at most two vertices out of each part
@@ -446,13 +426,13 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
     the first success completes the packing. Each part's departures are built
     once per call, and the patterns nest them pool, then p, then q. Each part's
     cycle comes from one ``_cycle_in`` run, memoised per call; a run may miss
-    a cycle, and the pattern then fails."""
+    a cycle, and the pattern then fails. ``ctx`` comes from
+    ``select_concentration``, so the path has at least 4 distinct probes."""
     g = st.g
-    p_idx, q_idx = ctx.p_index, ctx.q_index
+    p_idx, q_idx, x_star, y_star = ctx
     c_cur = st.current_target
     c_p, c_q = st.targets[p_idx], st.targets[q_idx]
-    path = st.path
-    probes = list(dict.fromkeys((path[0], path[1], path[-2], path[-1])))
+    probes = [st.path[i] for i in (0, 1, -2, -1)]
     qcyc = st.fixed[q_idx]
 
     def departures(out_sets) -> list[tuple[int, int, int]]:
@@ -470,7 +450,7 @@ def move_double_exchange(st: SearchState, ctx: ExchangeContext) -> list[tuple[in
 
     # pool -> (p, q), cycle p -> (pool, q), cycle q -> (pool, p)
     pool_deps = departures([()] + [(v,) for v in probes] + list(combinations(probes, 2)))
-    p_deps = departures([(), (ctx.x_star,), (ctx.y_star,), (ctx.x_star, ctx.y_star)])
+    p_deps = departures([(), (x_star,), (y_star,), (x_star, y_star)])
     q_deps = departures([()] + [(v,) for v in qcyc] + list(zip(qcyc, qcyc[1:] + qcyc[:1])))
 
     cycle_in = cache(lambda mask, need: _cycle_in(g, mask, need))
@@ -511,21 +491,24 @@ def mix_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFFFFFF
 
 
-def _attempt(g, profile, budget, rng, result, vertices):
-    """One restart-free run of the move loop on the vertex set ``vertices``
-    (``pack`` passes the whole host), adding its moves and iterations to
-    ``result``; returns the full cycle list or None. The potential ends the
-    loop (see the module docstring); ``budget``, when not None, caps this
-    attempt's iterations.
+def _attempt(g, targets, budget, rng, result, vertices):
+    """One restart-free run of the move loop for the lengths ``targets`` on the
+    vertex set ``vertices`` (``pack`` passes the whole host), adding its moves
+    and iterations to ``result``; returns the full cycle list or None. The
+    potential ends the loop (see the module docstring); ``budget``, when not
+    None, caps this attempt's iterations.
 
     An iteration is one move. An endpoint run of m extensions is made in one
     pass of the loop but counts m iterations and m ``extend`` moves, and it
     stops where the budget would, so the budget and the iteration bound keep
-    their meaning."""
-    st = SearchState(g, profile, rng=rng, vertices=vertices)
+    their meaning. The moves do not re-check what the loop guarantees: a stage
+    starts with at least its target (>= 4) pool vertices and no move shrinks
+    the pool within it, and exchange and close run only after extend made no
+    move, which leaves the path nonempty."""
+    st = SearchState(g, targets, rng=rng, vertices=vertices)
     counts = result.move_counts
     stop = None if budget is None else result.iterations + budget
-    while st.stage < profile.k:
+    while st.stage < len(targets):
         if st.pool.bit_count() < st.current_target:
             return None
         while True:
@@ -614,7 +597,7 @@ def pack(
     for attempt in range(restarts + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
-        cycles = _attempt(g, profile, budget, rng, result, g.full_mask)
+        cycles = _attempt(g, profile.lengths, budget, rng, result, g.full_mask)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")
     if g.num_vertices <= oracle_limit:

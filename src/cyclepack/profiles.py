@@ -47,14 +47,10 @@ class CycleProfile:
 
     @property
     def threshold(self) -> int:
-        return degree_threshold(self)
+        """Minimum-degree bound n/2 - k + 1 that guarantees the packing exists."""
+        return self.n // 2 - self.k + 1
 
 
 def make_profile(lengths, mode: str = THEOREM) -> CycleProfile:
     """Validated profile from an iterable of cycle lengths."""
     return CycleProfile(tuple(lengths), mode)
-
-
-def degree_threshold(profile: CycleProfile) -> int:
-    """Minimum-degree bound n/2 - k + 1 that guarantees the packing exists."""
-    return profile.n // 2 - profile.k + 1

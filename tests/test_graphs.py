@@ -418,12 +418,29 @@ class TestGenerators:
             ((25, 40, 15, 11, 0.5), "145e0b36f4bc6e651fc63e5320c1f6a41800dedb80655dc156a46412950663b1"),
             ((40, 17, 12, 5, 0.0), "b7ead38403e1a1a0e5a1ced139c6ff77c06ddb7dfc1e9e45e61fcf84d2e78fec"),
             ((90, 90, 61, 1024, 0.5), "bba938e6e0258569dd4f2dd4170123134c53026db60d3d3974519997705b0f9f"),
+            ((40, 17, 14, 0, 0.0), "1c05a985a451eb04673026a595581a15b0514a7b335beb1f14aa1a35912b5c1f"),
         ],
     )
     def test_random_instances_pinned(self, shape, digest):
         # (x, y, delta, seed, fill_p): `gen random`, `trials` and `hunt` draw these exact hosts
         text = serialize_graph(gen_random_mindeg(*shape))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_repair_tops_up_the_unequal_ci_host(self, monkeypatch):
+        # the host CI's unequal-sides step draws: the matching rounds leave it
+        # 12 edges short of delta 14, and the top-up pass adds them
+        added = []
+        original = graphs._repair
+
+        def counted(present, x_size, y_size, delta, rng):
+            before = list(present)
+            original(present, x_size, y_size, delta, rng)
+            added.append(sum(r.bit_count() for r in present) - sum(r.bit_count() for r in before))
+            assert present != before
+
+        monkeypatch.setattr(graphs, "_repair", counted)
+        g = gen_random_mindeg(40, 17, 14, 0, 0.0)
+        assert added == [12] and g.min_degree() == 14
 
     def test_random_hosts_wide_pinned(self):
         # every shape at sides 1-12 (equal and unequal, every delta, five fills),

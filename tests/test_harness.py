@@ -273,7 +273,7 @@ class TestRunHunt:
 
     @pytest.mark.parametrize(
         "lengths, trials, message",
-        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "threshold 5 exceeds side size 4"),
+        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "side 4 is below n/2 = 8"),
          ([4, 4, 4], 1, "side 4 is below n/2 = 6")],
     )
     def test_config_rejected(self, tmp_path, lengths, trials, message):

@@ -11,7 +11,6 @@ import pytest
 
 from cyclepack import (
     BipartiteGraph,
-    ExchangeContext,
     OracleLimitError,
     SearchState,
     brute_force_pack,
@@ -25,6 +24,7 @@ from cyclepack import (
 from cyclepack import packer
 from cyclepack.cyclesearch import iter_cycles_through
 from cyclepack.graphs import bits, mask_of
+from cyclepack.harness import TrialConfig, run_trials
 from cyclepack.packer import (
     move_close_cycle,
     move_double_exchange,
@@ -73,7 +73,7 @@ class TestMoveShrink:
 
     def test_apex_shrinks_eight_cycle_to_six(self):
         g, cycle8 = self.host_with_apex()
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[cycle8])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[cycle8])
         before = st.potential()
         assert move_shrink(st)
         assert len(st.fixed[0]) == 6
@@ -85,7 +85,7 @@ class TestMoveShrink:
 
     def test_no_move_when_cycles_tight(self):
         g = gen_complete(3)
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 3, 1, 4, 2, 5]])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 3, 1, 4, 2, 5]])
         assert not move_shrink(st)
 
     def test_no_move_without_degree_concentration(self):
@@ -93,7 +93,7 @@ class TestMoveShrink:
         # drop one apex edge: degree 2 < 6/2 leaves no trigger
         edges = [e for e in g.edges() if e != (2, 8)]
         g2 = BipartiteGraph(4, 5, edges)
-        st = SearchState(g2, make_profile([6, 6]), fixed_cycles=[cycle8])
+        st = SearchState(g2, make_profile([6, 6]).lengths, fixed_cycles=[cycle8])
         assert not move_shrink(st)
 
     @staticmethod
@@ -135,7 +135,7 @@ class TestMoveShrink:
         edges = [(0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (3, 8), (3, 9), (0, 9)]
         edges += [(4, 10), (5, 10), (5, 11), (4, 11)]
         g = BipartiteGraph(6, 6, edges)
-        st = SearchState(g, make_profile([4, 4, 4], "conjecture"), fixed_cycles=[cycle8])
+        st = SearchState(g, make_profile([4, 4, 4], "conjecture").lengths, fixed_cycles=[cycle8])
 
         def searched_by_shrink():
             assert not packer.move_shrink(st)
@@ -155,7 +155,7 @@ class TestMoveShrink:
         # itself: taking it would not lower the placed size, so shrink fails
         g, cycle8 = self.host_with_apex()
         monkeypatch.setattr(packer, "_cycle_in", lambda g, mask, need: tuple(cycle8))
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[cycle8])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[cycle8])
         before = (st.potential(), st.pool, st.path, [list(c) for c in st.fixed], list(st.fixed_masks))
         assert not move_shrink(st)
         assert (st.potential(), st.pool, st.path, st.fixed, st.fixed_masks) == before
@@ -194,20 +194,20 @@ class TestSearchState:
     def test_rejects_overlapping_cycles(self):
         g = gen_complete(6)
         with pytest.raises(ValueError):
-            SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8], [2, 8, 3, 9, 4, 10]])
+            SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 6, 1, 7, 2, 8], [2, 8, 3, 9, 4, 10]])
 
     def test_rejects_cycle_shorter_than_its_target(self):
         with pytest.raises(ValueError, match="required length"):
-            SearchState(gen_complete(6), make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7]])
+            SearchState(gen_complete(6), make_profile([6, 6]).lengths, fixed_cycles=[[0, 6, 1, 7]])
 
     def test_rejects_path_outside_pool(self):
         g = gen_complete(6)
         with pytest.raises(ValueError):
-            SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[0])
+            SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[0])
 
     def test_replace_cycle_taking_path_vertices_empties_path(self):
         g = gen_complete(6)
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[3, 9, 4, 10, 5])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 6, 1, 7, 2, 8]], path=[3, 9, 4, 10, 5])
         pool = st.pool
         # pull 9 into the cycle in place of 6: the path loses a vertex and is dropped whole
         st.replace_cycle(0, [0, 9, 1, 7, 2, 8])
@@ -219,39 +219,32 @@ class TestSearchState:
 class TestMoveExtendPath:
     def test_single_vertex_grows(self):
         g = gen_complete(2)
-        st = SearchState(g, make_profile([4], mode="conjecture"), path=[0])
+        st = SearchState(g, make_profile([4], mode="conjecture").lengths, path=[0])
         assert move_extend_path(st, room=1) == 1
         assert len(st.path) == 2
 
     def test_run_spans_the_host_in_one_call(self):
         # without a cap the tail run takes every vertex of K2,2, lowest id first
-        st = SearchState(gen_complete(2), make_profile([4], mode="conjecture"), path=[0])
+        st = SearchState(gen_complete(2), make_profile([4], mode="conjecture").lengths, path=[0])
         assert move_extend_path(st) == 3
         assert st.path == [0, 2, 1, 3] and st.path_mask == mask_of(st.path)
 
     def test_hamilton_path_no_move(self):
         g = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])
-        st = SearchState(g, make_profile([4], mode="conjecture"), path=[0, 2, 1, 3])
+        st = SearchState(g, make_profile([4], mode="conjecture").lengths, path=[0, 2, 1, 3])
         assert not move_extend_path(st)
 
     def test_two_edges_with_bridge_reach_four(self):
         # a-b, c-d plus the bridge b-c: repeated extension turns one edge into 4 vertices
         g = BipartiteGraph(2, 2, [(0, 2), (1, 3), (1, 2)])
-        st = SearchState(g, make_profile([4], mode="conjecture"), path=[0, 2])
+        st = SearchState(g, make_profile([4], mode="conjecture").lengths, path=[0, 2])
         while move_extend_path(st):
             pass
         assert len(st.path) == 4
 
-    def test_empty_pool_no_move(self):
-        # one placed cycle covers the host: no vertex is left to seed a path
-        st = SearchState(gen_complete(3), make_profile([6, 6]), fixed_cycles=[[0, 3, 1, 4, 2, 5]])
-        assert not st.path and not st.pool
-        assert not move_extend_path(st)
-        assert st.path == [] and st.path_mask == 0
-
     def test_endpoint_growth_keeps_the_mask(self):
         # a path 0-3 in K3,3 grows at the tail by one vertex
-        st = SearchState(gen_complete(3), make_profile([6]), path=[0, 3])
+        st = SearchState(gen_complete(3), make_profile([6]).lengths, path=[0, 3])
         assert move_extend_path(st, room=1) == 1 and st.path == [0, 3, 1]
         assert st.path_mask == mask_of([0, 3, 1])
 
@@ -259,7 +252,7 @@ class TestMoveExtendPath:
     def run_host():
         # path 0-3: the tail 3 sees only 1, a dead end; the head 0 leads on to 4, 2, 5
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (0, 4), (2, 4), (2, 5)])
-        return SearchState(g, make_profile([6]), path=[0, 3])
+        return SearchState(g, make_profile([6]).lengths, path=[0, 3])
 
     def test_head_run_continues_after_the_tail_stalls(self):
         st = self.run_host()
@@ -280,7 +273,7 @@ class TestMoveExtendPath:
     def test_rotation_unlocks_extension(self):
         # path 0-3-1-4 stuck at both ends unless rotated: 4~0 chord exposes 1, 1~5 extends
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (0, 4), (2, 5), (1, 5)])
-        st = SearchState(g, make_profile([4], mode="conjecture"), path=[0, 3, 1, 4])
+        st = SearchState(g, make_profile([4], mode="conjecture").lengths, path=[0, 3, 1, 4])
         grew = move_extend_path(st)
         assert grew and len(st.path) == 5
 
@@ -295,7 +288,7 @@ class TestMoveExchangeOne:
 
     def test_swap_brings_neighbor_to_path(self):
         g = self.exchange_host()
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
         before = st.potential()
         assert move_exchange_one(st)
         assert st.potential() > before
@@ -314,7 +307,7 @@ class TestMoveExchangeOne:
         edges = [(0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (0, 7)]
         edges += [(3, 5), (3, 6), (3, 7), (0, 8), (1, 8), (3, 9), (4, 9)]
         g = BipartiteGraph(5, 5, edges)
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 5, 1, 6, 2, 7]], path=path)
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 5, 1, 6, 2, 7]], path=path)
         assert move_exchange_one(st)
         assert st.path == grown and st.path_mask == mask_of(grown)
         assert mask_of(st.fixed[0]) == st.fixed_masks[0] == mask_of([0, 1, 2, 6, 7, 8])
@@ -322,20 +315,14 @@ class TestMoveExchangeOne:
 
     def test_saturated_newcomer_any_ejection_works(self):
         g = self.exchange_host(second_probe_degree=3)
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
         assert move_exchange_one(st)
         assert len(st.path) == 2 and st.path[-1] == 3
         assert_valid_cycle(g, tuple(st.fixed[0]))
 
-    def test_no_move_without_a_path(self):
-        g = self.exchange_host()
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 4, 1, 5, 2, 6]])
-        assert not move_exchange_one(st)
-        assert st.fixed[0] == [0, 4, 1, 5, 2, 6] and st.path == []
-
     def test_no_move_below_degree_sum(self):
         g = self.exchange_host(second_probe_degree=1)
-        st = SearchState(g, make_profile([6, 6]), fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
         assert not move_exchange_one(st)
 
 
@@ -350,8 +337,8 @@ class TestCycleIn:
         original = packer._attempt
         spans = []
 
-        def measured(g, profile, budget, rng, result, vertices):
-            found = original(g, profile, budget, rng, result, vertices)
+        def measured(g, targets, budget, rng, result, vertices):
+            found = original(g, targets, budget, rng, result, vertices)
             spans.append((vertices.bit_count(), result.iterations))
             return found
 
@@ -391,28 +378,23 @@ class TestCycleIn:
 class TestMoveCloseCycle:
     def test_spanning_closure(self):
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
-        st = SearchState(g, make_profile([6]), path=[0, 3, 1, 4, 2, 5])
+        st = SearchState(g, make_profile([6]).lengths, path=[0, 3, 1, 4, 2, 5])
         cyc = move_close_cycle(st)
         assert cyc is not None and len(cyc) == 6
-
-    def test_pool_too_small(self):
-        g = gen_complete(2)
-        st = SearchState(g, make_profile([6]))
-        assert move_close_cycle(st) is None
 
     def test_crossing_chords(self):
         # 8-vertex path with chords 1-7 and 0-5 and no direct head-tail edge
         edges = [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7)]
         edges += [(1, 7), (0, 5)]
         g = BipartiteGraph(4, 4, edges)
-        st = SearchState(g, make_profile([8]), path=[0, 4, 1, 5, 2, 6, 3, 7])
+        st = SearchState(g, make_profile([8]).lengths, path=[0, 4, 1, 5, 2, 6, 3, 7])
         cyc = move_close_cycle(st)
         assert cyc is not None and len(cyc) == 8
         assert_valid_cycle(g, tuple(cyc))
 
     def test_apex_detour(self):
         g = BipartiteGraph(2, 2, [(0, 2), (1, 2), (0, 3), (1, 3)])
-        st = SearchState(g, make_profile([4], mode="conjecture"), path=[0, 2, 1])
+        st = SearchState(g, make_profile([4], mode="conjecture").lengths, path=[0, 2, 1])
         cyc = move_close_cycle(st)
         assert cyc is not None and sorted(cyc) == [0, 1, 2, 3]
 
@@ -452,7 +434,7 @@ class TestDetourScan:
         digest = hashlib.sha256()
         rotations = stalls = detours = 0
         for g, profile, path in stuck_path_states(400):
-            st = SearchState(g, profile, path=path)
+            st = SearchState(g, profile.lengths, path=path)
             grew = move_extend_path(st)
             if grew:
                 assert grew == 1 and is_rotation(path, st.path), (path, st.path)
@@ -460,7 +442,7 @@ class TestDetourScan:
             else:
                 assert st.path == path
                 stalls += 1
-            cyc = move_close_cycle(SearchState(g, profile, path=path))
+            cyc = move_close_cycle(SearchState(g, profile.lengths, path=path))
             detours += cyc is not None and cyc[-1] not in path  # closed through one pool vertex
             digest.update(json.dumps([bool(grew), st.path, cyc]).encode())
         assert (rotations, stalls, detours) == (84, 316, 7)
@@ -492,7 +474,7 @@ class TestConcentrationAndDoubleExchange:
     def make_state(self, g):
         return SearchState(
             g,
-            make_profile([6, 6, 6]),
+            make_profile([6, 6, 6]).lengths,
             fixed_cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
             path=[6, 15, 7, 16, 8, 17],
         )
@@ -500,7 +482,7 @@ class TestConcentrationAndDoubleExchange:
     def test_context_selected(self):
         st = self.make_state(concentration_host())
         ctx = select_concentration(st)
-        assert ctx == ExchangeContext(p_index=0, q_index=1, x_star=0, y_star=10)
+        assert ctx == (0, 1, 0, 10)  # p index, q index, x*, y*
 
     def test_no_context_without_concentration(self):
         st = self.make_state(concentration_host(saturate_q=False))
@@ -526,14 +508,14 @@ class TestConcentrationAndDoubleExchange:
         # without the probes' adjacency into cycle q no swap frees three
         # cycles; the context is built by hand since selection refuses it
         st = self.make_state(concentration_host(saturate_q=False))
-        assert move_double_exchange(st, ExchangeContext(0, 1, 0, 10)) is None
+        assert move_double_exchange(st, (0, 1, 0, 10)) is None
 
     def test_no_context_on_an_odd_path(self):
         # 4+5 host: a placed 4-cycle and a 5-vertex path spanning the odd pool
         g = BipartiteGraph(4, 5, [(0, 4), (1, 4), (1, 5), (0, 5), (2, 6), (2, 7), (3, 7), (3, 8)])
-        st = SearchState(g, make_profile([4, 4], "conjecture"), fixed_cycles=[[0, 4, 1, 5]],
+        st = SearchState(g, make_profile([4, 4], "conjecture").lengths, fixed_cycles=[[0, 4, 1, 5]],
                          path=[6, 2, 7, 3, 8])
-        assert st.stage == st.profile.k - 1 and st.path_mask == st.pool
+        assert st.stage == len(st.targets) - 1 and st.path_mask == st.pool
         assert select_concentration(st) is None
 
     def test_oversized_cycle_is_neither_p_nor_q(self):
@@ -541,7 +523,7 @@ class TestConcentrationAndDoubleExchange:
         # (6 vertices for a 4-target) can serve neither as q nor as p
         st = SearchState(
             concentration_host(),
-            make_profile([6, 4, 4], "conjecture"),
+            make_profile([6, 4, 4], "conjecture").lengths,
             fixed_cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
             path=[6, 15, 7, 16, 8, 17],
         )
@@ -576,7 +558,7 @@ class TestStallPremise:
             extra = [(x, y) for x in xs for y in ys if (x, y) not in edges]
             keep = data.draw(hs.lists(hs.booleans(), min_size=len(extra), max_size=len(extra)), label="edges")
             g = BipartiteGraph(x_size, y_size, sorted(edges) + [e for e, k in zip(extra, keep) if k])
-            state = SearchState(g, make_profile([placed, target], "conjecture"), fixed_cycles=[cycle], path=path)
+            state = SearchState(g, make_profile([placed, target], "conjecture").lengths, fixed_cycles=[cycle], path=path)
             assert state.path_mask == state.pool
             seen = max((g.adjacency[z] & state.pool).bit_count() for z in (path[0], path[-1]))
             hypothesis.assume(seen >= target // 2)
@@ -586,6 +568,56 @@ class TestStallPremise:
             assert mask_of(found) & ~state.pool == 0
 
         check()
+
+
+class TestMoveLoopPreconditions:
+    """The moves do not re-check what ``_attempt`` guarantees: a stage starts
+    with at least its target (>= 4) pool vertices and no move shrinks the pool
+    within it, and exchange and close run only after extend left a nonempty
+    path. These campaigns reach every move kind, inner runs included."""
+
+    def test_moves_see_the_loop_preconditions(self, monkeypatch):
+        seen = collections.Counter()
+
+        def pool_holds_the_target(st):
+            assert st.pool.bit_count() >= st.current_target >= 4, (st.pool.bit_count(), st.current_target)
+
+        def path_is_nonempty(st):
+            pool_holds_the_target(st)
+            assert st.path
+
+        def spanning_path_is_long(st):
+            if st.stage == len(st.targets) - 1 and st.path_mask == st.pool:
+                assert len(st.path) >= 4, st.path
+                seen["concentration past its check"] += 1
+
+        def wrap(name, check):
+            original = getattr(packer, name)
+
+            def checked(st, *args):
+                check(st)
+                seen[name] += 1
+                return original(st, *args)
+
+            monkeypatch.setattr(packer, name, checked)
+
+        wrap("move_extend_path", pool_holds_the_target)
+        wrap("move_exchange_one", path_is_nonempty)
+        wrap("move_close_cycle", path_is_nonempty)
+        wrap("select_concentration", spanning_path_is_long)
+        wrap("move_double_exchange", lambda st: None)
+        # the relaxed CI class, theorem 6^6 at side 18 and the CI shrink class, oracle off
+        configs = [
+            TrialConfig(make_profile([4, 4, 4, 6], "conjecture"), 9, trials=300, seed=3, oracle_limit=0, fill_p=0.05),
+            TrialConfig(make_profile([6] * 6), 18, trials=200, seed=3, oracle_limit=0, fill_p=0.0),
+            TrialConfig(make_profile([4] * 4, "conjecture"), 8, delta=2, trials=400, seed=1024, oracle_limit=0,
+                        fill_p=0.1),
+        ]
+        moves = collections.Counter()
+        for cfg in configs:
+            moves.update(run_trials(cfg)["aggregates"]["move_histogram"])
+        assert all(moves[kind] > 0 for kind in packer.MOVE_KINDS), moves
+        assert seen["concentration past its check"] > 0 and seen["move_double_exchange"] > 0, seen
 
 
 class TestPack:
@@ -660,9 +692,9 @@ class TestPack:
         inner = []  # (|mask|, iterations) of each single-stage run made by a move
         original = packer._attempt
 
-        def measured(g, profile, budget, rng, result, vertices):
+        def measured(g, targets, budget, rng, result, vertices):
             before = result.iterations
-            found = original(g, profile, budget, rng, result, vertices)
+            found = original(g, targets, budget, rng, result, vertices)
             if vertices == g.full_mask:
                 spans.append(result.iterations - before)
             else:

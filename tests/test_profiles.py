@@ -1,6 +1,6 @@
 import pytest
 
-from cyclepack import CycleProfile, ProfileError, degree_threshold, make_profile
+from cyclepack import CycleProfile, ProfileError, make_profile
 
 
 def test_single_cycle():
@@ -41,16 +41,16 @@ def test_unknown_mode_rejected():
 
 
 def test_threshold_values():
-    assert degree_threshold(make_profile([6])) == 3
-    assert degree_threshold(make_profile([6, 6])) == 5
-    assert degree_threshold(make_profile([4, 6], mode="conjecture")) == 4
+    assert make_profile([6]).threshold == 3
+    assert make_profile([6, 6]).threshold == 5
+    assert make_profile([4, 6], mode="conjecture").threshold == 4
 
 
 def test_uniform_threshold_consistency_exhaustive():
     # k cycles of length 2s: n/2 - k + 1 equals (s-1)k + 1 across the whole grid
     for s in range(3, 11):
         for k in range(1, 11):
-            assert degree_threshold(make_profile([2 * s] * k)) == (s - 1) * k + 1
+            assert make_profile([2 * s] * k).threshold == (s - 1) * k + 1
 
 
 def test_profile_is_hashable_value():
