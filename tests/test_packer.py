@@ -44,6 +44,24 @@ def assert_valid_cycle(g, cyc, min_len=4):
         assert g.adjacency[a] >> b & 1, f"{a}-{b} missing in {cyc}"
 
 
+def attempt_watching(monkeypatch, g, targets, move):
+    """Run one ``_attempt`` on the whole of ``g`` with the module-level
+    ``move`` wrapped to record the pool and path each call sees; returns the
+    attempt's cycles, its ``PackResult`` and the recorded ``(pool, path)``
+    pairs."""
+    seen = []
+    original = getattr(packer, move)
+
+    def watched(st, *args):
+        seen.append((st.pool, list(st.path)))
+        return original(st, *args)
+
+    monkeypatch.setattr(packer, move, watched)
+    result = packer.PackResult()
+    cycles = packer._attempt(g, targets, None, None, result, g.full_mask)
+    return cycles, result, seen
+
+
 def sparse_host():
     # 16 vertices, sparse and below threshold for [4, 4, 4, 4]: the engine
     # places oversized cycles with several qualifying vertices of their own
@@ -242,6 +260,14 @@ class TestMoveExtendPath:
             pass
         assert len(st.path) == 4
 
+    def test_empty_pool_no_move(self, monkeypatch):
+        # the first 6-cycle covers K3,3: the loop ends the attempt before the
+        # second stage, so extend never runs on the empty pool
+        cycles, result, seen = attempt_watching(monkeypatch, gen_complete(3), (6, 6), "move_extend_path")
+        assert cycles is None and result.move_counts["close"] == 1
+        assert seen and all(pool for pool, _ in seen)
+        assert result.move_counts["extend"] == 6
+
     def test_endpoint_growth_keeps_the_mask(self):
         # a path 0-3 in K3,3 grows at the tail by one vertex
         st = SearchState(gen_complete(3), make_profile([6]).lengths, path=[0, 3])
@@ -320,6 +346,15 @@ class TestMoveExchangeOne:
         assert len(st.path) == 2 and st.path[-1] == 3
         assert_valid_cycle(g, tuple(st.fixed[0]))
 
+    def test_no_move_without_a_path(self, monkeypatch):
+        # the loop starts from an empty path; extend seeds and grows it before
+        # exchange is first tried, so exchange never sees an empty path
+        g = self.exchange_host()
+        cycles, result, seen = attempt_watching(monkeypatch, g, (6, 6), "move_exchange_one")
+        assert cycles is None and result.move_counts["exchange"] == 0
+        assert seen and all(path for _, path in seen)
+        assert seen[0][1] == [7, 0, 4, 1, 5, 2, 6, 3]
+
     def test_no_move_below_degree_sum(self):
         g = self.exchange_host(second_probe_degree=1)
         st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
@@ -381,6 +416,13 @@ class TestMoveCloseCycle:
         st = SearchState(g, make_profile([6]).lengths, path=[0, 3, 1, 4, 2, 5])
         cyc = move_close_cycle(st)
         assert cyc is not None and len(cyc) == 6
+
+    def test_pool_too_small(self, monkeypatch):
+        # K2,2 holds no 6-cycle: the loop stops before any move, close included
+        g = gen_complete(2)
+        cycles, result, seen = attempt_watching(monkeypatch, g, (6,), "move_close_cycle")
+        assert cycles is None and seen == []
+        assert result.iterations == 0 and not any(result.move_counts.values())
 
     def test_crossing_chords(self):
         # 8-vertex path with chords 1-7 and 0-5 and no direct head-tail edge
