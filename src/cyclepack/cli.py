@@ -2,7 +2,9 @@
 
 Exit codes for ``solve``: 0 a verified packing was found, 2 infeasibility was
 certified by the exact oracle, 3 the search was inconclusive, 1 bad input.
-Other subcommands exit 0 on a clean run and 1 on errors or violations.
+Other subcommands exit 0 on a clean run and 1 on errors or violations. ``trials``
+exits 1 on a theorem violation: a row whose host meets the hypotheses yet is
+certified infeasible. ``gen random`` with the row's seed rebuilds that host.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import json
 import sys
 
 from .graphs import gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
-from .harness import TrialConfig, run_exhaustive, run_hunt, run_sharpness, run_trials
+from .harness import TrialConfig, run_exhaustive, run_sharpness, run_trials
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, MOVE_KINDS, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
@@ -25,11 +27,11 @@ EXIT_INFEASIBLE = 2
 EXIT_UNKNOWN = 3
 
 
-def _profile_arg(parser: argparse.ArgumentParser, default_mode: str = "theorem") -> None:
+def _profile_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", required=True,
                         help="comma-separated even cycle lengths, e.g. 6,6,8")
-    parser.add_argument("--mode", choices=["theorem", "conjecture"], default=default_mode,
-                        help=f"length floor: theorem >=6, conjecture >=4 (default {default_mode})")
+    parser.add_argument("--mode", choices=["theorem", "conjecture"], default="theorem",
+                        help="length floor: theorem >=6, conjecture >=4 (default theorem)")
 
 
 def _parse_profile(args):
@@ -89,16 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("hunt", help="search for counterexample candidates in relaxed mode")
-    p.add_argument("--side", type=int, required=True)
-    _profile_arg(p, default_mode="conjecture")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="directory for counterexample files")
-    p.add_argument("--fill-p", type=float, default=0.5)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--json", action="store_true")
-
     p = sub.add_parser("gen", help="write an instance file")
     gsub = p.add_subparsers(dest="generator", required=True)
     q = gsub.add_parser("complete", help="complete bipartite graph K_{m,m}")
@@ -149,6 +141,9 @@ def _render_trials(summary: dict) -> None:
         print(f"  {outcome:<16} {count}")
     print(f"  oracle fallbacks {agg['oracle_fallbacks']}")
     print(f"  violations       {agg['theorem_violations']}")
+    for row in summary["trials"]:
+        if row["theorem_violation"]:  # `gen random` with this seed rebuilds the host
+            print(f"    trial {row['trial']} seed {row['seed']}")
     print(f"  moves            {agg['move_histogram']}")
     print(f"  mean time        {summary['timing']['mean_s'] * 1000:.2f} ms")
 
@@ -171,15 +166,6 @@ def _render_sharpness(summary: dict) -> None:
     )
     print(f"  profile {summary['profile']}  verdict: {summary['verdict']}")
     print(f"  ok: {summary['ok']}")
-
-
-def _render_hunt(summary: dict) -> None:
-    cfg = summary["config"]
-    print(f"hunt: side {cfg['side']}, profile {cfg['profile']} ({cfg['mode']}), {cfg['trials']} trials")
-    print(f"  hypothesis-satisfying instances {summary['hypothesis_satisfying']}")
-    print(f"  counterexample candidates       {summary['counterexample_count']}")
-    for hit in summary["counterexamples"]:
-        print(f"    trial {hit['trial']} -> {hit['graph_file']}")
 
 
 # -- commands ------------------------------------------------------------------
@@ -260,21 +246,6 @@ def _cmd_sharpness(args) -> int:
     return EXIT_OK if summary["ok"] else EXIT_INPUT
 
 
-def _cmd_hunt(args) -> int:
-    profile = _parse_profile(args)
-    summary = run_hunt(
-        args.side,
-        profile,
-        trials=args.trials,
-        seed=args.seed,
-        out_dir=args.out,
-        oracle_limit=args.oracle_limit,
-        fill_p=args.fill_p,
-    )
-    _emit(summary, args.json, _render_hunt)
-    return EXIT_OK
-
-
 def _cmd_gen(args) -> int:
     if args.generator == "complete":
         g = gen_complete(args.m)
@@ -307,7 +278,6 @@ def main(argv=None) -> int:
         "trials": _cmd_trials,
         "exhaustive": _cmd_exhaustive,
         "sharpness": _cmd_sharpness,
-        "hunt": _cmd_hunt,
         "gen": _cmd_gen,
     }
     try:

@@ -1,5 +1,10 @@
 """Campaign drivers behind the CLI: seeded random trials, exhaustive tiny-scale
-enumeration, the sharpness regression, and the counterexample hunt.
+enumeration and the sharpness regression.
+
+A counterexample hunt is a trials campaign at the default δ within the oracle
+limit: a host that meets the hypotheses yet is certified infeasible is a
+``theorem_violation`` row, and ``gen_random_mindeg(side, side, delta, seed,
+fill_p)`` with the row's ``seed`` and the campaign's config rebuilds it.
 
 All summaries are plain dicts ready for JSON. Wall-clock measurements live only
 under the top-level ``"timing"`` key so that identical seeds reproduce the rest
@@ -7,9 +12,7 @@ of the summary byte for byte.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -259,68 +262,3 @@ def run_sharpness(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
         "timing": {"total_s": time.perf_counter() - started},
     }
 
-
-def run_hunt(
-    side: int,
-    profile: CycleProfile,
-    trials: int,
-    seed: int,
-    out_dir: str,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    fill_p: float = 0.5,
-) -> dict:
-    """Sample hypothesis-satisfying instances for a relaxed-mode profile and
-    record any oracle-certified infeasible instance as a counterexample candidate."""
-    if 2 * side > oracle_limit:
-        raise ConfigError(f"side {side} exceeds the oracle limit {oracle_limit}; verdicts would not be certified")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not 0 <= fill_p <= 1:
-        raise ConfigError(f"fill_p must be in [0, 1], got {fill_p}")
-    delta = profile.threshold
-    if side < profile.n // 2:
-        raise ConfigError(f"side {side} is below n/2 = {profile.n // 2}; no instance meets the hypotheses")
-    os.makedirs(out_dir, exist_ok=True)
-    started = time.perf_counter()
-    hits: list[dict] = []
-    examined = 0
-    for i in range(trials):
-        trial_seed = mix_seed(seed, i)
-        g = gen_random_mindeg(side, side, delta, trial_seed, fill_p)
-        if not check_hypotheses(g, profile).ok:
-            continue
-        examined += 1
-        verdict = brute_force_pack(g, profile, oracle_limit)
-        if verdict.status == INFEASIBLE:
-            stem = os.path.join(out_dir, f"counterexample_{i:05d}")
-            with open(stem + ".graph", "w", encoding="ascii") as fh:
-                fh.write(serialize_graph(g))
-            meta = {
-                "trial": i,
-                "seed": trial_seed,
-                "side": side,
-                "profile": list(profile.lengths),
-                "mode": profile.mode,
-                "graph_file": stem + ".graph",
-            }
-            with open(stem + ".json", "w", encoding="ascii") as fh:
-                json.dump(meta, fh, indent=2)
-                fh.write("\n")
-            hits.append(meta)
-    return {
-        "command": "hunt",
-        "config": {
-            "side": side,
-            "profile": list(profile.lengths),
-            "mode": profile.mode,
-            "delta": delta,
-            "trials": trials,
-            "seed": seed,
-            "oracle_limit": oracle_limit,
-            "out_dir": out_dir,
-        },
-        "hypothesis_satisfying": examined,
-        "counterexamples": hits,
-        "counterexample_count": len(hits),
-        "timing": {"total_s": time.perf_counter() - started},
-    }

@@ -422,7 +422,7 @@ class TestGenerators:
         ],
     )
     def test_random_instances_pinned(self, shape, digest):
-        # (x, y, delta, seed, fill_p): `gen random`, `trials` and `hunt` draw these exact hosts
+        # (x, y, delta, seed, fill_p): `gen random` and `trials` draw these exact hosts
         text = serialize_graph(gen_random_mindeg(*shape))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -24,11 +24,10 @@ from cyclepack.harness import (
     ConfigError,
     TrialConfig,
     run_exhaustive,
-    run_hunt,
     run_sharpness,
     run_trials,
 )
-from cyclepack.packer import INFEASIBLE, PackResult
+from cyclepack.packer import INFEASIBLE, PackResult, mix_seed
 
 
 def summary_without_timing(summary: dict) -> str:
@@ -73,14 +72,52 @@ class TestRunTrials:
             assert row["verified"] == (row["outcome"] == "packed")
 
     def test_certified_infeasible_in_guaranteed_regime_is_a_violation(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(INFEASIBLE, oracle_used=True))
+        # the counterexample contract: each such row makes trials exit 1, and
+        # gen random with the row's seed writes exactly the host it was drawn on
+        hosts = {}
+
+        def infeasible(g, profile, *, seed, oracle_limit):
+            hosts[seed] = g
+            return PackResult(INFEASIBLE, oracle_used=True)
+
+        monkeypatch.setattr(harness, "pack", infeasible)
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=4, seed=1)
         s = run_trials(cfg)
         assert all(row["hypotheses_hold"] for row in s["trials"])
         assert s["aggregates"]["theorem_violations"] == cfg.trials
         assert main(["trials", "--side", "6", "--delta", "5", "--profile", "6,6",
                      "--trials", "4", "--seed", "1", "--json"]) == 1
-        assert json.loads(capsys.readouterr().out)["aggregates"]["theorem_violations"] == 4
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["aggregates"]["theorem_violations"] == 4
+        for row in summary["trials"]:
+            assert row["theorem_violation"]
+            assert main(["gen", "random", "--x", "6", "--y", "6", "--delta", "5", "--seed", str(row["seed"]),
+                         "--fill-p", str(summary["config"]["fill_p"]), "--out", "-"]) == 0
+            assert capsys.readouterr().out == serialize_graph(hosts[row["seed"]])
+
+    def test_host_failing_the_hypotheses_is_not_a_violation(self, monkeypatch, capsys):
+        # a generator fault leaves every host below delta: a certified "infeasible" on it refutes nothing
+        def below(side, _y, delta, seed, _fill_p):
+            return gen_random_mindeg(side, side, delta - 1, seed, fill_p=0.0)
+
+        monkeypatch.setattr(harness, "gen_random_mindeg", below)
+        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(INFEASIBLE, oracle_used=True))
+        assert main(["trials", "--side", "4", "--profile", "4,4", "--mode", "conjecture",
+                     "--trials", "5", "--seed", "5", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["trials"]
+        assert len(rows) == 5
+        assert not any(row["hypotheses_hold"] or row["theorem_violation"] for row in rows)
+
+    @pytest.mark.parametrize("side, lengths, trials", [(4, [4, 4], 25), (5, [4, 6], 200)])
+    def test_conjecture_campaign_finds_no_violation(self, side, lengths, trials):
+        # every host meets the hypotheses and lies within the oracle limit, so a
+        # violation here would refute the relaxed-mode guarantee
+        profile = make_profile(lengths, mode="conjecture")
+        s = run_trials(TrialConfig(profile, side_size=side, trials=trials, seed=5))
+        assert s["config"]["delta"] == profile.threshold
+        assert all(row["hypotheses_hold"] for row in s["trials"])
+        assert s["aggregates"]["theorem_violations"] == 0
+        assert s["aggregates"]["outcomes"] == {"packed": trials}
 
     def test_same_seed_identical_summary(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=15, seed=42)
@@ -255,64 +292,6 @@ class TestRunSharpness:
             run_sharpness(6)  # 26 vertices > default limit 18
 
 
-class TestRunHunt:
-    def test_no_counterexamples_expected(self, tmp_path):
-        s = run_hunt(4, make_profile([4, 4], mode="conjecture"), trials=25, seed=5, out_dir=str(tmp_path))
-        assert s["counterexample_count"] == 0
-        assert s["hypothesis_satisfying"] == 25
-
-    def test_mixed_profile_hunt_finds_nothing(self, tmp_path):
-        # a certified hit here would contradict the relaxed-mode expectation
-        s = run_hunt(5, make_profile([4, 6], mode="conjecture"), trials=200, seed=5, out_dir=str(tmp_path))
-        assert s["config"]["delta"] == 4
-        assert s["counterexample_count"] == 0
-
-    def test_certified_scale_required(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_hunt(12, make_profile([4, 4], mode="conjecture"), trials=1, seed=0, out_dir=str(tmp_path))
-
-    @pytest.mark.parametrize(
-        "lengths, trials, message",
-        [([4, 4], 0, "trials must be >= 1"), ([4, 4, 4, 4], 1, "side 4 is below n/2 = 8"),
-         ([4, 4, 4], 1, "side 4 is below n/2 = 6")],
-    )
-    def test_config_rejected(self, tmp_path, lengths, trials, message):
-        with pytest.raises(ConfigError, match=message):
-            run_hunt(4, make_profile(lengths, mode="conjecture"), trials=trials, seed=0,
-                     out_dir=str(tmp_path / "out"))
-        assert not (tmp_path / "out").exists()
-
-    def test_host_failing_the_hypotheses_is_skipped(self, tmp_path, monkeypatch):
-        # a generator fault must not reach the oracle or be written out as a counterexample
-        def below(side, _y, delta, seed, _fill_p):
-            return gen_random_mindeg(side, side, delta - 1, seed, fill_p=0.0)
-
-        def oracle(*a, **kw):
-            raise AssertionError("the oracle ran on a host that fails the hypotheses")
-
-        monkeypatch.setattr(harness, "gen_random_mindeg", below)
-        monkeypatch.setattr(harness, "brute_force_pack", oracle)
-        s = run_hunt(4, make_profile([4, 4], mode="conjecture"), trials=5, seed=5, out_dir=str(tmp_path))
-        assert s["hypothesis_satisfying"] == 0 and s["counterexample_count"] == 0
-        assert list(tmp_path.iterdir()) == []
-
-    def test_counterexample_files_reproduce_the_instance(self, tmp_path, monkeypatch):
-        # every hypothesis-satisfying trial is then a certified counterexample
-        infeasible = PackResult(INFEASIBLE, oracle_used=True)
-        monkeypatch.setattr(harness, "brute_force_pack", lambda *a, **kw: infeasible)
-        s = run_hunt(4, make_profile([4, 4], mode="conjecture"), trials=3, seed=5, out_dir=str(tmp_path))
-        assert s["counterexample_count"] == 3
-        delta = s["config"]["delta"]
-        for hit in s["counterexamples"]:
-            stem = tmp_path / f"counterexample_{hit['trial']:05d}"
-            meta = json.loads(stem.with_suffix(".json").read_text())
-            assert meta == hit
-            assert set(meta) == {"trial", "seed", "side", "profile", "mode", "graph_file"}
-            assert meta["graph_file"] == str(stem.with_suffix(".graph"))
-            g = parse_graph(stem.with_suffix(".graph").read_text())
-            assert g == gen_random_mindeg(meta["side"], meta["side"], delta, meta["seed"], 0.5)
-
-
 class TestCli:
     def test_solve_packed_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "k33.graph"
@@ -343,11 +322,15 @@ class TestCli:
         assert "[PASS] disjointness" in text and "[PASS] hypothesis_min_degree" in text
 
     def test_solve_sharpness_exit_two_order_insensitive(self, tmp_path, capsys):
+        # a certified-infeasible instance file solves to exit 2, whatever the profile order
         path = tmp_path / "sharp.graph"
         main(["gen", "sharpness", "--k", "2", "--out", str(path)])
         capsys.readouterr()
-        for profile in ("4,6", "6,4"):
-            code = main(["solve", "--graph", str(path), "--profile", profile, "--mode", "conjecture"])
+        g, profile = gen_sharpness(2)
+        assert path.read_text() == serialize_graph(g)
+        for lengths in (profile.lengths, profile.lengths[::-1]):
+            code = main(["solve", "--graph", str(path), "--profile", ",".join(map(str, lengths)),
+                         "--mode", "conjecture"])
             assert code == 2
         capsys.readouterr()
 
@@ -458,12 +441,15 @@ class TestCli:
             (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
              "  success rate     1.0000"),
             (["exhaustive", "--side", "3", "--profile", "6"], "  packed               1"),
-            (["hunt", "--side", "4", "--profile", "4,4", "--trials", "5", "--seed", "2", "--out", "{tmp}"],
-             "  counterexample candidates       0"),
+            (["trials", "--side", "4", "--profile", "4,4", "--mode", "conjecture", "--trials", "2", "--seed", "5"],
+             f"    trial 1 seed {mix_seed(5, 1)}"),
         ],
     )
-    def test_text_output(self, tmp_path, capsys, argv, line):
-        assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    def test_text_output(self, capsys, monkeypatch, argv, line):
+        violation = line.startswith("    trial ")
+        if violation:  # every row certified infeasible: each is named for gen random to rebuild
+            monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(INFEASIBLE, oracle_used=True))
+        assert main(argv) == (1 if violation else 0)
         assert line in capsys.readouterr().out.splitlines()
 
     def test_exhaustive_cli(self, capsys):
@@ -486,35 +472,6 @@ class TestCli:
 
     def test_sharpness_odd_k_rejected(self, capsys):
         assert main(["sharpness", "--k", "3"]) == 1
-        capsys.readouterr()
-
-    def test_hunt_text_lists_each_counterexample(self, tmp_path, capsys, monkeypatch):
-        infeasible = PackResult(INFEASIBLE, oracle_used=True)
-        monkeypatch.setattr(harness, "brute_force_pack", lambda *a, **kw: infeasible)
-        assert main(["hunt", "--side", "4", "--profile", "4,4", "--trials", "2", "--seed", "5",
-                     "--out", str(tmp_path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        for i in range(2):
-            assert f"    trial {i} -> {tmp_path / f'counterexample_{i:05d}.graph'}" in lines
-
-    def test_hunt_cli_and_reproduction_contract(self, tmp_path, capsys):
-        out_dir = tmp_path / "hunt"
-        code = main([
-            "hunt", "--side", "4", "--profile", "4,4", "--trials", "10",
-            "--seed", "2", "--out", str(out_dir), "--json",
-        ])
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["counterexample_count"] == 0
-        # reproduction contract: a certified-infeasible instance file solves to exit 2
-        g, profile = gen_sharpness(2)
-        candidate = tmp_path / "candidate.graph"
-        candidate.write_text(serialize_graph(g))
-        code = main([
-            "solve", "--graph", str(candidate),
-            "--profile", ",".join(map(str, profile.lengths)), "--mode", "conjecture",
-        ])
-        assert code == 2
         capsys.readouterr()
 
     def test_gen_random_round_trip(self, tmp_path, capsys):
@@ -571,18 +528,3 @@ class TestCli:
                          "--seed", seed, "--json"]) == 0
             seeds.append({row["seed"] for row in json.loads(capsys.readouterr().out)["trials"]})
         assert len(seeds[0]) == 2 and not seeds[0] & seeds[1]
-
-    def test_hunt_rejects_side_below_balance_before_creating_out(self, tmp_path, capsys):
-        # no side-5 host meets |X| = |Y| >= n/2 = 6, so the campaign could examine nothing
-        out = tmp_path / "D"
-        assert main(["hunt", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1",
-                     "--out", str(out)]) == 1
-        assert "below n/2 = 6" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_hunt_rejects_fill_p_before_creating_out(self, tmp_path, capsys):
-        out = tmp_path / "D"
-        assert main(["hunt", "--side", "4", "--profile", "4,4", "--trials", "2", "--seed", "1",
-                     "--fill-p", "2", "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
