@@ -34,7 +34,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
@@ -153,14 +153,15 @@ class SearchState:
 
 def move_shrink(st: SearchState) -> bool:
     """Replace an oversized placed cycle by a shorter one (still meeting its
-    required length) routed through a vertex with heavy adjacency into it.
+    required length) on the cycle's vertex set or through one pool vertex.
 
-    Applies when some pool or on-cycle vertex u has at least c_j/2 neighbors on
-    a cycle longer than c_j. The candidate comes from one ``_cycle_in`` run
-    (need c_j) on the cycle plus u, which may miss a shorter cycle that exists.
-    The first candidate strictly shorter than the placed cycle is taken, so
-    the total placed size strictly drops. After a failed call it returns
-    False at once until a placed cycle changes.
+    A vertex lies on a cycle of a set only if it sees two of its vertices: the
+    cycle's own set is searched once, then the cycle plus each pool vertex
+    seeing two of it. In the guaranteed regime an apex seeing c_j/2 vertices
+    of a cycle longer than c_j forces a shorter one, which is why it fires
+    there. Each search is one ``_cycle_in`` run (need c_j), which may miss a
+    cycle; the first strictly shorter one is taken, so the placed size drops.
+    After a failed call it returns False at once until a placed cycle changes.
     """
     if not st.shrink_stale:
         return False
@@ -171,17 +172,9 @@ def move_shrink(st: SearchState) -> bool:
         if size <= tgt:
             continue
         cmask = st.fixed_masks[j]
-        cycle_searched = False
-        for u in bits(st.pool | cmask):
-            if (adj[u] & cmask).bit_count() < tgt // 2:
-                continue
-            if cmask >> u & 1:
-                # every on-cycle u searches cmask itself, and the run is
-                # deterministic, so a repeat would return the same cycle
-                if cycle_searched:
-                    continue
-                cycle_searched = True
-            found = _cycle_in(st.g, cmask | 1 << u, tgt)
+        apexes = (cmask | 1 << u for u in bits(st.pool) if (adj[u] & cmask).bit_count() >= 2)
+        for mask in chain((cmask,), apexes):
+            found = _cycle_in(st.g, mask, tgt)
             if found is not None and len(found) < size:
                 st.replace_cycle(j, found)
                 return True
@@ -281,14 +274,14 @@ def _cycle_in(g: BipartiteGraph, mask: int, need: int) -> tuple[int, ...] | None
 
 
 def move_exchange_one(st: SearchState) -> bool:
-    """Trade one vertex between a tight placed cycle and the pool.
-
-    When a path endpoint u' and an off-path pool vertex u'' on the opposite
-    side together see at least c_j - 1 vertices of a cycle at its required
-    length, some neighbor v of u' on that cycle can step out while u'' steps
-    in; v then extends the path at u'. The new cycle spans the swap set, found
-    by one ``_cycle_in`` run (need c_j) that may miss it. Placed size is
-    unchanged, the path grows. The path is nonempty (see ``_attempt``)."""
+    """Trade one vertex between a tight placed cycle and the pool: a neighbor
+    v of a path endpoint u' on the cycle steps out, an off-path pool vertex u''
+    on the opposite side steps in, and v extends the path at u'. The new cycle
+    spans the swap set, found by one ``_cycle_in`` run (need c_j) that may
+    miss it. u'' needs two neighbours on the placed cycle (u'' and v share a
+    side); in the guaranteed regime u' and u'' seeing c_j - 1 of its vertices
+    between them force a swap. Placed size is unchanged, the path grows. The
+    path is nonempty (see ``_attempt``)."""
     adj = st.adj
     g = st.g
     rest = st.pool & ~st.path_mask
@@ -303,10 +296,9 @@ def move_exchange_one(st: SearchState) -> bool:
             continue
         cmask = st.fixed_masks[j]
         for u1, at_head in endpoints:
-            d1 = (adj[u1] & cmask).bit_count()
             opposite = g.full_mask ^ g.side_mask(u1)
             for u2 in bits(rest & opposite):
-                if d1 + (adj[u2] & cmask).bit_count() < tgt - 1:
+                if (adj[u2] & cmask).bit_count() < 2:
                     continue
                 for v in bits(adj[u1] & cmask):
                     ham = _cycle_in(g, (cmask ^ 1 << v) | 1 << u2, tgt)  # spans the swap set

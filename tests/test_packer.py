@@ -108,11 +108,26 @@ class TestMoveShrink:
 
     def test_no_move_without_degree_concentration(self):
         g, cycle8 = self.host_with_apex()
-        # drop one apex edge: degree 2 < 6/2 leaves no trigger
+        # drop one apex edge: 8 sees 0 and 1, two steps apart on the cycle, so
+        # its only cycle in the cycle plus 8 is 8 long, no shorter
         edges = [e for e in g.edges() if e != (2, 8)]
         g2 = BipartiteGraph(4, 5, edges)
         st = SearchState(g2, make_profile([6, 6]).lengths, fixed_cycles=[cycle8])
         assert not move_shrink(st)
+
+    def test_apex_seeing_two_cycle_vertices_shrinks(self):
+        # a chordless 8-cycle at target 6 on 5+5; pool vertex 9 sees only 0 and
+        # 2, fewer than 6/2, yet 0-9-2 cuts the 8-cycle down to 6
+        cycle8 = [0, 5, 1, 6, 2, 7, 3, 8]
+        edges = [tuple(sorted(e)) for e in zip(cycle8, cycle8[1:] + cycle8[:1])] + [(0, 9), (2, 9)]
+        g = BipartiteGraph(5, 5, edges)
+        st = SearchState(g, make_profile([6]).lengths, fixed_cycles=[cycle8])
+        before = st.potential()
+        assert move_shrink(st)
+        assert len(st.fixed[0]) == 6 and 9 in st.fixed[0]
+        assert st.fixed_masks[0] == mask_of([0, 1, 2, 5, 6, 9])
+        assert st.potential() > before
+        assert_valid_cycle(g, st.fixed[0], 6)
 
     @staticmethod
     def track_shrink_searches(monkeypatch):
@@ -203,9 +218,11 @@ class TestMoveShrink:
         # every host is below the threshold; re-recorded when the detour scan
         # dropped the alternating walks of a maximum matching, which moved the
         # moves and packings but no status, and when shrink took its cycle
-        # from the move loop, which moved the side-60 hosts' shrink counts
+        # from the move loop, which moved the side-60 hosts' shrink counts, and
+        # when shrink and exchange took the two-neighbour gate, which moved the
+        # side-60 hosts' move and iteration counts
         assert statuses == ["unknown"] * 18 + ["packed"] + ["unknown"] * 23
-        assert digest.hexdigest() == "f984b8cc595fe2a66a43d5c403087f26a59564995145d2f16bbd469fedeb0368"
+        assert digest.hexdigest() == "de24f46a3fe62c95cac9fcbef0e08869f0a40dc35f4de9df9c99efa2fce37d85"
 
 
 class TestSearchState:
@@ -355,7 +372,20 @@ class TestMoveExchangeOne:
         assert seen and all(path for _, path in seen)
         assert seen[0][1] == [7, 0, 4, 1, 5, 2, 6, 3]
 
+    def test_newcomer_seeing_two_cycle_vertices_swaps_in(self):
+        # endpoint 3 sees only 4 and off-path 7 sees 0 and 1: together 3 of the
+        # cycle's 6 vertices, fewer than 6 - 1, yet 0-7-1 replaces 0-4-1
+        g = BipartiteGraph(4, 4, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (0, 6), (3, 4), (0, 7), (1, 7)])
+        st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
+        before = st.potential()
+        assert move_exchange_one(st)
+        assert st.potential() > before
+        assert st.path == [4, 3]
+        assert st.fixed_masks[0] == mask_of([0, 1, 2, 5, 6, 7])
+        assert_valid_cycle(g, st.fixed[0], 6)
+
     def test_no_move_below_degree_sum(self):
+        # off-path 7 sees one cycle vertex, so it lies on no cycle of a swap set
         g = self.exchange_host(second_probe_degree=1)
         st = SearchState(g, make_profile([6, 6]).lengths, fixed_cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
         assert not move_exchange_one(st)
