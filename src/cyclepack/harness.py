@@ -125,6 +125,8 @@ def run_trials(cfg: TrialConfig) -> dict:
             "success_rate": counts[PACKED] / cfg.trials,
             "outcomes": {k: counts[k] for k in sorted(counts)},
             "oracle_fallbacks": sum(row["oracle_fallback"] for row in rows),
+            # a campaign whose rows all fail the hypotheses has no violation to find
+            "hypotheses_hold": sum(row["hypotheses_hold"] for row in rows),
             "theorem_violations": sum(row["theorem_violation"] for row in rows),
             "move_histogram": {k: move_hist[k] for k in sorted(move_hist)},
         },

@@ -116,8 +116,17 @@ class TestRunTrials:
         s = run_trials(TrialConfig(profile, side_size=side, trials=trials, seed=5))
         assert s["config"]["delta"] == profile.threshold
         assert all(row["hypotheses_hold"] for row in s["trials"])
+        assert s["aggregates"]["hypotheses_hold"] == trials
         assert s["aggregates"]["theorem_violations"] == 0
         assert s["aggregates"]["outcomes"] == {"packed": trials}
+
+    def test_campaign_below_balance_counts_no_guaranteed_row(self, capsys):
+        # side 5 < n/2 = 6: every host is a pigeonhole "infeasible" and none
+        # meets the hypotheses, so its 0 violations refute nothing
+        assert main(["trials", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1", "--json"]) == 0
+        agg = json.loads(capsys.readouterr().out)["aggregates"]
+        assert agg["outcomes"] == {"infeasible": 50}
+        assert agg["hypotheses_hold"] == 0 and agg["theorem_violations"] == 0
 
     def test_same_seed_identical_summary(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=15, seed=42)
@@ -150,7 +159,9 @@ class TestRunTrials:
         # recorded before the detour scan dropped the alternating walks of a
         # maximum matching; at the threshold the engine never reached them.
         # Re-recorded when double exchange took its cycles from the move loop:
-        # 8 of 1,300 packings moved, each where it fired; no count or outcome did
+        # 8 of 1,300 packings moved, each where it fired; no count or outcome did.
+        # Re-recorded when the aggregates gained "hypotheses_hold", the only
+        # key that moved (it reads 200, 1000 and 100)
         cfgs = [
             TrialConfig(make_profile([6] * 6), side_size=18, fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             TrialConfig(make_profile([6, 6]), side_size=9, delta=5, trials=1000, seed=7),
@@ -161,7 +172,7 @@ class TestRunTrials:
             s = run_trials(cfg)
             assert s["aggregates"]["success_rate"] == 1.0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "588b036ecba5871300fe6676e940259062eba9f772159954c50eb04eba2eeb0e"
+        assert digest.hexdigest() == "cfe052460bd940e30ac6a0fd0d7efbda1d935e67e35b2f4131191a9f2bdf25d5"
 
     def test_delta_defaults_to_threshold(self):
         cfg = TrialConfig(make_profile([6, 6]), side_size=6, trials=3, seed=0)
@@ -440,6 +451,8 @@ class TestCli:
         [
             (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
              "  success rate     1.0000"),
+            (["trials", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1"],
+             "  hypotheses hold  0"),
             (["exhaustive", "--side", "3", "--profile", "6"], "  packed               1"),
             (["trials", "--side", "4", "--profile", "4,4", "--mode", "conjecture", "--trials", "2", "--seed", "5"],
              f"    trial 1 seed {mix_seed(5, 1)}"),
