@@ -451,11 +451,11 @@ class TestCli:
         [
             (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
              "  success rate     1.0000"),
-            (["trials", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1"],
-             "  hypotheses hold  0"),
             (["exhaustive", "--side", "3", "--profile", "6"], "  packed               1"),
             (["trials", "--side", "4", "--profile", "4,4", "--mode", "conjecture", "--trials", "2", "--seed", "5"],
              f"    trial 1 seed {mix_seed(5, 1)}"),
+            (["trials", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1"],
+             "  hypotheses hold  0"),
         ],
     )
     def test_text_output(self, capsys, monkeypatch, argv, line):
