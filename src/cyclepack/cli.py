@@ -9,15 +9,13 @@ certified infeasible. ``gen random`` with the row's seed rebuilds that host.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
 import json
 import sys
 
 from .graphs import gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
-from .harness import TrialConfig, run_exhaustive, run_sharpness, run_trials
-from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, MOVE_KINDS, PACKED, pack
+from .harness import run_exhaustive, run_sharpness, run_trials
+from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, pack
 from .profiles import ProfileError, make_profile
 from .verify import check_hypotheses
 
@@ -76,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--fill-p", type=float, default=0.5)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--csv", default=None, help="write per-trial rows to this CSV file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("exhaustive", help="check every bipartite graph at a tiny side size")
@@ -194,42 +191,9 @@ def _cmd_solve(args) -> int:
     return EXIT_INFEASIBLE if result.status == INFEASIBLE else EXIT_UNKNOWN
 
 
-def _write_csv(fh, summary: dict) -> None:
-    move_kinds = sorted(MOVE_KINDS)
-    writer = csv.writer(fh)
-    writer.writerow(
-        ["trial", "seed", "outcome", "oracle_fallback", "theorem_violation", "verified"]
-        + [f"moves_{k}" for k in move_kinds]
-        + ["wall_s"]
-    )
-    for row, wall in zip(summary["trials"], summary["timing"]["per_trial_s"]):
-        writer.writerow(
-            [row["trial"], row["seed"], row["outcome"], row["oracle_fallback"],
-             row["theorem_violation"], row["verified"]]
-            + [row["moves"].get(k, 0) for k in move_kinds]
-            + [f"{wall:.6f}"]
-        )
-
-
 def _cmd_trials(args) -> int:
-    profile = _parse_profile(args)
-    cfg = TrialConfig(
-        profile=profile,
-        side_size=args.side,
-        delta=args.delta,
-        trials=args.trials,
-        seed=args.seed,
-        oracle_limit=args.oracle_limit,
-        fill_p=args.fill_p,
-        threads=args.threads,
-    )
-    cfg.validate()
-    # check the config and open --csv before any trial runs: a bad config
-    # leaves no file behind, and an unwritable path wastes no trials
-    with open(args.csv, "w", newline="", encoding="ascii") if args.csv else contextlib.nullcontext() as fh:
-        summary = run_trials(cfg)
-        if fh is not None:
-            _write_csv(fh, summary)
+    summary = run_trials(args.side, _parse_profile(args), args.trials, args.seed, delta=args.delta,
+                         oracle_limit=args.oracle_limit, fill_p=args.fill_p, threads=args.threads)
     _emit(summary, args.json, _render_trials)
     return EXIT_OK if summary["aggregates"]["theorem_violations"] == 0 else EXIT_INPUT
 

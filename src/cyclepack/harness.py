@@ -16,7 +16,6 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, brute_force_pack, mix_seed, pack
@@ -30,76 +29,54 @@ class ConfigError(ValueError):
     """Invalid campaign configuration."""
 
 
-@dataclass
-class TrialConfig:
-    profile: CycleProfile
-    side_size: int
-    delta: int | None = None  # None: use the profile's degree threshold
-    trials: int = 1
-    seed: int = 0
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    fill_p: float = 0.5
-    threads: int = 1
+def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: int | None = None,
+               oracle_limit: int = DEFAULT_ORACLE_LIMIT, fill_p: float = 0.5,
+               threads: int = 1) -> dict:
+    """Seeded campaign of random instances at minimum degree ``delta`` (default:
+    the profile's degree threshold).
 
-    def resolved_delta(self) -> int:
-        d = self.profile.threshold if self.delta is None else self.delta
-        if d < 0 or d > self.side_size:
-            raise ConfigError(f"delta {d} infeasible for side size {self.side_size}")
-        return d
+    The side, ``delta`` and ``fill_p`` are checked once, by
+    ``gen_random_mindeg``: it raises before the first trial draws anything.
+    """
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if delta is None:
+        delta = profile.threshold
 
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.side_size < 1:
-            raise ConfigError("side size must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if not 0 <= self.fill_p <= 1:
-            raise ConfigError(f"fill_p {self.fill_p} is not a probability in [0, 1]")
-        self.resolved_delta()
-
-
-def _run_one_trial(cfg: TrialConfig, index: int, delta: int):
-    trial_seed = mix_seed(cfg.seed, index)  # per-index stream: worker count cannot matter
-    started = time.perf_counter()
-    g = gen_random_mindeg(cfg.side_size, cfg.side_size, delta, trial_seed, cfg.fill_p)
-    hyp = check_hypotheses(g, cfg.profile)
-    result = pack(g, cfg.profile, seed=trial_seed, oracle_limit=cfg.oracle_limit)
-    # In the guaranteed regime a packing must exist, so a certified
-    # "infeasible" (pigeonhole, which the balanced sides rule out, or the
-    # oracle, which runs only within its limit) can only mean a bug.
-    violation = hyp.ok and result.status == INFEASIBLE
-    elapsed = time.perf_counter() - started
-    row = {
-        "trial": index,
-        "seed": trial_seed,
-        "outcome": result.status,
-        "oracle_fallback": result.oracle_used,
-        "hypotheses_hold": hyp.ok,
-        "verified": result.report is not None and result.report.ok,
-        "theorem_violation": violation,
-        "moves": dict(result.move_counts),
-        "iterations": result.iterations,
-        "restarts": result.restarts,
-        "packing": [list(c) for c in result.packing] if result.packing else None,
-    }
-    return row, elapsed
-
-
-def run_trials(cfg: TrialConfig) -> dict:
-    """Seeded campaign of random instances at the configured minimum degree."""
-    cfg.validate()
-    delta = cfg.resolved_delta()
-
-    def job(i: int):
-        return _run_one_trial(cfg, i, delta)
+    def job(index: int):
+        trial_seed = mix_seed(seed, index)  # per-index stream: worker count cannot matter
+        started = time.perf_counter()
+        g = gen_random_mindeg(side, side, delta, trial_seed, fill_p)
+        hyp = check_hypotheses(g, profile)
+        result = pack(g, profile, seed=trial_seed, oracle_limit=oracle_limit)
+        # In the guaranteed regime a packing must exist, so a certified
+        # "infeasible" (pigeonhole, which the balanced sides rule out, or the
+        # oracle, which runs only within its limit) can only mean a bug.
+        violation = hyp.ok and result.status == INFEASIBLE
+        elapsed = time.perf_counter() - started
+        row = {
+            "trial": index,
+            "seed": trial_seed,
+            "outcome": result.status,
+            "oracle_fallback": result.oracle_used,
+            "hypotheses_hold": hyp.ok,
+            "verified": result.report is not None and result.report.ok,
+            "theorem_violation": violation,
+            "moves": dict(result.move_counts),
+            "iterations": result.iterations,
+            "restarts": result.restarts,
+            "packing": [list(c) for c in result.packing] if result.packing else None,
+        }
+        return row, elapsed
 
     started = time.perf_counter()
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            outcomes = list(ex.map(job, range(cfg.trials)))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            outcomes = list(ex.map(job, range(trials)))
     else:
-        outcomes = [job(i) for i in range(cfg.trials)]
+        outcomes = [job(i) for i in range(trials)]
     total = time.perf_counter() - started
 
     rows = [r for r, _ in outcomes]
@@ -111,18 +88,18 @@ def run_trials(cfg: TrialConfig) -> dict:
     summary = {
         "command": "trials",
         "config": {
-            "profile": list(cfg.profile.lengths),
-            "mode": cfg.profile.mode,
-            "side_size": cfg.side_size,
+            "profile": list(profile.lengths),
+            "mode": profile.mode,
+            "side_size": side,
             "delta": delta,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "oracle_limit": cfg.oracle_limit,
-            "fill_p": cfg.fill_p,
+            "trials": trials,
+            "seed": seed,
+            "oracle_limit": oracle_limit,
+            "fill_p": fill_p,
         },
         "trials": rows,
         "aggregates": {
-            "success_rate": counts[PACKED] / cfg.trials,
+            "success_rate": counts[PACKED] / trials,
             "outcomes": {k: counts[k] for k in sorted(counts)},
             "oracle_fallbacks": sum(row["oracle_fallback"] for row in rows),
             # a campaign whose rows all fail the hypotheses has no violation to find

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from cyclepack import (
+    GraphError,
     gen_complete,
     gen_random_mindeg,
     gen_sharpness,
@@ -22,12 +23,11 @@ from cyclepack import cli, harness
 from cyclepack.cli import main
 from cyclepack.harness import (
     ConfigError,
-    TrialConfig,
     run_exhaustive,
     run_sharpness,
     run_trials,
 )
-from cyclepack.packer import INFEASIBLE, PackResult, mix_seed
+from cyclepack.packer import INFEASIBLE, MOVE_KINDS, PackResult, mix_seed
 
 
 def summary_without_timing(summary: dict) -> str:
@@ -38,8 +38,7 @@ def summary_without_timing(summary: dict) -> str:
 
 class TestRunTrials:
     def test_dense_regime_all_pack(self):
-        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=25, seed=7)
-        s = run_trials(cfg)
+        s = run_trials(side=6, profile=make_profile([6, 6]), delta=5, trials=25, seed=7)
         agg = s["aggregates"]
         assert agg["success_rate"] == 1.0
         assert agg["theorem_violations"] == 0
@@ -49,23 +48,18 @@ class TestRunTrials:
             assert row["verified"] is True
 
     def test_forced_complete_graph(self):
-        cfg = TrialConfig(make_profile([6]), side_size=3, delta=3, trials=5, seed=1)
-        s = run_trials(cfg)
+        s = run_trials(side=3, profile=make_profile([6]), delta=3, trials=5, seed=1)
         assert s["aggregates"]["success_rate"] == 1.0
 
     def test_below_threshold_mixed_outcomes_allowed(self):
-        cfg = TrialConfig(
-            make_profile([4, 6], mode="conjecture"), side_size=5, delta=1, trials=20,
-            seed=3, fill_p=0.15,
-        )
-        s = run_trials(cfg)
+        s = run_trials(side=5, profile=make_profile([4, 6], mode="conjecture"), delta=1, trials=20,
+                       seed=3, fill_p=0.15)
         agg = s["aggregates"]
         assert sum(agg["outcomes"].values()) == 20
         assert agg["theorem_violations"] == 0  # no guarantee claimed, but also no false proofs
 
     def test_rows_record_verified_not_the_report(self):
-        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=2, trials=12, seed=3, fill_p=0.2)
-        rows = run_trials(cfg)["trials"]
+        rows = run_trials(side=6, profile=make_profile([6, 6]), delta=2, trials=12, seed=3, fill_p=0.2)["trials"]
         assert {row["outcome"] for row in rows} == {"packed", "infeasible"}
         for row in rows:
             assert "verification" not in row
@@ -81,10 +75,9 @@ class TestRunTrials:
             return PackResult(INFEASIBLE, oracle_used=True)
 
         monkeypatch.setattr(harness, "pack", infeasible)
-        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=4, seed=1)
-        s = run_trials(cfg)
+        s = run_trials(side=6, profile=make_profile([6, 6]), delta=5, trials=4, seed=1)
         assert all(row["hypotheses_hold"] for row in s["trials"])
-        assert s["aggregates"]["theorem_violations"] == cfg.trials
+        assert s["aggregates"]["theorem_violations"] == 4
         assert main(["trials", "--side", "6", "--delta", "5", "--profile", "6,6",
                      "--trials", "4", "--seed", "1", "--json"]) == 1
         summary = json.loads(capsys.readouterr().out)
@@ -113,7 +106,7 @@ class TestRunTrials:
         # every host meets the hypotheses and lies within the oracle limit, so a
         # violation here would refute the relaxed-mode guarantee
         profile = make_profile(lengths, mode="conjecture")
-        s = run_trials(TrialConfig(profile, side_size=side, trials=trials, seed=5))
+        s = run_trials(side=side, profile=profile, trials=trials, seed=5)
         assert s["config"]["delta"] == profile.threshold
         assert all(row["hypotheses_hold"] for row in s["trials"])
         assert s["aggregates"]["hypotheses_hold"] == trials
@@ -129,24 +122,22 @@ class TestRunTrials:
         assert agg["hypotheses_hold"] == 0 and agg["theorem_violations"] == 0
 
     def test_same_seed_identical_summary(self):
-        cfg = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=15, seed=42)
-        a = run_trials(cfg)
-        b = run_trials(cfg)
+        config = dict(side=6, profile=make_profile([6, 6]), delta=5, trials=15, seed=42)
+        a = run_trials(**config)
+        b = run_trials(**config)
         assert summary_without_timing(a) == summary_without_timing(b)
 
     def test_thread_count_does_not_change_results(self):
-        base = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=12, seed=9)
-        threaded = TrialConfig(make_profile([6, 6]), side_size=6, delta=5, trials=12, seed=9, threads=4)
-        assert summary_without_timing(run_trials(base)) == summary_without_timing(run_trials(threaded))
+        base = dict(side=6, profile=make_profile([6, 6]), delta=5, trials=12, seed=9)
+        assert summary_without_timing(run_trials(**base)) == summary_without_timing(run_trials(**base, threads=4))
 
     def test_relaxed_threshold_double_exchange_pinned(self):
         # recorded before double exchange built its departure lists: a change
         # to the order in which swap patterns are tried moves these; the
         # packings of two rows moved again when double exchange took its
         # cycles from the move loop instead of an exhaustive search
-        cfg = TrialConfig(make_profile([4, 4, 4, 6], mode="conjecture"), side_size=9, trials=40,
-                          seed=3, fill_p=0.05)
-        s = run_trials(cfg)
+        s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
+                       seed=3, fill_p=0.05)
         assert s["aggregates"]["move_histogram"] == {
             "close": 142, "double_exchange": 10, "exchange": 0, "extend": 1680, "shrink": 0,
         }
@@ -162,32 +153,32 @@ class TestRunTrials:
         # 8 of 1,300 packings moved, each where it fired; no count or outcome did.
         # Re-recorded when the aggregates gained "hypotheses_hold", the only
         # key that moved (it reads 200, 1000 and 100)
-        cfgs = [
-            TrialConfig(make_profile([6] * 6), side_size=18, fill_p=0.0, oracle_limit=0, trials=200, seed=3),
-            TrialConfig(make_profile([6, 6]), side_size=9, delta=5, trials=1000, seed=7),
-            TrialConfig(make_profile([10, 8] + [6] * 7), side_size=30, fill_p=0.02, trials=100, seed=5),
+        configs = [
+            dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
+            dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
+            dict(side=30, profile=make_profile([10, 8] + [6] * 7), fill_p=0.02, trials=100, seed=5),
         ]
         digest = hashlib.sha256()
-        for cfg in cfgs:
-            s = run_trials(cfg)
+        for config in configs:
+            s = run_trials(**config)
             assert s["aggregates"]["success_rate"] == 1.0
             digest.update(summary_without_timing(s).encode())
         assert digest.hexdigest() == "cfe052460bd940e30ac6a0fd0d7efbda1d935e67e35b2f4131191a9f2bdf25d5"
 
     def test_delta_defaults_to_threshold(self):
-        cfg = TrialConfig(make_profile([6, 6]), side_size=6, trials=3, seed=0)
-        s = run_trials(cfg)
+        s = run_trials(side=6, profile=make_profile([6, 6]), trials=3, seed=0)
         assert s["config"]["delta"] == 5
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            run_trials(TrialConfig(make_profile([6]), side_size=2, delta=3, trials=1, seed=0))
-        with pytest.raises(ConfigError):
-            run_trials(TrialConfig(make_profile([6]), side_size=3, trials=0, seed=0))
-        with pytest.raises(ConfigError, match="side size"):
-            run_trials(TrialConfig(make_profile([6]), side_size=0, trials=1, seed=0))
+        # the side and delta are the generator's to check; trials and threads are run_trials' own
+        with pytest.raises(GraphError, match="delta 3 infeasible for sides 2\\+2"):
+            run_trials(side=2, profile=make_profile([6]), delta=3, trials=1, seed=0)
+        with pytest.raises(ConfigError, match="trials"):
+            run_trials(side=3, profile=make_profile([6]), trials=0, seed=0)
+        with pytest.raises(GraphError, match="sides must be nonempty"):
+            run_trials(side=0, profile=make_profile([6]), trials=1, seed=0)
         with pytest.raises(ConfigError, match="threads"):
-            run_trials(TrialConfig(make_profile([6]), side_size=3, trials=1, seed=0, threads=0))
+            run_trials(side=3, profile=make_profile([6]), trials=1, seed=0, threads=0)
 
 
 class TestRunExhaustive:
@@ -430,17 +421,21 @@ class TestCli:
         assert main(["solve", "--graph", str(path), "--profile", "4,6"]) == 1
         capsys.readouterr()
 
-    def test_trials_json_and_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "rows.csv"
+    def test_trials_json_rows(self, capsys):
         code = main([
             "trials", "--side", "6", "--delta", "5", "--profile", "6,6",
-            "--trials", "8", "--seed", "7", "--json", "--csv", str(csv_path),
+            "--trials", "8", "--seed", "7", "--json",
         ])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["aggregates"]["success_rate"] == 1.0
-        rows = csv_path.read_text().strip().split("\n")
-        assert len(rows) == 9 and rows[0].startswith("trial,seed,outcome")
+        assert [row["trial"] for row in summary["trials"]] == list(range(8))
+        assert len(summary["timing"]["per_trial_s"]) == 8
+        for row in summary["trials"]:
+            assert row["seed"] == mix_seed(7, row["trial"])
+            assert row["outcome"] == "packed" and row["verified"] is True
+            assert row["oracle_fallback"] is False and row["theorem_violation"] is False
+            assert set(row["moves"]) == set(MOVE_KINDS)
 
     def test_trials_non_integer_profile_exit_one(self, capsys):
         assert main(["trials", "--side", "6", "--profile", "6,x", "--trials", "1", "--seed", "1"]) == 1
@@ -510,8 +505,6 @@ class TestCli:
         "argv",
         [
             ["gen", "complete", "--m", "3", "--out", "{missing}/x.graph"],
-            ["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1",
-             "--csv", "{missing}/x.csv"],
         ],
     )
     def test_unwritable_output_exit_one(self, tmp_path, capsys, argv):
@@ -519,20 +512,20 @@ class TestCli:
         assert main([a.format(missing=missing) for a in argv]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_trials_csv_checked_before_campaign(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "run_trials", lambda cfg: calls.append(cfg))
-        assert main(["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1",
-                     "--csv", str(tmp_path / "missing" / "x.csv")]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert calls == []
-
-    def test_trials_bad_fill_p_leaves_no_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "out.csv"
-        assert main(["trials", "--side", "9", "--profile", "6,6", "--trials", "2", "--seed", "1",
-                     "--fill-p", "2", "--csv", str(csv_path)]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not csv_path.exists()
+    def test_trials_bad_input_runs_no_trial(self, capsys, monkeypatch):
+        # the generator checks the side, delta and fill before it draws the first host
+        packed = []
+        monkeypatch.setattr(harness, "pack", lambda *a, **kw: packed.append(a))
+        base = ["trials", "--profile", "6,6", "--trials", "2", "--seed", "1"]
+        for extra, message in [
+            (["--side", "9", "--fill-p", "2"], "fill_p 2.0 is not a probability"),
+            (["--side", "0"], "sides must be nonempty"),
+            (["--side", "6", "--delta", "7"], "delta 7 infeasible for sides 6+6"),
+        ]:
+            assert main(base + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
+        assert packed == []
 
     def test_campaign_seeds_do_not_overlap(self, capsys):
         seeds = []

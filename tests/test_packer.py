@@ -24,7 +24,7 @@ from cyclepack import (
 from cyclepack import packer
 from cyclepack.cyclesearch import iter_cycles_through
 from cyclepack.graphs import bits, mask_of
-from cyclepack.harness import TrialConfig, run_trials
+from cyclepack.harness import run_trials
 from cyclepack.packer import (
     move_close_cycle,
     move_double_exchange,
@@ -680,14 +680,15 @@ class TestMoveLoopPreconditions:
         wrap("move_double_exchange", lambda st: None)
         # the relaxed CI class, theorem 6^6 at side 18 and the CI shrink class, oracle off
         configs = [
-            TrialConfig(make_profile([4, 4, 4, 6], "conjecture"), 9, trials=300, seed=3, oracle_limit=0, fill_p=0.05),
-            TrialConfig(make_profile([6] * 6), 18, trials=200, seed=3, oracle_limit=0, fill_p=0.0),
-            TrialConfig(make_profile([4] * 4, "conjecture"), 8, delta=2, trials=400, seed=1024, oracle_limit=0,
-                        fill_p=0.1),
+            dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), trials=300, seed=3, oracle_limit=0,
+                 fill_p=0.05),
+            dict(side=18, profile=make_profile([6] * 6), trials=200, seed=3, oracle_limit=0, fill_p=0.0),
+            dict(side=8, profile=make_profile([4] * 4, "conjecture"), delta=2, trials=400, seed=1024, oracle_limit=0,
+                 fill_p=0.1),
         ]
         moves = collections.Counter()
-        for cfg in configs:
-            moves.update(run_trials(cfg)["aggregates"]["move_histogram"])
+        for config in configs:
+            moves.update(run_trials(**config)["aggregates"]["move_histogram"])
         assert all(moves[kind] > 0 for kind in packer.MOVE_KINDS), moves
         assert seen["concentration past its check"] > 0 and seen["move_double_exchange"] > 0, seen
 
