@@ -138,6 +138,7 @@ def _render_trials(summary: dict) -> None:
         print(f"  {outcome:<16} {count}")
     print(f"  oracle fallbacks {agg['oracle_fallbacks']}")
     print(f"  hypotheses hold  {agg['hypotheses_hold']}")
+    print(f"  guaranteed unknown {agg['guaranteed_unknown']}")
     print(f"  violations       {agg['theorem_violations']}")
     for row in summary["trials"]:
         if row["theorem_violation"]:  # `gen random` with this seed rebuilds the host

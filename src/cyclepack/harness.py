@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
-from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, brute_force_pack, mix_seed, pack
+from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, UNKNOWN, brute_force_pack, mix_seed, pack
 from .profiles import CycleProfile
 from .verify import check_hypotheses
 
@@ -104,6 +104,8 @@ def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: 
             "oracle_fallbacks": sum(row["oracle_fallback"] for row in rows),
             # a campaign whose rows all fail the hypotheses has no violation to find
             "hypotheses_hold": sum(row["hypotheses_hold"] for row in rows),
+            # a packing exists in each of these, so each is an engine gap
+            "guaranteed_unknown": sum(row["hypotheses_hold"] and row["outcome"] == UNKNOWN for row in rows),
             "theorem_violations": sum(row["theorem_violation"] for row in rows),
             "move_histogram": {k: move_hist[k] for k in sorted(move_hist)},
         },

@@ -27,7 +27,7 @@ from cyclepack.harness import (
     run_sharpness,
     run_trials,
 )
-from cyclepack.packer import INFEASIBLE, MOVE_KINDS, PackResult, mix_seed
+from cyclepack.packer import INFEASIBLE, MOVE_KINDS, UNKNOWN, PackResult, mix_seed
 
 
 def summary_without_timing(summary: dict) -> str:
@@ -152,7 +152,8 @@ class TestRunTrials:
         # Re-recorded when double exchange took its cycles from the move loop:
         # 8 of 1,300 packings moved, each where it fired; no count or outcome did.
         # Re-recorded when the aggregates gained "hypotheses_hold", the only
-        # key that moved (it reads 200, 1000 and 100)
+        # key that moved (it reads 200, 1000 and 100), and again when they
+        # gained "guaranteed_unknown", the only key that moved (it reads 0)
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -163,7 +164,17 @@ class TestRunTrials:
             s = run_trials(**config)
             assert s["aggregates"]["success_rate"] == 1.0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "cfe052460bd940e30ac6a0fd0d7efbda1d935e67e35b2f4131191a9f2bdf25d5"
+        assert digest.hexdigest() == "146b6488cedcf1e0005d1d76d85238af86d693406b7af11b0bb0da8243d0ffc3"
+
+    def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
+        # every row ends unknown; only those whose host meets the hypotheses are engine gaps
+        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(UNKNOWN))
+        agg = run_trials(side=6, profile=make_profile([6, 6]), delta=4, fill_p=0.8, trials=30, seed=1)["aggregates"]
+        assert agg["outcomes"] == {"unknown": 30}
+        assert agg["guaranteed_unknown"] == agg["hypotheses_hold"] == 20
+        assert main(["trials", "--side", "6", "--delta", "4", "--fill-p", "0.8", "--profile", "6,6",
+                     "--trials", "30", "--seed", "1"]) == 0
+        assert "  guaranteed unknown 20" in capsys.readouterr().out.splitlines()
 
     def test_delta_defaults_to_threshold(self):
         s = run_trials(side=6, profile=make_profile([6, 6]), trials=3, seed=0)
