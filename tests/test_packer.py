@@ -14,6 +14,7 @@ from cyclepack import (
     OracleLimitError,
     SearchState,
     brute_force_pack,
+    check_hypotheses,
     gen_complete,
     gen_random_mindeg,
     gen_sharpness,
@@ -23,7 +24,7 @@ from cyclepack import (
 )
 from cyclepack import packer
 from cyclepack.cyclesearch import iter_cycles_through
-from cyclepack.graphs import bits, mask_of
+from cyclepack.graphs import bits, graph_of_rows, mask_of
 from cyclepack.harness import run_trials
 from cyclepack.packer import (
     move_close_cycle,
@@ -957,6 +958,32 @@ def block_complement_rows(side, block):
     return rows
 
 
+def band_complement_rows(side, width):
+    """Rows of K_{side,side} minus a circulant band: X vertex u misses Y
+    vertices u .. u + width - 1 (mod side), so every degree is side - width."""
+    full, band = (1 << side) - 1, (1 << width) - 1
+    return [full & ~((band << u | band << u >> side) & full) for u in range(side)]
+
+
+def _moves(extend, exchange, close):
+    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "double_exchange": 0}
+
+
+# Tight side s = n/2 with every degree at the threshold, D = s - threshold.
+# For the profile (s, s), D = 1 and the band is the blocks: K_{s,s} minus a
+# perfect matching.
+TIGHT_COMPLEMENTS = [
+    pytest.param(12, [6] * 4, block_complement_rows, _moves(60, 0, 4), id="s12-sixes-blocks"),
+    pytest.param(12, [6] * 4, band_complement_rows, _moves(60, 0, 4), id="s12-sixes-band"),
+    pytest.param(12, [12, 12], block_complement_rows, _moves(36, 0, 2), id="s12-two-blocks"),
+    pytest.param(60, [6] * 20, block_complement_rows, _moves(1259, 1, 20), id="s60-sixes-blocks"),
+    pytest.param(60, [6] * 20, band_complement_rows, _moves(1260, 0, 20), id="s60-sixes-band"),
+    pytest.param(60, [60, 60], block_complement_rows, _moves(180, 0, 2), id="s60-two-blocks"),
+    pytest.param(120, [6] * 40, block_complement_rows, _moves(4919, 1, 40), id="s120-sixes-blocks"),
+    pytest.param(120, [6] * 40, band_complement_rows, _moves(4920, 0, 40), id="s120-sixes-band"),
+    pytest.param(120, [120, 120], block_complement_rows, _moves(360, 0, 2), id="s120-two-blocks"),
+]
+
 STRUCTURED_HOSTS = {
     # tight side s = n/2, every degree exactly at the threshold n/2 - k + 1
     "side84_k10_blocks": (84, 10, [40, 30, 26, 18, 18] + [6] * 6),
@@ -966,6 +993,15 @@ STRUCTURED_HOSTS = {
 
 
 class TestStructuredTightSideHosts:
+    @pytest.mark.parametrize("side, lengths, complement, moves", TIGHT_COMPLEMENTS)
+    def test_tight_complement_packs_with_pinned_moves(self, side, lengths, complement, moves):
+        profile = make_profile(lengths)
+        g = graph_of_rows(side, side, complement(side, side - profile.threshold))
+        assert g.min_degree() == profile.threshold
+        r = pack(g, profile)
+        assert (r.status, r.restarts, check_hypotheses(g, profile).ok) == ("packed", 0, True)
+        assert r.move_counts == moves
+
     @pytest.mark.parametrize("name", sorted(STRUCTURED_HOSTS))
     def test_packs_on_first_attempt_within_20s(self, name):
         # an exhaustive Hamilton search inside double exchange once hung on
