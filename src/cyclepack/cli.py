@@ -41,8 +41,8 @@ def _parse_profile(args):
 
 
 def _emit(summary: dict, as_json: bool, render) -> None:
-    if as_json:
-        print(json.dumps(summary, indent=2))
+    if as_json:  # one line: json.dumps without indent runs CPython's C encoder; json.dump never does
+        print(json.dumps(summary))
     else:
         render(summary)
 

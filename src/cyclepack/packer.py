@@ -580,6 +580,8 @@ def pack(
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    if oracle_limit < 0:
+        raise ValueError(f"oracle_limit must be >= 0, got {oracle_limit}")
     result = PackResult()
     if profile.n > g.num_vertices:
         result.status = INFEASIBLE

@@ -538,6 +538,43 @@ class TestCli:
             assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
         assert packed == []
 
+    @pytest.mark.parametrize("command", ["solve", "trials"])
+    def test_negative_oracle_limit_exit_one(self, tmp_path, capsys, command):
+        path = tmp_path / "k33.graph"
+        main(["gen", "complete", "--m", "3", "--out", str(path)])
+        capsys.readouterr()
+        args = {"solve": ["--graph", str(path), "--profile", "6"],
+                "trials": ["--side", "3", "--profile", "6", "--trials", "2", "--seed", "1"]}[command]
+        assert main([command, *args, "--oracle-limit", "-5", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: oracle_limit must be >= 0, got -5\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, run",
+        [
+            (["solve", "--graph", "{graph}", "--profile", "6"], None),
+            (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
+             lambda: run_trials(6, make_profile([6, 6]), 3, 7, delta=5)),
+            (["exhaustive", "--side", "3", "--profile", "6"], lambda: run_exhaustive(3, make_profile([6]))),
+            (["sharpness", "--k", "2"], lambda: run_sharpness(2)),
+        ],
+        ids=["solve", "trials", "exhaustive", "sharpness"],
+    )
+    def test_json_is_one_compact_line(self, tmp_path, capsys, argv, run):
+        # the C encoder runs only without indent, so an indented tree would be a slowdown
+        path = tmp_path / "k33.graph"
+        main(["gen", "complete", "--m", "3", "--out", str(path)])
+        capsys.readouterr()
+        assert main([a.format(graph=path) for a in argv] + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        parsed = json.loads(out)
+        assert out == json.dumps(parsed) + "\n"
+        if run is not None:
+            expected = run()
+            del parsed["timing"], expected["timing"]
+            assert parsed == expected
+
     def test_campaign_seeds_do_not_overlap(self, capsys):
         seeds = []
         for seed in ("6", "7"):
