@@ -283,6 +283,36 @@ class TestRunExhaustive:
         assert sorted(g.adjacency[x] >> side for x in range(side)) == target
         assert s["packed"] + v["weight"] == s["hypothesis_satisfying"] == 209
 
+    def test_summaries_pinned(self):
+        # recorded while multisets were enumerated by a recursive column-pruned descent
+        configs = [
+            (4, make_profile([6]), False),
+            (5, make_profile([6]), False),
+            (5, make_profile([4, 4], mode="conjecture"), False),
+            (4, make_profile([4], mode="conjecture"), False),
+            (6, make_profile([6, 6]), True),
+        ]
+        digest = hashlib.sha256()
+        for side, profile, force in configs:
+            digest.update(summary_without_timing(run_exhaustive(side, profile, force=force)).encode())
+        assert digest.hexdigest() == "a271050e8c7996ed0e444cecac7069db6ad6a4e600bfabcab27d088b133d8420"
+
+    def test_violations_keep_multiset_order(self, monkeypatch):
+        # every multiset is a violation, so the list is the enumeration order itself
+        monkeypatch.setattr(harness, "brute_force_pack", lambda *a: PackResult(INFEASIBLE, oracle_used=True))
+        side = 4
+        s = run_exhaustive(side, make_profile([6]))
+        assert [(v["rows"], v["weight"]) for v in s["violations"]] == [
+            ([7, 11, 13, 14], 24), ([7, 11, 13, 15], 24), ([7, 11, 14, 15], 24), ([7, 11, 15, 15], 12),
+            ([7, 13, 14, 15], 24), ([7, 13, 15, 15], 12), ([7, 14, 15, 15], 12), ([7, 15, 15, 15], 4),
+            ([11, 13, 14, 15], 24), ([11, 13, 15, 15], 12), ([11, 14, 15, 15], 12), ([11, 15, 15, 15], 4),
+            ([13, 14, 15, 15], 12), ([13, 15, 15, 15], 4), ([14, 15, 15, 15], 4), ([15, 15, 15, 15], 1),
+        ]
+        assert s["packed"] == 0 and s["hypothesis_satisfying"] == 209
+        for v in s["violations"]:
+            g = parse_graph(v["graph"])
+            assert [g.adjacency[x] >> side for x in range(side)] == v["rows"]
+
     def test_no_reference_cycle_left(self):
         gc.collect()
         gc.disable()
