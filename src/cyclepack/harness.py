@@ -16,6 +16,7 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations_with_replacement
 
 from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, UNKNOWN, brute_force_pack, mix_seed, pack
@@ -134,16 +135,17 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     stands for meets the hypotheses and has a packing exactly when the tuple
     enumerated does.
 
-    Rows under the degree threshold are never tried, and a subtree is abandoned
-    as soon as some column can no longer reach the threshold with the rows left
-    to place; both prunes can only discard hypothesis-failing graphs. At the
-    last row no rows are left, so the column prune has already held every
-    column at the threshold: every leaf satisfies the hypotheses. Each leaf
-    builds its own graph and is handed to the exact oracle, whose packing is
-    verified in full; nothing is shared between multisets. An infeasible
-    verdict violates the guarantee and is reported as one ``violations`` entry
-    per multiset, with its sorted ``rows``, the ``graph`` and the ``weight`` of
-    labelled graphs it stands for.
+    Rows under the degree threshold are never tried. The multisets of the
+    remaining rows come from one ``combinations_with_replacement`` loop, as
+    sorted row tuples in lexicographic order, and a multiset is kept only when
+    every column reaches the threshold; the ones dropped are exactly the graphs
+    whose column degrees fail the hypotheses, so every kept multiset satisfies
+    them. Each kept multiset builds its own graph and is handed to the exact
+    oracle, whose packing is verified in full; nothing is shared between
+    multisets. An infeasible verdict violates the guarantee and is reported as
+    one ``violations`` entry per multiset, in enumeration order, with its
+    sorted ``rows``, the ``graph`` and the ``weight`` of labelled graphs it
+    stands for.
     """
     if side < 1:
         raise ConfigError("side must be >= 1")
@@ -157,47 +159,31 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     balance_ok = side >= profile.n // 2
     started = time.perf_counter()
     space = 1 << (side * side)
-    stats = {"satisfying": 0, "packed": 0}
+    satisfying = packed = 0
     violations: list[dict] = []
     if balance_ok:
         row_choices = [row for row in range(1 << side) if row.bit_count() >= threshold]
         labellings = math.factorial(side)
-        rows: list[int] = []
-        col_deg = [0] * side
-
-        def descend(first: int) -> None:
-            depth = len(rows)
-            if depth == side:
-                weight = labellings // math.prod(
-                    math.factorial(m) for m in Counter(rows).values()
-                )
-                stats["satisfying"] += weight
-                g = graph_of_rows(side, side, rows)
-                verdict = brute_force_pack(g, profile, oracle_limit)
-                if verdict.status == PACKED:
-                    stats["packed"] += weight
-                else:
-                    violations.append(
-                        {"rows": list(rows), "graph": serialize_graph(g), "weight": weight}
-                    )
-                return
-            remaining = side - depth - 1
-            for index in range(first, len(row_choices)):
-                row = row_choices[index]
-                ok = True
-                for j in range(side):
-                    col_deg[j] += row >> j & 1
-                    if col_deg[j] + remaining < threshold:
-                        ok = False
-                if ok:
-                    rows.append(row)
-                    descend(index)
-                    rows.pop()
-                for j in range(side):
-                    col_deg[j] -= row >> j & 1
-
-        descend(0)
-        del descend  # the closure refers to itself; break that cycle so it is freed now
+        # Column j of a row is spread to bit w*j, so a sum of spread rows holds
+        # each column degree (at most side < 2**(w-1)) in its own w-bit field;
+        # adding 2**(w-1) - threshold to every field sets a field's top bit
+        # exactly when that column reaches the threshold.
+        w = side.bit_length() + 1
+        ones = sum(1 << (w * j) for j in range(side))
+        top = ones << (w - 1)
+        bias = top - threshold * ones
+        row_of = {sum((row >> j & 1) << (w * j) for j in range(side)): row for row in row_choices}
+        for spread in combinations_with_replacement(row_of, side):  # keys come in row_choices order
+            if sum(spread, bias) & top != top:
+                continue
+            rows = [row_of[key] for key in spread]
+            weight = labellings // math.prod(math.factorial(m) for m in Counter(rows).values())
+            satisfying += weight
+            g = graph_of_rows(side, side, rows)
+            if brute_force_pack(g, profile, oracle_limit).status == PACKED:
+                packed += weight
+            else:
+                violations.append({"rows": rows, "graph": serialize_graph(g), "weight": weight})
     summary = {
         "command": "exhaustive",
         "config": {
@@ -209,8 +195,8 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
         },
         "space_size": space,
         "balance_hypothesis_ok": balance_ok,
-        "hypothesis_satisfying": stats["satisfying"],
-        "packed": stats["packed"],
+        "hypothesis_satisfying": satisfying,
+        "packed": packed,
         "violations": violations,
         "timing": {"total_s": time.perf_counter() - started},
     }

@@ -601,6 +601,36 @@ def pack(
     return result
 
 
+def _realize(
+    adj: tuple[int, ...], x_mask: int, failed: set[tuple[int, tuple[int, ...]]], remaining: int,
+    needed: tuple[int, ...],
+) -> list[tuple[int, tuple[int, ...]]] | None:
+    """One state of ``brute_force_pack``'s search: (length, cycle) pairs
+    realizing ``needed`` (sorted ascending) inside ``remaining``, or None.
+    ``failed`` is the memo of (free set, needed) keys that have no solution."""
+    if not needed:
+        return []
+    key = (remaining, needed)
+    if key in failed:
+        return None
+    core, v = cs.two_core(adj, remaining)
+    x_count = (core & x_mask).bit_count()
+    slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
+    if slack >= 0:
+        for cyc in cs.iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
+            i = bisect_right(needed, len(cyc)) - 1
+            if len(cyc) - needed[i] > slack:
+                continue
+            rest = _realize(adj, x_mask, failed, core & ~mask_of(cyc), needed[:i] + needed[i + 1:])
+            if rest is not None:
+                return [(needed[i], cyc)] + rest
+        rest = _realize(adj, x_mask, failed, core & ~(1 << v), needed)
+        if rest is not None:
+            return rest
+    failed.add(key)
+    return None
+
+
 def brute_force_pack(
     g: BipartiteGraph, profile: CycleProfile, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> PackResult:
@@ -645,38 +675,9 @@ def brute_force_pack(
             f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}; use pack()"
         )
     result = PackResult(INFEASIBLE, oracle_used=True)
-    adj = g.adjacency
-    x_mask = g.x_mask
-    failed: set[tuple[int, tuple[int, ...]]] = set()
-
-    def rec(remaining: int, needed: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]] | None:
-        """(length, cycle) pairs realizing ``needed`` (sorted ascending) inside
-        ``remaining``, or None."""
-        if not needed:
-            return []
-        key = (remaining, needed)
-        if key in failed:
-            return None
-        core, v = cs.two_core(adj, remaining)
-        x_count = (core & x_mask).bit_count()
-        slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
-        if slack >= 0:
-            for cyc in cs.iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
-                i = bisect_right(needed, len(cyc)) - 1
-                if len(cyc) - needed[i] > slack:
-                    continue
-                rest = rec(core & ~mask_of(cyc), needed[:i] + needed[i + 1:])
-                if rest is not None:
-                    return [(needed[i], cyc)] + rest
-            rest = rec(core & ~(1 << v), needed)
-            if rest is not None:
-                return rest
-        failed.add(key)
-        return None
-
-    found = rec(g.full_mask, tuple(sorted(profile.lengths)))
-    del rec  # rec refers to itself; break that cycle so `failed` is freed on return
+    found = _realize(g.adjacency, g.x_mask, set(), g.full_mask, tuple(sorted(profile.lengths)))
     if found is None:
         return result
     cycles = [cyc for _, cyc in sorted(found, reverse=True)]
     return _packed(result, g, profile, cycles, "oracle")
+
