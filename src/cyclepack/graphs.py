@@ -169,6 +169,14 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     return _parse_bulk(text) or _parse_lines(text)
 
 
+def _decimal(token: str) -> int:
+    """The value of an optional minus and ASCII digits; ``int`` alone would also
+    read a plus sign, underscores and non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 _BULK_CELLS_FLOOR = 1 << 20  # a 1 MiB matrix, side 1024, is always allowed
 _BULK_CELLS_PER_BYTE = 8  # beyond it, the matrix may take 8 bytes per byte of edge lines
 
@@ -179,7 +187,7 @@ def _parse_bulk(text: str) -> BipartiteGraph | None:
     fields = head.split()
     shape = (body.count("\n"), body.count("\ne"), body[:1], body[-1:])
     try:  # a missing or non-integer header field
-        x_size, y_size, m = map(int, fields[2:])
+        x_size, y_size, m = map(_decimal, fields[2:])
     except ValueError:
         return None
     canonical = (m, m - 1, "e", "\n") if m else (0, 0, "", "")  # m lines, each e ... LF
@@ -220,7 +228,7 @@ def _parse_lines(text: str) -> BipartiteGraph:
         if len(fields) != 5 or fields[1] != "bip":
             raise ParseError(line_no, f"malformed header {line!r}")
         try:
-            x_size, y_size, declared = (int(f) for f in fields[2:])
+            x_size, y_size, declared = map(_decimal, fields[2:])
         except ValueError:
             raise ParseError(line_no, f"non-integer header field in {line!r}") from None
         if x_size < 0 or y_size < 0 or declared < 0:
@@ -238,7 +246,7 @@ def _parse_lines(text: str) -> BipartiteGraph:
             if len(fields) != 3:
                 raise ParseError(line_no, f"malformed edge line {line!r}")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = _decimal(fields[1]), _decimal(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"non-integer vertex id in {line!r}") from None
             if not (0 <= u < x_size):

@@ -167,6 +167,31 @@ class TestParseSerialize:
             parse_graph(text)
         assert err.value.line_no == line_no
 
+    # int() also reads a plus sign, underscores and non-ASCII digits; a count or
+    # id is an optional minus and ASCII digits, and a negative one keeps its error
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("p bip 11 11 1\ne 1_0 11\n", "line 2: non-integer vertex id in 'e 1_0 11'", id="underscore-x-id"),
+            pytest.param("p bip 2 2 1\ne 0 0_2\n", "line 2: non-integer vertex id in 'e 0 0_2'", id="underscore-y-id"),
+            pytest.param("p bip 2 2 1\ne +0 2\n", "line 2: non-integer vertex id in 'e +0 2'", id="plus-id"),
+            pytest.param("p bip 2 2 1\ne \u0660 \u0662\n", "line 2: non-integer vertex id in 'e \u0660 \u0662'",
+                         id="arabic-indic-ids"),
+            pytest.param("p bip 2 2 1\ne \uff10 2\n", "line 2: non-integer vertex id in 'e \uff10 2'", id="fullwidth-id"),
+            pytest.param("p bip 1_1 11 0\n", "line 1: non-integer header field in 'p bip 1_1 11 0'",
+                         id="underscore-count"),
+            pytest.param("p bip 1 1 +1\ne 0 1\n", "line 1: non-integer header field in 'p bip 1 1 +1'", id="plus-count"),
+            pytest.param("p bip 2 2 1\ne -1 2\n", "line 2: x-side id -1 out of range [0,2)", id="negative-x-id"),
+            pytest.param("p bip 2 2 1\ne 0 -2\n", "line 2: edge (0,-2) out of range for 2+2 vertices", id="negative-y-id"),
+            pytest.param("p bip 1 1 -1\n", "line 1: negative count in header", id="negative-count"),
+        ],
+    )
+    def test_only_decimal_numbers_read(self, text, message):
+        for parse in (parse_graph, _parse_lines):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message
+
     def test_parse_bad_header(self):
         with pytest.raises(ParseError):
             parse_graph("p graph 2 2 1\ne 0 2\n")
@@ -239,8 +264,8 @@ class TestBulkParse:
             ("p bip 2 2 1\ne 0 4\n", False),  # Y id past the last vertex
             ("p bip 2 2 1\ne 0 2.0\n", False),  # non-integer id
             ("p bip 300 300 2\ne 0 599\ne 299 300\n", True),
-            ("p bip 2 2 1\ne 00 2\n", False),  # ids int() reads but that are not canonical decimal
-            ("p bip 2 2 1\ne +0 2\n", False),
+            ("p bip 2 2 1\ne 00 2\n", False),  # a leading zero: the line pass reads it, the bulk pass does not
+            ("p bip 2 2 1\ne +0 2\n", False),  # a sign and an underscore: neither pass reads them
             ("p bip 2 2 1\ne 0 0_2\n", False),
             ("p bip 0 3 0\n", True),  # empty sides
             ("p bip 3 0 0\n", True),
@@ -253,7 +278,7 @@ class TestBulkParse:
         assert (_parse_bulk(text) is not None) == bulk
         assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
-    @pytest.mark.parametrize("u, v", [("00", "2"), ("+0", "2"), ("0", "0_2")])
+    @pytest.mark.parametrize("u, v", [("00", "2"), ("0", "02")])
     def test_noncanonical_ids_read_as_their_value(self, u, v):
         assert _parse_lines(f"p bip 2 2 1\ne {u} {v}\n") == BipartiteGraph(2, 2, [(0, 2)])
 
