@@ -278,7 +278,7 @@ class TestBulkParse:
         assert (_parse_bulk(text) is not None) == bulk
         assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
-    @pytest.mark.parametrize("u, v", [("00", "2"), ("0", "02")])
+    @pytest.mark.parametrize("u, v", [("00", "2")])
     def test_noncanonical_ids_read_as_their_value(self, u, v):
         assert _parse_lines(f"p bip 2 2 1\ne {u} {v}\n") == BipartiteGraph(2, 2, [(0, 2)])
 
