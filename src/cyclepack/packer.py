@@ -35,8 +35,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations, product
+from typing import Iterator
 
-from . import cyclesearch as cs
 from .graphs import BipartiteGraph, bits, mask_of
 from .profiles import CycleProfile
 from .verify import VerificationReport, verify_packing
@@ -601,6 +601,54 @@ def pack(
     return result
 
 
+def iter_cycles_through(
+    adj: tuple[int, ...], mask: int, v: int, lo: int, hi: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield each simple cycle within ``mask`` that passes through ``v`` and whose
+    length is in [lo, hi] once, as a vertex sequence starting at ``v`` in the
+    direction whose second vertex is below its last.
+
+    Requires v in ``mask`` and 4 <= lo <= hi. The oracle meets this: v is the
+    chosen vertex of a nonempty core, lo is a needed length (>= 4 in every
+    mode), and hi = max needed + slack with slack >= 0; an empty core has
+    negative slack and stops before the search."""
+    vbit = 1 << v
+    yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, [v])
+
+
+def _extend(
+    adj: tuple[int, ...], vbit: int, free: int, lo: int, hi: int, v: int, path: list[int]
+) -> Iterator[tuple[int, ...]]:
+    if len(path) >= lo and adj[v] & vbit and path[1] < v:
+        yield tuple(path)
+    if len(path) == hi or len(path) + free.bit_count() < lo:
+        return
+    for w in bits(adj[v] & free):
+        path.append(w)
+        yield from _extend(adj, vbit, free & ~(1 << w), lo, hi, w, path)
+        path.pop()
+
+
+def two_core(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
+    """Iteratively strip vertices with fewer than two neighbors inside mask.
+
+    Returns (core, v): v is the core vertex with the fewest core neighbors,
+    lowest id on ties, or -1 for an empty core. It is picked in the last pass,
+    which strips nothing and so reads the core's own degrees."""
+    changed = True
+    while changed:
+        changed = False
+        v, fewest = -1, mask.bit_count()
+        for u in bits(mask):
+            degree = (adj[u] & mask).bit_count()
+            if degree < 2:
+                mask &= ~(1 << u)
+                changed = True
+            elif degree < fewest:
+                v, fewest = u, degree
+    return mask, v
+
+
 def _realize(
     adj: tuple[int, ...], x_mask: int, failed: set[tuple[int, tuple[int, ...]]], remaining: int,
     needed: tuple[int, ...],
@@ -613,11 +661,11 @@ def _realize(
     key = (remaining, needed)
     if key in failed:
         return None
-    core, v = cs.two_core(adj, remaining)
+    core, v = two_core(adj, remaining)
     x_count = (core & x_mask).bit_count()
     slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
     if slack >= 0:
-        for cyc in cs.iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
+        for cyc in iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
             i = bisect_right(needed, len(cyc)) - 1
             if len(cyc) - needed[i] > slack:
                 continue
