@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .graphs import gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
+from .graphs import _decimal, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
 from .harness import run_exhaustive, run_sharpness, run_trials
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, pack
 from .profiles import ProfileError, make_profile
@@ -32,9 +32,17 @@ def _profile_arg(parser: argparse.ArgumentParser) -> None:
                         help="length floor: theorem >=6, conjecture >=4 (default theorem)")
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer option: an optional minus and ASCII digits."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
 def _parse_profile(args):
     try:
-        lengths = [int(part) for part in args.profile.split(",") if part.strip()]
+        lengths = [_decimal(part.strip()) for part in args.profile.split(",") if part.strip()]
     except ValueError:
         raise ProfileError(f"profile {args.profile!r} is not a comma-separated integer list")
     return make_profile(lengths, args.mode)
@@ -58,50 +66,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a single instance from a graph file")
     p.add_argument("--graph", required=True, help="graph file path")
     _profile_arg(p)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_integer, default=None,
                    help="cap on iterations per attempt (default: none, the potential ends each attempt)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trials", help="seeded random-instance campaign")
-    p.add_argument("--side", type=int, required=True)
-    p.add_argument("--delta", type=int, default=None,
+    p.add_argument("--side", type=_integer, required=True)
+    p.add_argument("--delta", type=_integer, default=None,
                    help="minimum degree of generated instances (default: profile threshold)")
     _profile_arg(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--trials", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--threads", type=_integer, default=1)
     p.add_argument("--fill-p", type=float, default=0.5)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("exhaustive", help="check every bipartite graph at a tiny side size")
-    p.add_argument("--side", type=int, required=True)
+    p.add_argument("--side", type=_integer, required=True)
     _profile_arg(p)
     p.add_argument("--force", action="store_true", help="lift the default side cap")
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sharpness", help="certify the tight construction is unpackable")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="write an instance file")
     gsub = p.add_subparsers(dest="generator", required=True)
     q = gsub.add_parser("complete", help="complete bipartite graph K_{m,m}")
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=_integer, required=True)
     q.add_argument("--out", required=True)
     q = gsub.add_parser("random", help="seeded random graph with a min-degree floor")
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("--y", type=int, required=True)
-    q.add_argument("--delta", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--x", type=_integer, required=True)
+    q.add_argument("--y", type=_integer, required=True)
+    q.add_argument("--delta", type=_integer, required=True)
+    q.add_argument("--seed", type=_integer, required=True)
     q.add_argument("--fill-p", type=float, default=0.5)
     q.add_argument("--out", required=True)
     q = gsub.add_parser("sharpness", help="the tight 4k+2-vertex construction")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_integer, required=True)
     q.add_argument("--out", required=True)
     return parser
 

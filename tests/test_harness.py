@@ -483,6 +483,40 @@ class TestCli:
         assert "not a comma-separated integer list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["trials", "--side", "1_0", "--profile", "6", "--trials", "1", "--seed", "1"],
+             2, "argument --side: invalid integer value: '1_0'"),
+            (["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "٣"],
+             2, "argument --seed: invalid integer value: '٣'"),
+            (["gen", "random", "--x", "+3", "--y", "3", "--delta", "1", "--seed", "1", "--out", "-"],
+             2, "argument --x: invalid integer value: '+3'"),
+            (["exhaustive", "--side", "3", "--profile", "0_6"], 1, "not a comma-separated integer list"),
+            (["exhaustive", "--side", "3", "--profile", "+6"], 1, "not a comma-separated integer list"),
+            (["exhaustive", "--side", "3", "--profile", "٦"], 1, "not a comma-separated integer list"),
+        ],
+        ids=["side-underscore", "seed-arabic-indic", "x-plus", "profile-underscore", "profile-plus",
+             "profile-arabic-indic"],
+    )
+    def test_integers_are_plain_decimals(self, capsys, argv, code, message):
+        # int() alone reads underscores, a plus sign and non-ASCII digits; a bad
+        # option stops argparse (exit 2), a bad profile entry is an input error (exit 1)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code and message in captured.err and captured.out == ""
+
+    def test_leading_zeros_and_spaces_read_as_before(self, capsys):
+        outputs = []
+        for side, profile in (("9", "6,6"), ("09", "6, 6"), ("9", "6,,6")):
+            assert main(["trials", "--side", side, "--profile", profile, "--trials", "2", "--seed", "1",
+                         "--json"]) == 0
+            outputs.append(summary_without_timing(json.loads(capsys.readouterr().out)))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
         "argv, line",
         [
             (["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "3", "--seed", "7"],
