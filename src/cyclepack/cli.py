@@ -40,6 +40,16 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
 
 
+def _float(text: str) -> float:
+    """argparse type of ``--fill-p``: ``float`` on ASCII text without underscores."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _parse_profile(args):
     try:
         lengths = [_decimal(part.strip()) for part in args.profile.split(",") if part.strip()]
@@ -79,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     _profile_arg(p)
     p.add_argument("--trials", type=_integer, required=True)
     p.add_argument("--seed", type=_integer, required=True)
-    p.add_argument("--threads", type=_integer, default=1)
-    p.add_argument("--fill-p", type=float, default=0.5)
+    # trials run serially; the flag stays, hidden, only because benchmarks/workloads.py passes --threads 1
+    p.add_argument("--threads", type=_integer, choices=(1,), help=argparse.SUPPRESS)
+    p.add_argument("--fill-p", type=_float, default=0.5)
     p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--y", type=_integer, required=True)
     q.add_argument("--delta", type=_integer, required=True)
     q.add_argument("--seed", type=_integer, required=True)
-    q.add_argument("--fill-p", type=float, default=0.5)
+    q.add_argument("--fill-p", type=_float, default=0.5)
     q.add_argument("--out", required=True)
     q = gsub.add_parser("sharpness", help="the tight 4k+2-vertex construction")
     q.add_argument("--k", type=_integer, required=True)
@@ -202,7 +213,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_trials(args) -> int:
     summary = run_trials(args.side, _parse_profile(args), args.trials, args.seed, delta=args.delta,
-                         oracle_limit=args.oracle_limit, fill_p=args.fill_p, threads=args.threads)
+                         oracle_limit=args.oracle_limit, fill_p=args.fill_p)
     _emit(summary, args.json, _render_trials)
     return EXIT_OK if summary["aggregates"]["theorem_violations"] == 0 else EXIT_INPUT
 

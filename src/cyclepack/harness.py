@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 
 from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
@@ -31,8 +30,7 @@ class ConfigError(ValueError):
 
 
 def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: int | None = None,
-               oracle_limit: int = DEFAULT_ORACLE_LIMIT, fill_p: float = 0.5,
-               threads: int = 1) -> dict:
+               oracle_limit: int = DEFAULT_ORACLE_LIMIT, fill_p: float = 0.5) -> dict:
     """Seeded campaign of random instances at minimum degree ``delta`` (default:
     the profile's degree threshold).
 
@@ -41,14 +39,13 @@ def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: 
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     if delta is None:
         delta = profile.threshold
-
-    def job(index: int):
-        trial_seed = mix_seed(seed, index)  # per-index stream: worker count cannot matter
-        started = time.perf_counter()
+    rows, times = [], []
+    started = time.perf_counter()
+    for index in range(trials):
+        trial_seed = mix_seed(seed, index)  # per-index stream: the row seed alone rebuilds the host
+        trial_started = time.perf_counter()
         g = gen_random_mindeg(side, side, delta, trial_seed, fill_p)
         hyp = check_hypotheses(g, profile)
         result = pack(g, profile, seed=trial_seed, oracle_limit=oracle_limit)
@@ -56,8 +53,8 @@ def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: 
         # "infeasible" (pigeonhole, which the balanced sides rule out, or the
         # oracle, which runs only within its limit) can only mean a bug.
         violation = hyp.ok and result.status == INFEASIBLE
-        elapsed = time.perf_counter() - started
-        row = {
+        times.append(time.perf_counter() - trial_started)
+        rows.append({
             "trial": index,
             "seed": trial_seed,
             "outcome": result.status,
@@ -69,19 +66,9 @@ def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: 
             "iterations": result.iterations,
             "restarts": result.restarts,
             "packing": [list(c) for c in result.packing] if result.packing else None,
-        }
-        return row, elapsed
-
-    started = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outcomes = list(ex.map(job, range(trials)))
-    else:
-        outcomes = [job(i) for i in range(trials)]
+        })
     total = time.perf_counter() - started
 
-    rows = [r for r, _ in outcomes]
-    times = [t for _, t in outcomes]
     counts = Counter(row["outcome"] for row in rows)
     move_hist: Counter[str] = Counter()
     for row in rows:

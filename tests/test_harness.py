@@ -127,10 +127,6 @@ class TestRunTrials:
         b = run_trials(**config)
         assert summary_without_timing(a) == summary_without_timing(b)
 
-    def test_thread_count_does_not_change_results(self):
-        base = dict(side=6, profile=make_profile([6, 6]), delta=5, trials=12, seed=9)
-        assert summary_without_timing(run_trials(**base)) == summary_without_timing(run_trials(**base, threads=4))
-
     def test_relaxed_threshold_double_exchange_pinned(self):
         # recorded before double exchange built its departure lists: a change
         # to the order in which swap patterns are tried moves these; the
@@ -181,15 +177,13 @@ class TestRunTrials:
         assert s["config"]["delta"] == 5
 
     def test_config_validation(self):
-        # the side and delta are the generator's to check; trials and threads are run_trials' own
+        # the side and delta are the generator's to check; the trial count is run_trials' own
         with pytest.raises(GraphError, match="delta 3 infeasible for sides 2\\+2"):
             run_trials(side=2, profile=make_profile([6]), delta=3, trials=1, seed=0)
         with pytest.raises(ConfigError, match="trials"):
             run_trials(side=3, profile=make_profile([6]), trials=0, seed=0)
         with pytest.raises(GraphError, match="sides must be nonempty"):
             run_trials(side=0, profile=make_profile([6]), trials=1, seed=0)
-        with pytest.raises(ConfigError, match="threads"):
-            run_trials(side=3, profile=make_profile([6]), trials=1, seed=0, threads=0)
 
 
 class TestRunExhaustive:
@@ -494,19 +488,45 @@ class TestCli:
             (["exhaustive", "--side", "3", "--profile", "0_6"], 1, "not a comma-separated integer list"),
             (["exhaustive", "--side", "3", "--profile", "+6"], 1, "not a comma-separated integer list"),
             (["exhaustive", "--side", "3", "--profile", "٦"], 1, "not a comma-separated integer list"),
+            (["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1", "--fill-p", "0_0.5"],
+             2, "argument --fill-p: invalid float value: '0_0.5'"),
+            (["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1", "--fill-p", "٠.٥"],
+             2, "argument --fill-p: invalid float value: '٠.٥'"),
+            (["gen", "random", "--x", "6", "--y", "6", "--delta", "3", "--seed", "1", "--fill-p", "0_0.5",
+              "--out", "-"], 2, "argument --fill-p: invalid float value: '0_0.5'"),
+            (["gen", "random", "--x", "6", "--y", "6", "--delta", "3", "--seed", "1", "--fill-p", "٠.٥",
+              "--out", "-"], 2, "argument --fill-p: invalid float value: '٠.٥'"),
         ],
         ids=["side-underscore", "seed-arabic-indic", "x-plus", "profile-underscore", "profile-plus",
-             "profile-arabic-indic"],
+             "profile-arabic-indic", "trials-fill-underscore", "trials-fill-arabic-indic", "gen-fill-underscore",
+             "gen-fill-arabic-indic"],
     )
     def test_integers_are_plain_decimals(self, capsys, argv, code, message):
-        # int() alone reads underscores, a plus sign and non-ASCII digits; a bad
-        # option stops argparse (exit 2), a bad profile entry is an input error (exit 1)
+        # int() and float() alone read underscores and non-ASCII digits, int() a plus sign too;
+        # a bad option stops argparse (exit 2), a bad profile entry is an input error (exit 1)
         try:
             got = main(argv)
         except SystemExit as exc:
             got = exc.code
         captured = capsys.readouterr()
         assert got == code and message in captured.err and captured.out == ""
+
+    def test_threads_one_changes_nothing(self, capsys):
+        argv = ["trials", "--side", "6", "--delta", "5", "--profile", "6,6", "--trials", "6", "--seed", "9", "--json"]
+        outputs = []
+        for extra in ([], ["--threads", "1"]):
+            assert main(argv + extra) == 0
+            outputs.append(summary_without_timing(json.loads(capsys.readouterr().out)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["2", "0"])
+    def test_threads_other_than_one_refused(self, capsys, threads):
+        # trials run serially: a worker count would be a knob that changes nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--side", "6", "--profile", "6", "--trials", "1", "--seed", "1", "--threads", threads])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --threads: invalid choice: {threads}" in captured.err
 
     def test_leading_zeros_and_spaces_read_as_before(self, capsys):
         outputs = []
