@@ -191,7 +191,7 @@ def _render_sharpness(summary: dict) -> None:
 
 def _cmd_solve(args) -> int:
     profile = _parse_profile(args)
-    with open(args.graph, "r", encoding="ascii") as fh:
+    with open(args.graph, "rb") as fh:  # parse_graph alone checks the bytes and the line ends
         g = parse_graph(fh.read())
     result = pack(g, profile, budget=args.budget, seed=args.seed, oracle_limit=args.oracle_limit)
     summary = {

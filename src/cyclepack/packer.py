@@ -583,9 +583,11 @@ def pack(
     if oracle_limit < 0:
         raise ValueError(f"oracle_limit must be >= 0, got {oracle_limit}")
     result = PackResult()
-    if profile.n > g.num_vertices:
+    if profile.n > 2 * min(g.x_size, g.y_size):  # each cycle alternates sides: n/2 vertices of each
         result.status = INFEASIBLE
-        result.diagnostics.append(f"profile needs {profile.n} vertices, host has {g.num_vertices}")
+        result.diagnostics.append(
+            f"profile needs {profile.n // 2} vertices on each side, host sides have {g.x_size} and {g.y_size}"
+        )
         return result
     restarts = DEFAULT_RESTARTS if g.num_vertices > oracle_limit else 0
     for attempt in range(restarts + 1):
@@ -609,9 +611,10 @@ def iter_cycles_through(
     direction whose second vertex is below its last.
 
     Requires v in ``mask`` and 4 <= lo <= hi. The oracle meets this: v is the
-    chosen vertex of a nonempty core, lo is a needed length (>= 4 in every
-    mode), and hi = max needed + slack with slack >= 0; an empty core has
-    negative slack and stops before the search."""
+    branch vertex of a nonempty free set and has two free neighbours, lo is a
+    needed length (>= 4 in every mode), and hi = max needed + slack with
+    slack >= 0; an empty free set has negative slack and stops before the
+    search."""
     vbit = 1 << v
     yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, [v])
 
@@ -621,32 +624,12 @@ def _extend(
 ) -> Iterator[tuple[int, ...]]:
     if len(path) >= lo and adj[v] & vbit and path[1] < v:
         yield tuple(path)
-    if len(path) == hi or len(path) + free.bit_count() < lo:
+    if len(path) == hi:
         return
     for w in bits(adj[v] & free):
         path.append(w)
         yield from _extend(adj, vbit, free & ~(1 << w), lo, hi, w, path)
         path.pop()
-
-
-def two_core(adj: tuple[int, ...], mask: int) -> tuple[int, int]:
-    """Iteratively strip vertices with fewer than two neighbors inside mask.
-
-    Returns (core, v): v is the core vertex with the fewest core neighbors,
-    lowest id on ties, or -1 for an empty core. It is picked in the last pass,
-    which strips nothing and so reads the core's own degrees."""
-    changed = True
-    while changed:
-        changed = False
-        v, fewest = -1, mask.bit_count()
-        for u in bits(mask):
-            degree = (adj[u] & mask).bit_count()
-            if degree < 2:
-                mask &= ~(1 << u)
-                changed = True
-            elif degree < fewest:
-                v, fewest = u, degree
-    return mask, v
 
 
 def _realize(
@@ -661,18 +644,19 @@ def _realize(
     key = (remaining, needed)
     if key in failed:
         return None
-    core, v = two_core(adj, remaining)
-    x_count = (core & x_mask).bit_count()
-    slack = 2 * min(x_count, core.bit_count() - x_count) - sum(needed)
+    x_count = (remaining & x_mask).bit_count()
+    slack = 2 * min(x_count, remaining.bit_count() - x_count) - sum(needed)
     if slack >= 0:
-        for cyc in iter_cycles_through(adj, core, v, needed[0], needed[-1] + slack):
-            i = bisect_right(needed, len(cyc)) - 1
-            if len(cyc) - needed[i] > slack:
-                continue
-            rest = _realize(adj, x_mask, failed, core & ~mask_of(cyc), needed[:i] + needed[i + 1:])
-            if rest is not None:
-                return [(needed[i], cyc)] + rest
-        rest = _realize(adj, x_mask, failed, core & ~(1 << v), needed)
+        degree, v = min(((adj[u] & remaining).bit_count(), u) for u in bits(remaining))
+        if degree >= 2:
+            for cyc in iter_cycles_through(adj, remaining, v, needed[0], needed[-1] + slack):
+                i = bisect_right(needed, len(cyc)) - 1
+                if len(cyc) - needed[i] > slack:
+                    continue
+                rest = _realize(adj, x_mask, failed, remaining & ~mask_of(cyc), needed[:i] + needed[i + 1:])
+                if rest is not None:
+                    return [(needed[i], cyc)] + rest
+        rest = _realize(adj, x_mask, failed, remaining & ~(1 << v), needed)
         if rest is not None:
             return rest
     failed.add(key)
@@ -686,20 +670,20 @@ def brute_force_pack(
     An ``infeasible`` verdict is a proof of non-existence. Refuses instances
     larger than the oracle limit.
 
-    A state is the set of free vertices and the multiset of profile lengths
-    still needed. The free set is first stripped to its 2-core (a vertex with
-    fewer than two free neighbours lies on no cycle). The search then takes v,
-    the core vertex with the fewest neighbours in the core, and branches: v
-    lies on a cycle that takes one needed length, or v stays uncovered. Each
-    pruning is sound:
+    A state is the set F of free vertices and the multiset of profile lengths
+    still needed. The search takes v, the vertex of F with the fewest
+    neighbours in F (lowest id on ties), and branches: v lies on a cycle that
+    takes one needed length, or v stays uncovered. A v with fewer than two
+    neighbours in F lies on no cycle, so it gets only the second branch; such
+    vertices are thus peeled one per level until F's minimum degree is 2.
+    Each pruning is sound:
 
     - Slack. A bipartite cycle alternates sides, so a cycle of length L uses
       L/2 vertices of X and L/2 of Y. Disjoint cycles of lengths L_j >= c_j in
-      the core thus have sum L_j <= 2*min(|core & X|, |core & Y|), and their
-      total excess sum (L_j - c_j) is at most the slack
-      s = 2*min(|core & X|, |core & Y|) - sum c_j. A state with s < 0 has no
-      solution, and no single cycle of a solution exceeds its length by more
-      than s.
+      F thus have sum L_j <= 2*min(|F & X|, |F & Y|), and their total excess
+      sum (L_j - c_j) is at most the slack s = 2*min(|F & X|, |F & Y|) - sum c_j.
+      A state with s < 0 has no solution, and no single cycle of a solution
+      exceeds its length by more than s.
     - Largest fitting length. Say a solution puts v on a cycle C of length L,
       and c is the largest needed length <= L. If C realizes a length c' < c
       there, the cycle D realizing c has |D| >= c > c', so swapping the two

@@ -378,6 +378,22 @@ class TestCli:
         assert main(["solve", "--graph", str(path), "--profile", "6"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        # text mode would read CR as a line end and solve this K3,3
+        (b"p bip 3 3 9\r" + b"".join(b"e %d %d\r" % (x, y) for x in range(3) for y in range(3, 6)),
+         "error: line 1: malformed header"),
+        (b"c caf\xc3\xa9\np bip 1 1 0\n", "error: line 0: not ASCII"),
+    ], ids=["cr-only", "non-ascii"])
+    def test_solve_reads_the_file_as_parse_graph_does(self, tmp_path, capsys, content, message):
+        path = tmp_path / "odd.graph"
+        path.write_bytes(content)
+        with pytest.raises(GraphError) as parsed:
+            parse_graph(content)
+        assert main(["solve", "--graph", str(path), "--profile", "6", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {parsed.value}\n" and captured.err.startswith(message)
+        assert not captured.out
+
     def test_solve_missing_file_exit_one(self, capsys):
         assert main(["solve", "--graph", "/nonexistent.graph", "--profile", "6"]) == 1
         capsys.readouterr()

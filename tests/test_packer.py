@@ -33,7 +33,6 @@ from cyclepack.packer import (
     move_extend_path,
     move_shrink,
     select_concentration,
-    two_core,
 )
 from oracle_partition import partition_feasible
 
@@ -715,6 +714,13 @@ class TestPack:
         r = pack(g, make_profile([6, 6]))
         assert r.status == "infeasible" and not r.oracle_used and r.iterations == 0
 
+    def test_pigeonhole_counts_the_smaller_side(self):
+        # a cycle alternates sides, so two 6-cycles take 6 X vertices; K3,60 has 3
+        g = BipartiteGraph(3, 60, [(x, 3 + y) for x in range(3) for y in range(60)])
+        r = pack(g, make_profile([6, 6]))
+        assert (r.status, r.iterations, r.oracle_used) == ("infeasible", 0, False)
+        assert r.diagnostics == ["profile needs 6 vertices on each side, host sides have 3 and 60"]
+
     def test_hundred_seeded_instances_all_pack(self):
         profile = make_profile([6, 6])
         for i in range(100):
@@ -1095,7 +1101,7 @@ class TestBruteForce:
 
     def test_agrees_with_partition_oracle_unequal_sides_and_three_entries(self):
         # Unequal sides make the smaller side bind the oracle's slack. Sparse
-        # hosts often leave the branch vertex (fewest core neighbours) outside
+        # hosts often leave the branch vertex (fewest free neighbours) outside
         # every packing, so the uncovered branch must be searched. Three mixed
         # entries make the choice of the largest fitting length matter.
         def check(seed, x, y, delta, fill, lengths):
@@ -1123,6 +1129,58 @@ class TestBruteForce:
         r = brute_force_pack(BipartiteGraph(5, 5, edges), make_profile([6]))
         assert r.status == "packed" and set(r.packing[0]) <= {2, 3, 4, 7, 8, 9}
 
+    def test_low_degree_hosts_pinned(self):
+        # vertices with fewer than two free neighbours lie on no cycle; recorded
+        # when the search still stripped the free set to its 2-core first, so
+        # peeling them one per level must find the same first packing
+        hosts = {
+            # K3,3 beside two isolated vertices per side
+            "isolated": BipartiteGraph(5, 5, [(x, y) for x in (1, 2, 3) for y in (6, 7, 8)]),
+            # K3,3 with a pendant vertex at four of its vertices
+            "pendants": BipartiteGraph(
+                5, 5, [(x, y) for x in (0, 1, 2) for y in (5, 6, 7)] + [(3, 5), (4, 6), (0, 8), (1, 9)]
+            ),
+            # K3,3 on odd ids with a path of five edges hanging off Y vertex 7
+            "pendant_path": BipartiteGraph(
+                6, 6, [(x, y) for x in (1, 3, 5) for y in (7, 9, 11)] + [(0, 7), (0, 6), (2, 6), (2, 8), (4, 8)]
+            ),
+            # two 4-cycles joined by a path, with a pendant path at one of them
+            "bridged_squares": BipartiteGraph(6, 6, [
+                (0, 6), (0, 7), (1, 6), (1, 7), (1, 8), (2, 8), (2, 9), (3, 9), (3, 10), (4, 9), (4, 10),
+                (5, 11), (5, 6),
+            ]),
+        }
+        lengths = [[4], [6], [8], [4, 4], [4, 6], [6, 6], [4, 4, 4]]
+        packed = {
+            ("isolated", 0): [[1, 6, 2, 7]],
+            ("isolated", 1): [[1, 6, 2, 7, 3, 8]],
+            ("pendants", 0): [[0, 5, 1, 6]],
+            ("pendants", 1): [[0, 5, 1, 6, 2, 7]],
+            ("pendant_path", 0): [[1, 7, 3, 9]],
+            ("pendant_path", 1): [[1, 7, 3, 9, 5, 11]],
+            ("bridged_squares", 0): [[0, 6, 1, 7]],
+            ("bridged_squares", 3): [[3, 9, 4, 10], [0, 6, 1, 7]],
+        }
+        for name, g in hosts.items():
+            assert g.min_degree() < 2
+            for i, ls in enumerate(lengths):
+                r = brute_force_pack(g, make_profile(ls, mode="conjecture"))
+                expected = packed.get((name, i))
+                assert r.status == ("infeasible" if expected is None else "packed"), (name, ls)
+                assert (r.packing and [list(c) for c in r.packing]) == expected, (name, ls)
+
+        digest = hashlib.sha256()
+        statuses = []
+        for i in range(60):
+            side = 4 + i % 6
+            delta = i % 2 * (i // 2 % 2)
+            g = gen_random_mindeg(side, side + i % 2, delta, seed=700 + i, fill_p=(0.3, 0.4, 0.5)[i % 3])
+            r = brute_force_pack(g, make_profile(lengths[i % len(lengths)], mode="conjecture"), oracle_limit=20)
+            statuses.append(r.status[0])
+            digest.update(json.dumps([r.status, r.packing and [list(c) for c in r.packing]]).encode())
+        assert "".join(statuses) == "ppipppipppppiippppiiipppiiipppiipiipipiippippippiippppiipppp"
+        assert digest.hexdigest() == "e63d856d7c0caefb44fe829d29539e67cfb86ec725dcf1c9b89feee001e87b50"
+
 
 def test_cycles_through_agree_with_networkx_simple_cycles():
     nx = pytest.importorskip("networkx")
@@ -1145,29 +1203,3 @@ def test_cycles_through_agree_with_networkx_simple_cycles():
         assert len(found) == len(expected)
         assert len(set(found)) == len(found) and all(c[0] == anchor for c in found)
         assert sorted(map(sorted, found)) == sorted(map(sorted, expected))
-
-
-def _masked_instance(rng, nx):
-    x = rng.randint(2, 6)
-    y = rng.randint(2, 6)
-    p = rng.uniform(0.3, 0.8)
-    g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
-    keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(bits(keep))
-    nxg.add_edges_from((a, b) for a, b in g.edges() if keep >> a & 1 and keep >> b & 1)
-    return g, keep, nxg
-
-
-def test_two_core_agrees_with_networkx_k_core():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(80)
-    for trial in range(40):
-        g, keep, nxg = _masked_instance(rng, nx)
-        core, v = two_core(g.adjacency, keep)
-        k2 = nx.k_core(nxg, 2)
-        assert set(bits(core)) == set(k2.nodes)
-        if not k2:
-            assert v == -1
-        else:
-            assert v == min(k2.nodes, key=lambda u: (k2.degree(u), u))
