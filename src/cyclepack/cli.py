@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes for ``solve``: 0 a verified packing was found, 2 infeasibility was
-certified by the exact oracle, 3 the search was inconclusive, 1 bad input.
+certified by the side count or the exact oracle, 3 the search was inconclusive,
+1 bad input.
 Other subcommands exit 0 on a clean run and 1 on errors or violations. ``trials``
 exits 1 on a theorem violation: a row whose host meets the hypotheses yet is
 certified infeasible. ``gen random`` with the row's seed rebuilds that host.
@@ -13,7 +14,8 @@ import functools
 import json
 import sys
 
-from .graphs import _decimal, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph, serialize_graph
+from .graphs import (DEFAULT_FILL_P, _decimal, gen_complete, gen_random_mindeg, gen_sharpness, parse_graph,
+                     serialize_graph)
 from .harness import run_exhaustive, run_sharpness, run_trials
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, pack
 from .profiles import ProfileError, make_profile
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, required=True)
     # trials run serially; the flag stays, hidden, only because benchmarks/workloads.py passes --threads 1
     p.add_argument("--threads", type=_integer, choices=(1,), help=argparse.SUPPRESS)
-    p.add_argument("--fill-p", type=_float, default=0.5)
+    p.add_argument("--fill-p", type=_float, default=DEFAULT_FILL_P)
     p.add_argument("--oracle-limit", type=_integer, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--json", action="store_true")
 
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--y", type=_integer, required=True)
     q.add_argument("--delta", type=_integer, required=True)
     q.add_argument("--seed", type=_integer, required=True)
-    q.add_argument("--fill-p", type=_float, default=0.5)
+    q.add_argument("--fill-p", type=_float, default=DEFAULT_FILL_P)
     q.add_argument("--out", required=True)
     q = gsub.add_parser("sharpness", help="the tight 4k+2-vertex construction")
     q.add_argument("--k", type=_integer, required=True)

@@ -273,6 +273,8 @@ def serialize_graph(g: BipartiteGraph) -> str:
 
 # -- generators ------------------------------------------------------------
 
+DEFAULT_FILL_P = 0.5  # fill probability of gen_random_mindeg, trials and `gen random`
+
 
 def gen_complete(m: int) -> BipartiteGraph:
     """Complete bipartite graph K_{m,m}."""
@@ -282,7 +284,7 @@ def gen_complete(m: int) -> BipartiteGraph:
 
 
 def gen_random_mindeg(
-    x_size: int, y_size: int, delta: int, seed: int, fill_p: float = 0.5
+    x_size: int, y_size: int, delta: int, seed: int, fill_p: float = DEFAULT_FILL_P
 ) -> BipartiteGraph:
     """Seeded random bipartite graph with minimum degree at least ``delta``.
 

@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .graphs import gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
+from .graphs import DEFAULT_FILL_P, gen_random_mindeg, gen_sharpness, graph_of_rows, serialize_graph
 from .packer import DEFAULT_ORACLE_LIMIT, INFEASIBLE, PACKED, UNKNOWN, brute_force_pack, mix_seed, pack
 from .profiles import CycleProfile
 from .verify import check_hypotheses
@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 
 
 def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: int | None = None,
-               oracle_limit: int = DEFAULT_ORACLE_LIMIT, fill_p: float = 0.5) -> dict:
+               oracle_limit: int = DEFAULT_ORACLE_LIMIT, fill_p: float = DEFAULT_FILL_P) -> dict:
     """Seeded campaign of random instances at minimum degree ``delta`` (default:
     the profile's degree threshold).
 
@@ -192,12 +192,9 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
 
 def run_sharpness(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     """Certify that the tight construction admits no packing while sitting one
-    unit below the degree threshold."""
+    unit below the degree threshold. ``brute_force_pack`` refuses a host above
+    ``oracle_limit`` with ``OracleLimitError``."""
     g, profile = gen_sharpness(k)
-    if g.num_vertices > oracle_limit:
-        raise ConfigError(
-            f"sharpness instance has {g.num_vertices} vertices, above the oracle limit {oracle_limit}"
-        )
     started = time.perf_counter()
     delta = g.min_degree()
     threshold = profile.threshold

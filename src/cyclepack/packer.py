@@ -703,9 +703,7 @@ def brute_force_pack(
     packing is verified in full.
     """
     if g.num_vertices > oracle_limit:
-        raise OracleLimitError(
-            f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}; use pack()"
-        )
+        raise OracleLimitError(f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}")
     result = PackResult(INFEASIBLE, oracle_used=True)
     found = _realize(g.adjacency, g.x_mask, set(), g.full_mask, tuple(sorted(profile.lengths)))
     if found is None:

@@ -19,11 +19,6 @@ from cyclepack.graphs import _add_matching_round, _parse_bulk, _parse_lines, gra
 from cyclepack.packer import mix_seed
 
 
-def path_graph():
-    # a - b - c with a, c on the X side (a=0, c=1, b=2)
-    return BipartiteGraph(2, 1, [(0, 2), (1, 2)])
-
-
 class TestConstruction:
     def test_rejects_intra_side_edge(self):
         with pytest.raises(GraphError):
@@ -69,20 +64,6 @@ class TestDegreeQueries:
         u = 2 * 2
         assert g.adjacency[u] == 1 << 5 | 1 << 6 | 1 << 9  # Y1 = {5,6}, v = 9
 
-    def test_degree_in_full_side(self):
-        g = gen_complete(3)
-        assert (g.adjacency[0] & g.y_mask).bit_count() == 3
-        assert (g.adjacency[0] & g.x_mask).bit_count() == 0
-
-    def test_degree_in_path(self):
-        g = path_graph()
-        assert (g.adjacency[2] & 1 << 0).bit_count() == 1
-
-    def test_degree_in_equals_degree_on_full_set(self):
-        g = gen_random_mindeg(4, 4, 2, seed=9)
-        for v in range(g.num_vertices):
-            assert g.adjacency[v] & g.full_mask == g.adjacency[v]
-
     def test_min_degree_complete(self):
         assert gen_complete(4).min_degree() == 4
 
@@ -98,30 +79,6 @@ class TestDegreeQueries:
     def test_min_degree_empty_graph(self):
         with pytest.raises(GraphError):
             BipartiteGraph(0, 0, []).min_degree()
-
-
-class TestInduced:
-    @staticmethod
-    def induced_edges(g, s):
-        return [(u, v) for u, v in g.edges() if s >> u & 1 and s >> v & 1]
-
-    def test_single_edge(self):
-        g = gen_complete(3)
-        s = 1 << 0 | 1 << 3
-        assert (g.adjacency[0] & s).bit_count() == 1 and (g.adjacency[3] & s).bit_count() == 1
-        assert self.induced_edges(g, s) == [(0, 3)]
-
-    def test_identity(self):
-        g = gen_random_mindeg(4, 4, 2, seed=5)
-        assert sorted(self.induced_edges(g, g.full_mask)) == sorted(g.edges())
-
-    def test_cycle_minus_arc_is_path(self):
-        # C8 with X = {0..3}, Y = {4..7}
-        g = BipartiteGraph(4, 4, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (0, 7)])
-        members = [0, 4, 1, 5, 2, 6]
-        s = sum(1 << v for v in members)
-        degrees = sorted((g.adjacency[v] & s).bit_count() for v in members)
-        assert degrees == [1, 1, 2, 2, 2, 2]
 
 
 class TestParseSerialize:

@@ -13,6 +13,8 @@ import pytest
 
 from cyclepack import (
     GraphError,
+    OracleLimitError,
+    brute_force_pack,
     gen_complete,
     gen_random_mindeg,
     gen_sharpness,
@@ -326,7 +328,7 @@ class TestRunSharpness:
         assert s["vertices"] == 10
 
     def test_oracle_limit_respected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(OracleLimitError):
             run_sharpness(6)  # 26 vertices > default limit 18
 
 
@@ -590,6 +592,15 @@ class TestCli:
         assert main(["sharpness", "--k", "6", "--oracle-limit", "26", "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"] is True and summary["certified_infeasible"] is True
+
+    def test_sharpness_above_limit_refused_by_the_oracle(self, capsys):
+        g, profile = gen_sharpness(6)
+        with pytest.raises(OracleLimitError) as refusal:
+            brute_force_pack(g, profile)
+        assert main(["sharpness", "--k", "6", "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {refusal.value}\n"
+        assert str(refusal.value) == "26 vertices exceed the oracle limit 18"
 
     def test_sharpness_odd_k_rejected(self, capsys):
         assert main(["sharpness", "--k", "3"]) == 1
