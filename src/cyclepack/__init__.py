@@ -21,7 +21,6 @@ from .packer import (
     UNKNOWN,
     OracleLimitError,
     PackResult,
-    SearchState,
     brute_force_pack,
     pack,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ProfileError",
     "make_profile",
     "PackResult",
-    "SearchState",
     "OracleLimitError",
     "pack",
     "brute_force_pack",

@@ -138,6 +138,8 @@ def _render_report(report_dict: dict) -> None:
 
 def _render_solve(summary: dict) -> None:
     print(f"status: {summary['status']}")
+    for line in summary["diagnostics"]:
+        print(f"  {line}")
     if summary.get("packing"):
         for i, cyc in enumerate(summary["packing"]):
             print(f"  cycle {i} (length {len(cyc)}): {' '.join(map(str, cyc))}")
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:  # GraphError, ProfileError and ConfigError are ValueErrors
+    except (ValueError, OSError) as exc:  # GraphError, ProfileError, ConfigError and OracleLimitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -296,7 +296,8 @@ def gen_random_mindeg(
     a perfect matching of new edges (see :func:`_add_matching_round`), so the
     base alone gives every vertex ``delta`` distinct neighbours. With unequal
     sides a round can leave a slot unmatched, so only then are deficient
-    vertices topped up with random missing edges.
+    vertices topped up with random missing edges. ``seed`` must be >= 0:
+    ``random.Random`` seeds a negative int by its absolute value.
     """
     if x_size < 1 or y_size < 1:
         raise GraphError("sides must be nonempty")
@@ -304,6 +305,8 @@ def gen_random_mindeg(
         raise GraphError(f"delta {delta} infeasible for sides {x_size}+{y_size}")
     if not 0 <= fill_p <= 1:
         raise GraphError(f"fill_p {fill_p} is not a probability in [0, 1]")
+    if seed < 0:
+        raise GraphError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     present = [0] * x_size  # per-x bitmask of chosen y offsets
     for _ in range(delta):

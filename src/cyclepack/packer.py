@@ -75,33 +75,27 @@ class SearchState:
     """Mutable solver state: placed cycles, leftover pool, and the working path.
 
     ``targets`` are the required lengths, longest first (a profile's ``lengths``).
-    The pool is ``vertices`` (the whole host when None) minus the placed cycles.
+    A state starts with nothing placed, an empty path and the pool ``vertices``;
+    the pool is always ``vertices`` minus the placed cycles.
 
-    ``path_mask == mask_of(path)`` always holds. Two writers change ``path``
-    and ``path_mask``: ``move_extend_path``'s endpoint run appends and prepends
-    in place and sets the run's bits at once, and ``set_path`` installs a new
-    list and recomputes the mask in full (seeding, rotation, exchange, closing
-    a cycle, and a replaced cycle taking path vertices, which empties the path).
+    Placed cycles enter only through ``fix_cycle`` and change only through
+    ``replace_cycle``. ``path_mask == mask_of(path)`` always holds. Two
+    writers change ``path`` and ``path_mask``: ``move_extend_path``'s endpoint
+    run appends and prepends in place and sets the run's bits at once, and
+    ``set_path`` installs a new list and recomputes the mask in full (seeding,
+    rotation, exchange, closing a cycle, and a replaced cycle taking path
+    vertices, which empties the path).
     """
 
-    def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], fixed_cycles=(), path=(), rng=None, vertices=None):
+    def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], vertices: int, rng=None):
         self.g = g
         self.adj = g.adjacency
         self.targets = targets
-        self.fixed: list[list[int]] = [list(c) for c in fixed_cycles]
-        self.fixed_masks: list[int] = [mask_of(c) for c in self.fixed]
-        used = 0
-        for i, m in enumerate(self.fixed_masks):
-            if m & used:
-                raise ValueError("placed cycles overlap")
-            if len(self.fixed[i]) < self.targets[i] or len(self.fixed[i]) % 2:
-                raise ValueError(f"placed cycle {i} does not meet its required length")
-            used |= m
-        self.pool = (g.full_mask if vertices is None else vertices) & ~used
-        self.path: list[int] = list(path)
-        self.path_mask = mask_of(self.path)
-        if self.path_mask & ~self.pool or len(set(self.path)) != len(self.path):
-            raise ValueError("path must be a simple sequence inside the pool")
+        self.fixed: list[list[int]] = []
+        self.fixed_masks: list[int] = []
+        self.pool = vertices
+        self.path: list[int] = []
+        self.path_mask = 0
         self.rng = rng
         # shrink reads only the placed cycles and the pool, which change only in
         # fix_cycle and replace_cycle; a failed shrink stays failed until then
@@ -497,7 +491,7 @@ def _attempt(g, targets, budget, rng, result, vertices):
     starts with at least its target (>= 4) pool vertices and no move shrinks
     the pool within it, and exchange and close run only after extend made no
     move, which leaves the path nonempty."""
-    st = SearchState(g, targets, rng=rng, vertices=vertices)
+    st = SearchState(g, targets, vertices, rng)
     counts = result.move_counts
     stop = None if budget is None else result.iterations + budget
     while st.stage < len(targets):
@@ -589,14 +583,14 @@ def pack(
             f"profile needs {profile.n // 2} vertices on each side, host sides have {g.x_size} and {g.y_size}"
         )
         return result
-    restarts = DEFAULT_RESTARTS if g.num_vertices > oracle_limit else 0
-    for attempt in range(restarts + 1):
+    certifiable = g.num_vertices <= oracle_limit
+    for attempt in range(1 if certifiable else DEFAULT_RESTARTS + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
         cycles = _attempt(g, profile.lengths, budget, rng, result, g.full_mask)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")
-    if g.num_vertices <= oracle_limit:
+    if certifiable:
         oracle = brute_force_pack(g, profile, oracle_limit)
         result.status, result.packing, result.report = oracle.status, oracle.packing, oracle.report
         result.oracle_used = True

@@ -330,6 +330,11 @@ class TestGenerators:
         assert a == b
         assert a != c
 
+    def test_random_rejects_negative_seed(self):
+        # random.Random seeds -3 as 3, so a negative seed would alias its absolute value
+        with pytest.raises(GraphError, match="seed must be >= 0"):
+            gen_random_mindeg(9, 9, 5, -3)
+
     def test_random_min_degree_property(self, monkeypatch):
         rng = random.Random(777)
         for trial in range(60):

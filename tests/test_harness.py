@@ -469,6 +469,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert "sides must be nonempty" in captured.err and captured.out == ""
 
+    def test_gen_random_negative_seed_exit_one(self, capsys):
+        # random.Random would seed -3 as 3 and write the --seed 3 host
+        assert main(["gen", "random", "--x", "6", "--y", "6", "--delta", "3", "--seed", "-3", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -3\n" and captured.out == ""
+
+    def test_solve_text_prints_diagnostics(self, tmp_path, capsys):
+        # 3 + 60 vertices cannot hold two 6-cycles: the side count certifies it, and says why
+        path = tmp_path / "narrow.graph"
+        main(["gen", "random", "--x", "3", "--y", "60", "--delta", "2", "--seed", "1", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["solve", "--graph", str(path), "--profile", "6,6"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["status: infeasible", "  profile needs 6 vertices on each side, host sides have 3 and 60"]
+
     def test_theorem_mode_rejects_conjecture_profile(self, tmp_path, capsys):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])
