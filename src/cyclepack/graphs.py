@@ -145,8 +145,11 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     """Parse the line-oriented graph format; raise :class:`ParseError` on bad input.
 
     A canonical file (the header on line 1, then exactly its ``m`` edge lines
-    ``e u v``, each ended by LF) is checked and built in bulk; any other file,
-    and every malformed one, goes to the line pass, the only source of errors.
+    ``e u v``, each starting with ``e`` and ended by LF, ids in plain decimal;
+    any whitespace separates tokens, so a CR before the LF, tabs and repeated
+    or trailing spaces are allowed) is checked and built in bulk; any other
+    file, and every malformed one, goes to the line pass, the only source of
+    errors.
     No misaligned line passes the bulk checks. In a slice of L whole lines
     that all start with ``e``, each line's first token starts with ``e``, which
     no id decodes; with ``e`` exactly at every third token and ids between,
@@ -288,16 +291,16 @@ def gen_random_mindeg(
 ) -> BipartiteGraph:
     """Seeded random bipartite graph with minimum degree at least ``delta``.
 
-    Builds a base of ``delta`` rounds of random perfect matchings between the
-    sides (the smaller side padded to the larger by virtual aliases of its own
-    vertices), each round avoiding edges already present, then adds every
-    remaining non-edge independently with probability ``fill_p``, drawing one
-    number per unset cell in row-major order. With equal sides every round is
-    a perfect matching of new edges (see :func:`_add_matching_round`), so the
-    base alone gives every vertex ``delta`` distinct neighbours. With unequal
-    sides a round can leave a slot unmatched, so only then are deficient
-    vertices topped up with random missing edges. ``seed`` must be >= 0:
-    ``random.Random`` seeds a negative int by its absolute value.
+    The base depends on the host shape. With equal sides it is ``delta``
+    rounds of random perfect matchings, each avoiding edges already present
+    (see :func:`_add_matching_round`), so every vertex gets exactly ``delta``
+    distinct neighbours. With unequal sides it is :func:`_repair` alone on the
+    empty graph: every vertex below ``delta`` gets random missing edges, X side
+    first.
+    Then every remaining non-edge is added independently with probability
+    ``fill_p``, drawing one number per unset cell in row-major order.
+    ``seed`` must be >= 0: ``random.Random`` seeds a negative int by its
+    absolute value.
     """
     if x_size < 1 or y_size < 1:
         raise GraphError("sides must be nonempty")
@@ -309,8 +312,11 @@ def gen_random_mindeg(
         raise GraphError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     present = [0] * x_size  # per-x bitmask of chosen y offsets
-    for _ in range(delta):
-        _add_matching_round(present, x_size, y_size, rng)
+    if x_size == y_size:
+        for _ in range(delta):
+            _add_matching_round(present, rng)
+    else:
+        _repair(present, x_size, y_size, delta, rng)
     draw, y_full = rng.random, (1 << y_size) - 1
     for u, row in enumerate(present):
         unset = ~row & y_full
@@ -320,31 +326,22 @@ def gen_random_mindeg(
                 row |= low
             unset ^= low
         present[u] = row
-    if x_size != y_size:
-        _repair(present, x_size, y_size, delta, rng)
     return graph_of_rows(x_size, y_size, present)
 
 
-def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> None:
-    """Add one random perfect matching between padded sides, avoiding present edges.
+def _add_matching_round(present: list[int], rng) -> None:
+    """Add one random perfect matching of K_{s,s} avoiding present edges, where
+    s = ``len(present)`` and the base so far is regular.
 
-    The smaller side is padded to the larger with virtual slots aliasing its
-    real vertices (slot i stands for vertex i mod side size), so a full round
-    hands every vertex on both sides at least one new distinct neighbor.
-    A random permutation proposes each left slot's partner; slots whose
+    A random permutation proposes each X vertex's partner; vertices whose
     proposal is a present edge are rematched by :func:`augment` over bitmask
-    rows of allowed partners (a slot's free Y offsets, repeated once per
-    alias by one multiply with a repunit). With equal sides the allowed pairs
-    form a regular bipartite graph, which by Hall's theorem has a perfect
-    matching, so the round always completes and adds exactly one new
-    neighbour to every vertex; with unequal sides a slot can stay unmatched.
+    rows of allowed partners. The allowed pairs form a regular bipartite
+    graph, which by Hall's theorem has a perfect matching, so the round
+    always completes and adds exactly one new neighbour to every vertex.
     """
-    size = max(x_size, y_size)
+    size = len(present)
     full = (1 << size) - 1
-    y_full = (1 << y_size) - 1
-    repunit = sum(1 << j * y_size for j in range(-(-size // y_size)))
-    # per left slot: bitmask of right slots it may be matched to
-    allowed = [(~present[l % x_size] & y_full) * repunit & full for l in range(size)]
+    allowed = [~row & full for row in present]
     match_l = list(range(size))
     rng.shuffle(match_l)
     match_r = [-1] * size
@@ -360,8 +357,7 @@ def _add_matching_round(present: list[int], x_size: int, y_size: int, rng) -> No
     for root in unmatched:
         free_r = augment(allowed, match_l, match_r, free_r, root)
     for l, r in enumerate(match_l):
-        if r != -1:
-            present[l % x_size] |= 1 << (r % y_size)
+        present[l] |= 1 << r
 
 
 def augment(allowed, match_l: list[int], match_r: list[int], free_r: int, root: int) -> int:
@@ -410,7 +406,8 @@ def augment(allowed, match_l: list[int], match_r: list[int], free_r: int, root: 
 
 
 def _repair(present: list[int], x_size: int, y_size: int, delta: int, rng) -> None:
-    """Top up any still-deficient vertex with random missing edges (unequal sides)."""
+    """Top up every vertex below ``delta`` with random missing edges, X side
+    then Y side; on the empty graph, this is the whole unequal-sides base."""
     for u in range(x_size):
         short = delta - present[u].bit_count()
         if short > 0:

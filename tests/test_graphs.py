@@ -203,6 +203,8 @@ class TestBulkParse:
             ("p bip 2 2 2\ne 0 2 e 1 3\n \t\n", False),  # the same, whitespace-only line after
             ("p bip 2 2 1\ne 0 2 e 0 2\n", False),  # a repeated edge on one line keeps the popcount
             ("p bip 2 2 2\r\ne 0 2\r\ne 1 3\r\n", True),  # CRLF line endings
+            ("p bip 2 2 2\ne\t0\t2\ne  1  3  \n", True),  # tabs, repeated and trailing spaces
+            (" p bip 2 2 2 \ne 0 2\ne 1 3\n", True),  # whitespace around the header
             ("p bip 2 2 2\ne 0 2\n e 1 3\n", False),  # leading blank on an edge line
             ("p bip 2 2 2\ne 0 2\nc note\ne 1 3\n", False),  # comment in the body
             ("c note\np bip 2 2 2\ne 0 2\ne 1 3\n", False),  # header after a comment
@@ -344,14 +346,17 @@ class TestGenerators:
             g = gen_random_mindeg(x, y, d, seed=trial, fill_p=rng.choice([0.1, 0.5, 0.9]))
             assert g.min_degree() >= d
             assert all((u < x) != (v < x) for u, v in g.edges())
-        # with unequal sides the rounds can leave vertices short on both sides,
-        # and only the top-up restores the floor; at fill 0 nothing else adds edges
-        short = {"x": 0, "y": 0}
+        # with unequal sides the top-up alone is the base: it starts from no
+        # edges, and at fill 0 nothing else adds any, so the floor is its own.
+        # Its X pass gives each X vertex delta edges, and its Y pass must add
+        # more whenever that leaves a Y vertex short
+        y_pass = 0
 
         def counting_repair(present, x_size, y_size, delta, rng):
-            short["x"] += sum(row.bit_count() < delta for row in present)
-            short["y"] += sum(sum(row >> w & 1 for row in present) < delta for w in range(y_size))
+            nonlocal y_pass
+            assert present == [0] * x_size
             repair(present, x_size, y_size, delta, rng)
+            y_pass += sum(row.bit_count() - delta for row in present)
 
         repair = graphs._repair
         monkeypatch.setattr(graphs, "_repair", counting_repair)
@@ -360,7 +365,7 @@ class TestGenerators:
             d = rng.randint(0, min(x, y))
             g = gen_random_mindeg(x, y, d, seed=trial, fill_p=0)
             assert g.min_degree() >= d, (x, y, d, trial)
-        assert short["x"] > 0 and short["y"] > 0
+        assert y_pass > 0
 
     def test_equal_sides_rounds_leave_nothing_to_repair(self):
         # Hall: with equal sides a round's allowed pairs form a regular bipartite
@@ -373,7 +378,7 @@ class TestGenerators:
                 present = [0] * side
                 draws = random.Random(rng.getrandbits(32))
                 for _ in range(delta):
-                    _add_matching_round(present, side, side, draws)
+                    _add_matching_round(present, draws)
                 assert all(row.bit_count() == delta for row in present), (side, delta)
                 assert all(sum(row >> w & 1 for row in present) == delta for w in range(side)), (side, delta)
 
@@ -402,10 +407,10 @@ class TestGenerators:
         [
             ((30, 30, 20, 7, 0.0), "d9b73918d8a253416e09d1e6085cb6f3c9aa78a885f87cf29ca492df60c82479"),
             ((40, 40, 27, 3, 0.5), "3f344aa9ff40b03d89506b0aa165d1c25f2479156692d720d5ab6d8f09ff846d"),
-            ((25, 40, 15, 11, 0.5), "145e0b36f4bc6e651fc63e5320c1f6a41800dedb80655dc156a46412950663b1"),
-            ((40, 17, 12, 5, 0.0), "b7ead38403e1a1a0e5a1ced139c6ff77c06ddb7dfc1e9e45e61fcf84d2e78fec"),
+            ((25, 40, 15, 11, 0.5), "b50f670e98fd8e309c27c03872784224472aff4b3e4eb4c9f960db5f76520333"),
+            ((40, 17, 12, 5, 0.0), "0371bed09c0981260c4023999a5f2eedef46e7b67a4df4020f7f99d448c43738"),
             ((90, 90, 61, 1024, 0.5), "bba938e6e0258569dd4f2dd4170123134c53026db60d3d3974519997705b0f9f"),
-            ((40, 17, 14, 0, 0.0), "1c05a985a451eb04673026a595581a15b0514a7b335beb1f14aa1a35912b5c1f"),
+            ((40, 17, 14, 0, 0.0), "9754a6bd7275da2e355bf3b510a2d5714280cd87e3b8bab8aab2267ca9593241"),
         ],
     )
     def test_random_instances_pinned(self, shape, digest):
@@ -414,25 +419,28 @@ class TestGenerators:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_repair_tops_up_the_unequal_ci_host(self, monkeypatch):
-        # the host CI's unequal-sides step draws: the matching rounds leave it
-        # 12 edges short of delta 14, and the top-up pass adds them
-        added = []
+        # the host CI's unequal-sides step draws: at fill 0 the top-up is the
+        # whole base, called once on no edges; its X pass gives each of the 40
+        # X vertices 14 neighbours, which leaves no Y vertex short of 14
+        calls = []
         original = graphs._repair
 
         def counted(present, x_size, y_size, delta, rng):
-            before = list(present)
+            calls.append(list(present))
             original(present, x_size, y_size, delta, rng)
-            added.append(sum(r.bit_count() for r in present) - sum(r.bit_count() for r in before))
-            assert present != before
 
         monkeypatch.setattr(graphs, "_repair", counted)
         g = gen_random_mindeg(40, 17, 14, 0, 0.0)
-        assert added == [12] and g.min_degree() == 14
+        assert calls == [[0] * 40]
+        assert [a.bit_count() for a in g.adjacency[:40]] == [14] * 40
+        assert g.edge_count == 560 and g.min_degree() == 14
 
     def test_random_hosts_wide_pinned(self):
         # every shape at sides 1-12 (equal and unequal, every delta, five fills),
         # the first 25 trial hosts of each benchmark trials-desk config and the
-        # benchmark trials-scale hosts, all at campaign seed 1024
+        # benchmark trials-scale hosts, all at campaign seed 1024; one digest per
+        # host shape, the equal-sides one recorded before unequal sides lost
+        # their matching rounds
         shapes = []
         for x in range(1, 13):
             for y in range(1, 13):
@@ -442,11 +450,12 @@ class TestGenerators:
         for side, d, fill in [(6, 5, 0.5), (9, 5, 0.5), (8, 2, 0.1), (9, 3, 0.05)]:
             shapes += [(side, side, d, mix_seed(1024, i), fill) for i in range(25)]
         shapes += [(s, s, 2 * s // 3 + 1, mix_seed(1024, 0), 0.5) for s in range(60, 91, 6)]
-        digest = hashlib.sha256()
+        equal, unequal = hashlib.sha256(), hashlib.sha256()
         for shape in shapes:
-            digest.update(serialize_graph(gen_random_mindeg(*shape)).encode())
+            (equal if shape[0] == shape[1] else unequal).update(serialize_graph(gen_random_mindeg(*shape)).encode())
         assert len(shapes) == 4076
-        assert digest.hexdigest() == "597cd07bf492eb5f8401efe655c01c34d2eccd4d9ba62c43ec5824bf784bff94"
+        assert equal.hexdigest() == "0cf11e6aa2973974b76cca2b9222167b5d5f391a09331d82a18446ee0d88543b"
+        assert unequal.hexdigest() == "fdb6d044f1b544275b41c660b248b1a00a043f8322889d553dc9c2d4c3d60f21"
 
     @pytest.mark.parametrize(
         "k, digest",

@@ -165,6 +165,18 @@ class TestRunTrials:
             digest.update(summary_without_timing(s).encode())
         assert digest.hexdigest() == "146b6488cedcf1e0005d1d76d85238af86d693406b7af11b0bb0da8243d0ffc3"
 
+    def test_conjecture_gap_class_pinned(self):
+        # the 4-cycle endgame gap: every host meets the hypotheses, so a
+        # packing exists, yet four end unknown and 181 rows need restarts; a
+        # change that closes the gap moves these counts down, a regression up
+        s = run_trials(side=12, profile=make_profile([4] * 6, mode="conjecture"), trials=300, seed=5, fill_p=0)
+        agg = s["aggregates"]
+        assert agg["outcomes"] == {"packed": 296, "unknown": 4}
+        assert [row["trial"] for row in s["trials"] if row["outcome"] == UNKNOWN] == [22, 27, 83, 155]
+        assert agg["guaranteed_unknown"] == 4
+        restarts = [row["restarts"] for row in s["trials"]]
+        assert (sum(r > 0 for r in restarts), sum(restarts)) == (181, 446)
+
     def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
         # every row ends unknown; only those whose host meets the hypotheses are engine gaps
         monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(UNKNOWN))
