@@ -626,17 +626,44 @@ def _extend(
         path.pop()
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+    """The host's twin classes of two or more vertices: vertices with the same
+    adjacency mask. Each comes as (class mask, low), where low[j] is the mask
+    of the class's j lowest vertices."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        classes[row] = classes.get(row, 0) | 1 << v
+    twins = []
+    for cls in classes.values():
+        if cls & (cls - 1):
+            low = [0]
+            for v in bits(cls):
+                low.append(low[-1] | 1 << v)
+            twins.append((cls, low))
+    return twins
+
+
+def _canonical(free: int, twins: list[tuple[int, list[int]]]) -> int:
+    """``free`` with the free members of each twin class moved to the class's
+    lowest vertices: the memo key of a free set."""
+    for cls, low in twins:
+        part = free & cls
+        free ^= part ^ low[part.bit_count()]
+    return free
+
+
 def _realize(
-    adj: tuple[int, ...], x_mask: int, failed: set[tuple[int, tuple[int, ...]]], remaining: int,
-    needed: tuple[int, ...],
+    adj: tuple[int, ...], x_mask: int, failed: set[tuple[int, tuple[int, ...]]],
+    twins: list[tuple[int, list[int]]], remaining: int, needed: tuple[int, ...],
 ) -> list[tuple[int, tuple[int, ...]]] | None:
     """One state of ``brute_force_pack``'s search: (length, cycle) pairs
     realizing ``needed`` (sorted ascending) inside ``remaining``, or None.
-    ``failed`` is the memo of (free set, needed) keys that have no solution."""
+    ``failed`` is the memo of (canonical free set, needed) keys that have no
+    solution. ``twins`` is empty until the first failure is recorded and then
+    holds the host's twin classes, so a search that never fails builds none."""
     if not needed:
         return []
-    key = (remaining, needed)
-    if key in failed:
+    if failed and (_canonical(remaining, twins), needed) in failed:
         return None
     x_count = (remaining & x_mask).bit_count()
     slack = 2 * min(x_count, remaining.bit_count() - x_count) - sum(needed)
@@ -647,13 +674,15 @@ def _realize(
                 i = bisect_right(needed, len(cyc)) - 1
                 if len(cyc) - needed[i] > slack:
                     continue
-                rest = _realize(adj, x_mask, failed, remaining & ~mask_of(cyc), needed[:i] + needed[i + 1:])
+                rest = _realize(adj, x_mask, failed, twins, remaining & ~mask_of(cyc), needed[:i] + needed[i + 1:])
                 if rest is not None:
                     return [(needed[i], cyc)] + rest
-        rest = _realize(adj, x_mask, failed, remaining & ~(1 << v), needed)
+        rest = _realize(adj, x_mask, failed, twins, remaining & ~(1 << v), needed)
         if rest is not None:
             return rest
-    failed.add(key)
+    if not failed:
+        twins += _twin_classes(adj)
+    failed.add((_canonical(remaining, twins), needed))
     return None
 
 
@@ -692,6 +721,16 @@ def brute_force_pack(
       chosen so far avoid the free vertices. So a (free set, sorted needed
       lengths) key that failed once fails again when another order of choices
       reaches it, and is skipped.
+    - Twins. Vertices with the same host neighbourhood are twins, and any
+      permutation inside a twin class is an automorphism of the host: it
+      maps every cycle to a cycle of the same length. So it maps a state to
+      one that has a solution exactly when the first has. The memo therefore
+      keys a state by its canonical free set, in which the free members of
+      each class are replaced by the class's lowest vertices. Isolated
+      vertices of both sides form one class; they lie on no cycle, and the
+      slack is still computed on the actual free set. Only failed states are
+      recorded and a hit skips only a state with no solution, so the search
+      visits its branches in the same order and returns the same packing.
 
     The cycles are returned aligned with the profile's sorted entries, and the
     packing is verified in full.
@@ -699,7 +738,7 @@ def brute_force_pack(
     if g.num_vertices > oracle_limit:
         raise OracleLimitError(f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}")
     result = PackResult(INFEASIBLE, oracle_used=True)
-    found = _realize(g.adjacency, g.x_mask, set(), g.full_mask, tuple(sorted(profile.lengths)))
+    found = _realize(g.adjacency, g.x_mask, set(), [], g.full_mask, tuple(sorted(profile.lengths)))
     if found is None:
         return result
     cycles = [cyc for _, cyc in sorted(found, reverse=True)]

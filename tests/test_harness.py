@@ -343,6 +343,13 @@ class TestRunSharpness:
         with pytest.raises(OracleLimitError):
             run_sharpness(6)  # 26 vertices > default limit 18
 
+    def test_k8_certified_above_default_limit(self):
+        # 34 vertices: about 0.3 s with the twin-keyed oracle memo, 25 s without
+        s = run_sharpness(8, 34)
+        assert s["ok"] and s["verdict"] == "infeasible"
+        assert s["min_degree"] == 9 and s["threshold"] == 10
+        assert s["vertices"] == 34
+
 
 class TestCli:
     def test_solve_packed_exit_zero(self, tmp_path, capsys):

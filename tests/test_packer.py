@@ -23,7 +23,7 @@ from cyclepack import (
 )
 from cyclepack import packer
 from cyclepack.graphs import bits, graph_of_rows, mask_of
-from cyclepack.harness import run_trials
+from cyclepack.harness import run_sharpness, run_trials
 from cyclepack.packer import (
     iter_cycles_through,
     move_close_cycle,
@@ -1058,15 +1058,82 @@ class TestBruteForce:
         assert pack(lifted, profile, seed=0).status == "packed"
 
     def test_memo_freed_on_return(self):
-        # the recursive search must leave no reference cycle keeping its memo alive
-        g, profile = gen_sharpness(2)
-        gc.collect()
-        gc.disable()
-        try:
-            assert brute_force_pack(g, profile).status == "infeasible"
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # the recursive search must leave no reference cycle keeping its memo
+        # alive; at k = 4 the memo also builds and stores the twin classes
+        for k in (2, 4):
+            g, profile = gen_sharpness(k)
+            gc.collect()
+            gc.disable()
+            try:
+                assert brute_force_pack(g, profile).status == "infeasible"
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+    def test_twin_memo_state_count_pinned(self, monkeypatch):
+        # sharpness --k 4 visits 1,437 states when the memo keys a state by
+        # its raw free set; canonical twin keys cut that to 367
+        states = 0
+        original = packer._realize
+
+        def counted(*args):
+            nonlocal states
+            states += 1
+            return original(*args)
+
+        monkeypatch.setattr(packer, "_realize", counted)
+        assert run_sharpness(4)["ok"]
+        assert states == 367
+
+    def test_twin_classes_built_once_and_only_after_a_failure(self, monkeypatch):
+        # a search that packs at once records no failure and groups nothing
+        built = []
+        original = packer._twin_classes
+        monkeypatch.setattr(packer, "_twin_classes", lambda adj: built.append(adj) or original(adj))
+        assert brute_force_pack(gen_complete(3), make_profile([6])).status == "packed"
+        assert built == []
+        g, profile = gen_sharpness(4)
+        assert brute_force_pack(g, profile).status == "infeasible"
+        assert built == [g.adjacency]
+
+    def test_twin_memo_matches_plain_memo(self, monkeypatch):
+        # the canonical key only skips states that have no solution, so the
+        # verdict and the packing equal those of a memo with no twin classes;
+        # hosts of at most 12 vertices are also checked by the partition oracle
+        rng = random.Random(37)
+
+        def dense(width):
+            return rng.getrandbits(width) | rng.getrandbits(width)
+
+        hosts = []
+        for _ in range(60):  # blow-ups: X rows from a few patterns, and empty rows
+            x = rng.randint(2, 9)
+            y = rng.randint(2, min(9, 18 - x))
+            patterns = [dense(y) for _ in range(rng.randint(1, 3))] + [0]
+            hosts.append(graph_of_rows(x, y, [rng.choice(patterns) for _ in range(x)]))
+        for side, block in [(4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 3), (8, 4), (9, 3)]:
+            hosts.append(graph_of_rows(side, side, block_complement_rows(side, block)))
+        for _ in range(20):  # isolated vertices on both sides
+            x = rng.randint(3, 8)
+            y = rng.randint(3, min(8, 16 - x))
+            lone_x, lone_y = rng.randint(1, 2), rng.randint(1, 2)
+            hosts.append(graph_of_rows(x, y, [0] * lone_x + [dense(y - lone_y) for _ in range(x - lone_x)]))
+        hosts += [gen_sharpness(2)[0], gen_sharpness(4)[0]]
+        profiles = [[4], [6], [8], [10], [4, 4], [4, 6], [6, 6], [4, 4, 4], [4, 4, 6]]
+        cases = [(g, make_profile(lengths, mode="conjecture")) for g in hosts for lengths in profiles
+                 if sum(lengths) <= 2 * min(g.x_size, g.y_size)]
+        cases += [gen_sharpness(2), gen_sharpness(4)]
+        with_twins = [brute_force_pack(g, profile) for g, profile in cases]
+        monkeypatch.setattr(packer, "_twin_classes", lambda adj: [])
+        verdicts = collections.Counter()
+        for (g, profile), mine in zip(cases, with_twins):
+            plain = brute_force_pack(g, profile)
+            assert (mine.status, mine.packing) == (plain.status, plain.packing), (g.adjacency, profile.lengths)
+            verdicts[mine.status] += 1
+            if g.num_vertices <= 12:
+                theirs = partition_feasible(g.x_size, g.y_size, list(g.edges()), profile.lengths)
+                assert (mine.status == "packed") == theirs, (g.adjacency, profile.lengths)
+        assert verdicts["packed"] > 100 and verdicts["infeasible"] > 100
 
     def test_refuses_large_instances(self):
         with pytest.raises(OracleLimitError):
