@@ -127,12 +127,24 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
     sorted row tuples in lexicographic order, and a multiset is kept only when
     every column reaches the threshold; the ones dropped are exactly the graphs
     whose column degrees fail the hypotheses, so every kept multiset satisfies
-    them. Each kept multiset builds its own graph and is handed to the exact
-    oracle, whose packing is verified in full; nothing is shared between
-    multisets. An infeasible verdict violates the guarantee and is reported as
-    one ``violations`` entry per multiset, in enumeration order, with its
-    sorted ``rows``, the ``graph`` and the ``weight`` of labelled graphs it
-    stands for.
+    them.
+
+    One certificate is kept: the packing the exact oracle returned most
+    recently, as the ``(x, mask of Y offsets)`` edges it uses at each X vertex.
+    Consecutive multisets differ mostly in their last rows, so it often fits
+    the next one, and a multiset whose rows contain every certificate edge is
+    counted as packed without building its graph. This is sound: the packing
+    passed ``verify_packing`` in full on the host where the oracle found it,
+    and of that check's parts only adjacency depends on the host. Cycle count,
+    simplicity, lengths, parity and disjointness depend only on the cycles
+    and the profile, and ``graph_of_rows`` builds every host bipartite, so the
+    mask test is exactly the check that can change between hosts. Any other
+    multiset builds its graph and is handed to the oracle, whose packing is
+    verified in full and becomes the certificate. An infeasible verdict, which
+    only the oracle gives, violates the guarantee and is reported as one
+    ``violations`` entry per multiset, in enumeration order, with its sorted
+    ``rows``, the ``graph`` and the ``weight`` of labelled graphs it stands
+    for.
     """
     if side < 1:
         raise ConfigError("side must be >= 1")
@@ -160,15 +172,21 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
         top = ones << (w - 1)
         bias = top - threshold * ones
         row_of = {sum((row >> j & 1) << (w * j) for j in range(side)): row for row in row_choices}
+        certificate = ()  # the edges of the oracle's latest packing; none yet
         for spread in combinations_with_replacement(row_of, side):  # keys come in row_choices order
             if sum(spread, bias) & top != top:
                 continue
             rows = [row_of[key] for key in spread]
             weight = labellings // math.prod(math.factorial(m) for m in Counter(rows).values())
             satisfying += weight
-            g = graph_of_rows(side, side, rows)
-            if brute_force_pack(g, profile, oracle_limit).status == PACKED:
+            if certificate and _fits(certificate, rows):
                 packed += weight
+                continue
+            g = graph_of_rows(side, side, rows)
+            result = brute_force_pack(g, profile, oracle_limit)
+            if result.status == PACKED:
+                packed += weight
+                certificate = _certificate(result.packing, side)
             else:
                 violations.append({"rows": rows, "graph": serialize_graph(g), "weight": weight})
     summary = {
@@ -188,6 +206,19 @@ def run_exhaustive(side: int, profile: CycleProfile, force: bool = False,
         "timing": {"total_s": time.perf_counter() - started},
     }
     return summary
+
+
+def _certificate(packing, side: int) -> tuple[tuple[int, int], ...]:
+    """The edges a packing uses, as ``(x, mask of Y offsets)`` per X vertex on it."""
+    return tuple(
+        (u, 1 << (cyc[j - 1] - side) | 1 << (cyc[(j + 1) % len(cyc)] - side))
+        for cyc in packing for j, u in enumerate(cyc) if u < side
+    )
+
+
+def _fits(certificate: tuple[tuple[int, int], ...], rows: list[int]) -> bool:
+    """Whether the host of these X rows has every edge of the certificate."""
+    return all(rows[x] & m == m for x, m in certificate)
 
 
 def run_sharpness(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> dict:

@@ -21,9 +21,11 @@ from cyclepack import (
     make_profile,
     parse_graph,
     serialize_graph,
+    verify_packing,
 )
 from cyclepack import cli, harness
 from cyclepack.cli import main
+from cyclepack.graphs import graph_of_rows
 from cyclepack.harness import (
     ConfigError,
     run_exhaustive,
@@ -258,39 +260,66 @@ class TestRunExhaustive:
                 assert s["hypothesis_satisfying"] == want, (side, profile)
                 assert s["packed"] == want and s["violations"] == []
 
-    def test_one_oracle_call_per_row_multiset(self, monkeypatch):
-        calls = []
-        real = harness.brute_force_pack
+    def test_one_decision_per_row_multiset(self, monkeypatch):
+        # each kept multiset is decided once: by the oracle, or by the last packing it found
+        calls, hits = [], []
+        real_oracle, real_fits = harness.brute_force_pack, harness._fits
 
         def counted(g, profile, oracle_limit):
             calls.append(g)
-            return real(g, profile, oracle_limit)
+            return real_oracle(g, profile, oracle_limit)
+
+        def fits(certificate, rows):
+            hit = real_fits(certificate, rows)
+            hits.append(hit)
+            return hit
 
         monkeypatch.setattr(harness, "brute_force_pack", counted)
-        for side, multisets, labelled in ((4, 16, 209), (5, 3634, 304186)):
+        monkeypatch.setattr(harness, "_fits", fits)
+        for side, oracle_calls, reused, labelled in ((4, 6, 10, 209), (5, 425, 3209, 304186)):
             calls.clear()
+            hits.clear()
             s = run_exhaustive(side, make_profile([6]))
-            assert len(calls) == multisets
+            assert (len(calls), sum(hits)) == (oracle_calls, reused)
             assert s["hypothesis_satisfying"] == s["packed"] == labelled
             assert s["violations"] == []
 
-    def test_violation_entry_carries_weight(self, monkeypatch):
-        side, target = 4, [11, 13, 15, 15]  # two equal rows: 4!/2! = 12 labelled graphs
-        real = harness.brute_force_pack
+    @pytest.mark.parametrize(
+        "side, profile",
+        [(4, make_profile([6])), (5, make_profile([6])), (5, make_profile([4, 4], mode="conjecture"))],
+    )
+    def test_certificate_agrees_with_verifier(self, monkeypatch, side, profile):
+        # the mask test says yes exactly when the last oracle packing verifies on the new host
+        last, hits = [], []
+        real_oracle, real_fits = harness.brute_force_pack, harness._fits
 
         def oracle(g, profile, oracle_limit):
-            if sorted(g.adjacency[x] >> side for x in range(side)) == target:
-                return PackResult(INFEASIBLE, oracle_used=True)
-            return real(g, profile, oracle_limit)
+            result = real_oracle(g, profile, oracle_limit)
+            last[:] = [result.packing]
+            return result
+
+        def fits(certificate, rows):
+            hit = real_fits(certificate, rows)
+            assert verify_packing(graph_of_rows(side, side, rows), profile, last[0]).ok == hit, rows
+            hits.append(hit)
+            return hit
 
         monkeypatch.setattr(harness, "brute_force_pack", oracle)
+        monkeypatch.setattr(harness, "_fits", fits)
+        s = run_exhaustive(side, profile)
+        assert any(hits) and s["packed"] == s["hypothesis_satisfying"] and s["violations"] == []
+
+    def test_violation_entry_carries_weight(self, monkeypatch):
+        # the oracle never packs, so no certificate exists and every multiset reaches it
+        monkeypatch.setattr(harness, "brute_force_pack", lambda *a: PackResult(INFEASIBLE, oracle_used=True))
+        side, target = 4, [11, 13, 15, 15]  # two equal rows: 4!/2! = 12 labelled graphs
         s = run_exhaustive(side, make_profile([6]))
-        assert len(s["violations"]) == 1
-        v = s["violations"][0]
-        assert v["rows"] == target and v["weight"] == 12
+        (v,) = [v for v in s["violations"] if v["rows"] == target]
+        assert v["weight"] == 12
         g = parse_graph(v["graph"])
         assert sorted(g.adjacency[x] >> side for x in range(side)) == target
-        assert s["packed"] + v["weight"] == s["hypothesis_satisfying"] == 209
+        assert s["packed"] == 0
+        assert sum(v["weight"] for v in s["violations"]) == s["hypothesis_satisfying"] == 209
 
     def test_summaries_pinned(self):
         # recorded while multisets were enumerated by a recursive column-pruned descent
