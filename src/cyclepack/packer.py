@@ -33,8 +33,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, product
+from operator import or_
 from typing import Iterator
 
 from .graphs import BipartiteGraph, bits, mask_of
@@ -79,18 +80,20 @@ class SearchState:
     the pool is always ``vertices`` minus the placed cycles.
 
     Placed cycles enter only through ``fix_cycle`` and change only through
-    ``replace_cycle``. ``path_mask == mask_of(path)`` always holds. Two
-    writers change ``path`` and ``path_mask``: ``move_extend_path``'s endpoint
-    run appends and prepends in place and sets the run's bits at once, and
-    ``set_path`` installs a new list and recomputes the mask in full (seeding,
-    rotation, exchange, closing a cycle, and a replaced cycle taking path
-    vertices, which empties the path).
+    ``replace_cycle``, which derives the pool from its definition: double
+    exchange also trades between placed cycles. ``path_mask == mask_of(path)``
+    always holds. Two writers change ``path`` and ``path_mask``:
+    ``move_extend_path``'s endpoint run appends and prepends in place and sets
+    the run's bits at once, and ``set_path`` installs a new list and
+    recomputes the mask in full (seeding, rotation, exchange, closing a cycle,
+    and a replaced cycle taking path vertices, which empties the path).
     """
 
     def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], vertices: int, rng=None):
         self.g = g
         self.adj = g.adjacency
         self.targets = targets
+        self.vertices = vertices
         self.fixed: list[list[int]] = []
         self.fixed_masks: list[int] = []
         self.pool = vertices
@@ -128,17 +131,13 @@ class SearchState:
         self.set_path([])
 
     def replace_cycle(self, j: int, cycle) -> None:
-        old = self.fixed_masks[j]
-        new = mask_of(cycle)
-        taken = new & ~old
-        released = old & ~new
         self.fixed[j] = list(cycle)
-        self.fixed_masks[j] = new
-        self.pool = (self.pool | released) & ~taken
+        self.fixed_masks[j] = mask_of(cycle)
+        self.pool = self.vertices & ~reduce(or_, self.fixed_masks)
         self.shrink_stale = True
-        if taken & self.path_mask:
-            # only shrink takes path vertices, and it grows the pool, so the
-            # potential rises even with the path gone
+        if self.path_mask & ~self.pool:
+            # only shrink (which grows the pool, so the potential rises even
+            # with the path gone) and double exchange take path vertices
             self.set_path([])
 
 
@@ -401,7 +400,7 @@ def select_concentration(st: SearchState) -> tuple[int, int, int, int] | None:
     return None
 
 
-def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> list[tuple[int, ...]] | None:
+def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> bool:
     """Generalized bounded swap among the pool, cycle p, and cycle q.
 
     Enumerates every pattern that moves at most two vertices out of each part
@@ -409,11 +408,13 @@ def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> lis
     vertices or adjacent pairs out of cycle q) and reassigns each mover to one
     of the other two parts, at most two in. A pattern succeeds when all three
     modified parts simultaneously contain cycles of their required lengths;
-    the first success completes the packing. Each part's departures are built
-    once per call, and the patterns nest them pool, then p, then q. Each part's
-    cycle comes from one ``_cycle_in`` run, memoised per call; a run may miss
-    a cycle, and the pattern then fails. ``ctx`` comes from
-    ``select_concentration``, so the path has at least 4 distinct probes."""
+    the first success is placed by ``replace_cycle`` (p, q) and ``fix_cycle``
+    (the last stage's cycle), completing the packing, and returns True. Each
+    part's departures are built once per call, and the patterns nest them
+    pool, then p, then q. Each part's cycle comes from one ``_cycle_in`` run,
+    memoised per call; a run may miss a cycle, and the pattern then fails.
+    ``ctx`` comes from ``select_concentration``, so the path has at least 4
+    distinct probes."""
     g = st.g
     p_idx, q_idx, x_star, y_star = ctx
     c_cur = st.current_target
@@ -461,12 +462,11 @@ def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> lis
                 cyc2 = cycle_in((b2_0 & ~out2) | into_q, c_q)
                 if cyc2 is None:
                     continue
-                result = [tuple(c) for c in st.fixed]
-                result[p_idx] = cyc1
-                result[q_idx] = cyc2
-                result.append(cyc0)
-                return result
-    return None
+                st.replace_cycle(p_idx, cyc1)
+                st.replace_cycle(q_idx, cyc2)
+                st.fix_cycle(cyc0)
+                return True
+    return False
 
 
 # -- engine --------------------------------------------------------------------
@@ -480,9 +480,10 @@ def mix_seed(seed: int, index: int) -> int:
 def _attempt(g, targets, budget, rng, result, vertices):
     """One restart-free run of the move loop for the lengths ``targets`` on the
     vertex set ``vertices`` (``pack`` passes the whole host), adding its moves
-    and iterations to ``result``; returns the full cycle list or None. The
-    potential ends the loop (see the module docstring); ``budget``, when not
-    None, caps this attempt's iterations.
+    and iterations to ``result``; returns the placed cycles once close or
+    double exchange ends the last stage, or None. The potential ends the loop
+    (see the module docstring); ``budget``, when not None, caps this attempt's
+    iterations.
 
     An iteration is one move. An endpoint run of m extensions is made in one
     pass of the loop but counts m iterations and m ``extend`` moves, and it
@@ -519,11 +520,9 @@ def _attempt(g, targets, budget, rng, result, vertices):
                 st.fix_cycle(cycle)
                 break
             ctx = select_concentration(st)
-            if ctx is not None:
-                full = move_double_exchange(st, ctx)
-                if full is not None:
-                    counts["double_exchange"] += 1
-                    return full
+            if ctx is not None and move_double_exchange(st, ctx):
+                counts["double_exchange"] += 1
+                break
             return None
     return [tuple(c) for c in st.fixed]
 

@@ -38,9 +38,6 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
-    def failed(self, name: str) -> bool:
-        return any(c.name == name and not c.passed for c in self.checks)
-
 
 def check_hypotheses(g: BipartiteGraph, profile: CycleProfile) -> VerificationReport:
     """Report whether the instance sits in the guaranteed regime (balanced sides

@@ -147,6 +147,32 @@ class TestRunTrials:
             "38fcd5bb81f7fd73b08370507b579ea1e8f7ad87d0c863ee95642c9235893800"
         )
 
+    @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
+        # exchange tries every newcomer with two neighbours on the cycle
+        (dict(side=9, delta=4, profile=make_profile([4, 4, 4, 6], mode="conjecture"), fill_p=0.0, trials=300,
+              seed=3072, oracle_limit=0),
+         {"packed": 226, "unknown": 74},
+         {"close": 4842, "double_exchange": 0, "exchange": 546, "extend": 63192, "shrink": 51}, 1249,
+         "1792d3bc98d31fdac79f2637b62a41735fea170c12a5833a6c2335fd9386a521"),
+        # restarts reach shrink below the threshold
+        (dict(side=8, delta=2, profile=make_profile([4] * 4, mode="conjecture"), fill_p=0.1, trials=400,
+              seed=1024, oracle_limit=0),
+         {"packed": 12, "unknown": 388},
+         {"close": 7614, "double_exchange": 0, "exchange": 195, "extend": 104146, "shrink": 242}, 3106,
+         "5c237c50087b722dc469e981bc2da75905769ca99ba5d11f8209a37d153c25c0"),
+    ], ids=["exchange", "shrink"])
+    def test_oracle_free_replace_classes_pinned(self, config, outcomes, moves, restarts, digest):
+        # the exchange and shrink classes of the CI workflow: with the oracle
+        # off every verdict is the engine's, and each fired move goes through
+        # replace_cycle, so a change to how it keeps the pool moves these
+        s = run_trials(**config)
+        agg = s["aggregates"]
+        assert agg["outcomes"] == outcomes
+        assert agg["move_histogram"] == moves
+        assert sum(row["restarts"] for row in s["trials"]) == restarts
+        rows = json.dumps([[row["outcome"], row["packing"], row["restarts"]] for row in s["trials"]])
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
     def test_guaranteed_regime_summaries_pinned(self):
         # recorded before the detour scan dropped the alternating walks of a
         # maximum matching; at the threshold the engine never reached them.
@@ -449,7 +475,7 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("flag", [["--budget", "-1"], ["--budget", "-3"]])
-    def test_solve_negative_budget_or_restarts_exit_one(self, tmp_path, capsys, flag):
+    def test_solve_negative_budget_exit_one(self, tmp_path, capsys, flag):
         path = tmp_path / "k33.graph"
         main(["gen", "complete", "--m", "3", "--out", str(path)])
         assert main(["solve", "--graph", str(path), "--profile", "6", "--json"] + flag) == 1
@@ -629,6 +655,7 @@ class TestCli:
              f"    trial 1 seed {mix_seed(5, 1)}"),
             (["trials", "--side", "5", "--profile", "6,6", "--trials", "50", "--seed", "1"],
              "  hypotheses hold  0"),
+            (["sharpness", "--k", "2"], "  ok: True"),
         ],
     )
     def test_text_output(self, capsys, monkeypatch, argv, line):

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -245,6 +247,61 @@ class TestSearchState:
         assert st.path == [] and st.path_mask == 0
         assert st.fixed_masks == [mask_of([0, 9, 1, 7, 2, 8])]
         assert st.pool == pool ^ (1 << 6 | 1 << 9)
+
+    def test_writers_keep_pool_and_placed_cycles_consistent(self, monkeypatch):
+        # after every fix_cycle and replace_cycle the pool is the state's
+        # vertices minus the placed cycles and the path lies in the pool.
+        # Between double exchange's two replace_cycle calls cycles p and q may
+        # share the vertices that move between them (the pool excludes those
+        # either way), so the placed cycles are checked pairwise disjoint
+        # after fix_cycle and after each move that fired
+        calls = collections.Counter()
+
+        def check(st, disjoint):
+            placed = reduce(or_, st.fixed_masks, 0)
+            assert st.pool == st.vertices & ~placed
+            assert st.path_mask & ~st.pool == 0
+            if disjoint:
+                assert sum(m.bit_count() for m in st.fixed_masks) == placed.bit_count()
+
+        def writer(name, disjoint):
+            original = getattr(packer.SearchState, name)
+
+            def checked(st, *args):
+                original(st, *args)
+                calls[name] += 1
+                check(st, disjoint)
+
+            monkeypatch.setattr(packer.SearchState, name, checked)
+
+        def move(name):
+            original = getattr(packer, name)
+
+            def checked(st, *args):
+                fired = original(st, *args)
+                if fired:
+                    calls[name] += 1
+                    check(st, True)
+                return fired
+
+            monkeypatch.setattr(packer, name, checked)
+
+        writer("fix_cycle", True)
+        writer("replace_cycle", False)
+        for name in ("move_shrink", "move_exchange_one", "move_double_exchange"):
+            move(name)
+        # the relaxed CI class and theorem 6^6 at side 18 with the oracle off, and the CI exchange class
+        configs = [
+            dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), trials=300, seed=3, oracle_limit=0,
+                 fill_p=0.05),
+            dict(side=18, profile=make_profile([6] * 6), trials=200, seed=3, oracle_limit=0, fill_p=0.0),
+            dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), delta=4, trials=300, seed=3072,
+                 oracle_limit=0, fill_p=0.0),
+        ]
+        for config in configs:
+            run_trials(**config)
+        # double exchange installs 94 + 27 times, exchange 14 + 546, shrink 51
+        assert all(calls[name] > 0 for name in ("move_shrink", "move_exchange_one", "move_double_exchange")), calls
 
 
 class TestMoveExtendPath:
@@ -565,18 +622,22 @@ class TestConcentrationAndDoubleExchange:
         g = concentration_host()
         st = self.make_state(g)
         ctx = select_concentration(st)
-        cycles = move_double_exchange(st, ctx)
-        assert cycles is not None
+        assert move_double_exchange(st, ctx) is True
+        # the writers installed the swap: cycles p and q replaced, the pool's cycle placed last
+        cycles = [tuple(c) for c in st.fixed]
         report = verify_packing(g, make_profile([6, 6, 6]), cycles)
         assert report.ok, report.to_dict()
         # recorded before the departure lists: the first success in enumeration order
         assert cycles == [(1, 9, 6, 11, 2, 10), (0, 12, 4, 13, 5, 14), (3, 15, 7, 16, 8, 17)]
+        assert st.pool == 0 and st.path == [] and st.path_mask == 0
 
     def test_no_pattern_succeeds(self):
         # without the probes' adjacency into cycle q no swap frees three
         # cycles; the context is built by hand since selection refuses it
         st = self.make_state(concentration_host(saturate_q=False))
-        assert move_double_exchange(st, (0, 1, 0, 10)) is None
+        before = ([list(c) for c in st.fixed], list(st.fixed_masks), st.pool, list(st.path))
+        assert move_double_exchange(st, (0, 1, 0, 10)) is False
+        assert (st.fixed, st.fixed_masks, st.pool, st.path) == before
 
     def test_no_context_on_an_odd_path(self):
         # 4+5 host: a placed 4-cycle and a 5-vertex path spanning the odd pool

@@ -13,6 +13,11 @@ from cyclepack import (
 )
 
 
+def failed(report, name: str) -> bool:
+    """Whether the report holds a check ``name`` that did not pass."""
+    return any(c.name == name and not c.passed for c in report.checks)
+
+
 def naive_accepts(x_size, y_size, edge_list, lengths, cycles) -> bool:
     """Deliberately plain re-checker: walks every claimed cycle edge by edge,
     confirming each step by scanning the raw edge list. Shares no graph data
@@ -56,38 +61,38 @@ class TestVerifyPacking:
         g = gen_complete(6)
         cyc = (0, 6, 1, 7, 2, 8)
         report = verify_packing(g, make_profile([6, 6]), [cyc, cyc])
-        assert not report.ok and report.failed("disjointness")
+        assert not report.ok and failed(report, "disjointness")
 
     def test_odd_claim_rejected(self):
         g = gen_complete(3)
         report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2)])
         assert not report.ok
-        assert report.failed("parity") or report.failed("adjacency")
+        assert failed(report, "parity") or failed(report, "adjacency")
 
     def test_short_cycle_rejected_on_length(self):
         g = gen_complete(3)
         report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4)])
-        assert not report.ok and report.failed("length")
+        assert not report.ok and failed(report, "length")
 
     def test_empty_claim_passes_adjacency_and_fails_length(self):
         report = verify_packing(gen_complete(3), make_profile([6]), [()])
-        assert not report.failed("adjacency")
-        assert report.failed("length")
+        assert not failed(report, "adjacency")
+        assert failed(report, "length")
 
     def test_nonadjacent_step_rejected(self):
         g = c6_graph()
         report = verify_packing(g, make_profile([6]), [(0, 3, 2, 4, 1, 5)])
-        assert not report.ok and report.failed("adjacency")
+        assert not report.ok and failed(report, "adjacency")
 
     def test_wrong_cycle_count(self):
         g = gen_complete(6)
         report = verify_packing(g, make_profile([6, 6]), [(0, 6, 1, 7, 2, 8)])
-        assert not report.ok and report.failed("cycle_count")
+        assert not report.ok and failed(report, "cycle_count")
 
     def test_invalid_vertex_id(self):
         g = gen_complete(3)
         report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 99)])
-        assert not report.ok and report.failed("simplicity")
+        assert not report.ok and failed(report, "simplicity")
 
     def test_edge_inside_one_side_rejected(self):
         for u, v in ((0, 1), (3, 4)):  # inside X, then inside Y
@@ -97,7 +102,7 @@ class TestVerifyPacking:
             adj[v] |= 1 << u
             g.adjacency = tuple(adj)
             report = verify_packing(g, make_profile([6]), [(0, 3, 1, 4, 2, 5)])
-            assert report.failed("bipartite_validity") and not report.ok
+            assert failed(report, "bipartite_validity") and not report.ok
             bip = next(c for c in report.checks if c.name == "bipartite_validity")
             assert bip.detail == f"edge ({u}, {v}) stays inside one side"
 
@@ -135,8 +140,8 @@ class TestCheckHypotheses:
         g, profile = gen_sharpness(2)
         report = check_hypotheses(g, profile)
         assert not report.ok
-        assert report.failed("hypothesis_min_degree")
-        assert not report.failed("hypothesis_balance")
+        assert failed(report, "hypothesis_min_degree")
+        assert not failed(report, "hypothesis_balance")
 
     def test_empty_graph_has_no_degrees(self):
         report = check_hypotheses(BipartiteGraph(0, 0, []), make_profile([6]))
@@ -146,7 +151,7 @@ class TestCheckHypotheses:
     def test_unbalanced_sides(self):
         g = BipartiteGraph(2, 3, [(0, 2), (1, 3), (0, 4), (1, 2), (0, 3), (1, 4)])
         report = check_hypotheses(g, make_profile([4], mode="conjecture"))
-        assert report.failed("hypothesis_balance")
+        assert failed(report, "hypothesis_balance")
 
 
 class TestAgainstNaiveWalker:
