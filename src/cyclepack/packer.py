@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, product
 from operator import or_
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import BipartiteGraph, bits, mask_of
 from .profiles import CycleProfile
@@ -597,55 +597,80 @@ def pack(
 
 
 def iter_cycles_through(
-    adj: tuple[int, ...], mask: int, v: int, lo: int, hi: int
+    adj: tuple[int, ...], mask: int, v: int, lo: int, hi: int, classes: Iterable[int]
 ) -> Iterator[tuple[int, ...]]:
     """Yield each simple cycle within ``mask`` that passes through ``v`` and whose
     length is in [lo, hi] once, as a vertex sequence starting at ``v`` in the
-    direction whose second vertex is below its last.
+    direction whose second vertex is below its last, in depth-first preorder
+    with neighbours taken lowest first.
+
+    ``classes`` holds disjoint masks of twins, vertices with the same
+    neighbourhood; at each step only the lowest free candidate of each class is
+    tried, so a cycle is skipped when it takes a twin above one it could have
+    taken (``brute_force_pack`` says why that is sound). ``()`` yields every
+    cycle. ``classes`` is read at each step, so it may grow while the
+    enumeration runs.
 
     Requires v in ``mask`` and 4 <= lo <= hi. The oracle meets this: v is the
     branch vertex of a nonempty free set and has two free neighbours, lo is a
     needed length (>= 4 in every mode), and hi = max needed + slack with
     slack >= 0; an empty free set has negative slack and stops before the
     search."""
-    vbit = 1 << v
-    yield from _extend(adj, vbit, mask & ~vbit, lo, hi, v, [v])
-
-
-def _extend(
-    adj: tuple[int, ...], vbit: int, free: int, lo: int, hi: int, v: int, path: list[int]
-) -> Iterator[tuple[int, ...]]:
-    if len(path) >= lo and adj[v] & vbit and path[1] < v:
-        yield tuple(path)
-    if len(path) == hi:
-        return
-    for w in bits(adj[v] & free):
+    ends = adj[v]
+    free = mask & ~(1 << v)
+    path = [v]
+    cand = ends & free
+    for cls in classes:
+        part = cand & cls
+        cand ^= part & (part - 1)
+    stack = [cand]  # stack[i]: the candidates still to try after path[i]
+    while stack:
+        cand = stack[-1]
+        if not cand:
+            stack.pop()
+            free |= 1 << path.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        free ^= low
+        w = low.bit_length() - 1
         path.append(w)
-        yield from _extend(adj, vbit, free & ~(1 << w), lo, hi, w, path)
+        n = len(path)
+        if n >= lo and ends & low and path[1] < w:
+            yield tuple(path)
+        if n < hi:
+            cand = adj[w] & free if n < hi - 1 else adj[w] & free & ends
+            for cls in classes:
+                part = cand & cls
+                cand ^= part & (part - 1)
+            if cand:
+                stack.append(cand)
+                continue
         path.pop()
+        free |= low
 
 
-def _twin_classes(adj: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+def _twin_classes(adj: tuple[int, ...]) -> dict[int, list[int]]:
     """The host's twin classes of two or more vertices: vertices with the same
-    adjacency mask. Each comes as (class mask, low), where low[j] is the mask
-    of the class's j lowest vertices."""
+    adjacency mask. Each class mask maps to low, where low[j] is the mask of
+    the class's j lowest vertices."""
     classes: dict[int, int] = {}
     for v, row in enumerate(adj):
         classes[row] = classes.get(row, 0) | 1 << v
-    twins = []
+    twins = {}
     for cls in classes.values():
         if cls & (cls - 1):
             low = [0]
             for v in bits(cls):
                 low.append(low[-1] | 1 << v)
-            twins.append((cls, low))
+            twins[cls] = low
     return twins
 
 
-def _canonical(free: int, twins: list[tuple[int, list[int]]]) -> int:
+def _canonical(free: int, twins: dict[int, list[int]]) -> int:
     """``free`` with the free members of each twin class moved to the class's
     lowest vertices: the memo key of a free set."""
-    for cls, low in twins:
+    for cls, low in twins.items():
         part = free & cls
         free ^= part ^ low[part.bit_count()]
     return free
@@ -653,13 +678,14 @@ def _canonical(free: int, twins: list[tuple[int, list[int]]]) -> int:
 
 def _realize(
     adj: tuple[int, ...], x_mask: int, failed: set[tuple[int, tuple[int, ...]]],
-    twins: list[tuple[int, list[int]]], remaining: int, needed: tuple[int, ...],
+    twins: dict[int, list[int]], remaining: int, needed: tuple[int, ...],
 ) -> list[tuple[int, tuple[int, ...]]] | None:
     """One state of ``brute_force_pack``'s search: (length, cycle) pairs
     realizing ``needed`` (sorted ascending) inside ``remaining``, or None.
     ``failed`` is the memo of (canonical free set, needed) keys that have no
     solution. ``twins`` is empty until the first failure is recorded and then
-    holds the host's twin classes, so a search that never fails builds none."""
+    holds the host's twin classes, so a search that never fails builds none;
+    the cycle enumerations under way see the classes from then on."""
     if not needed:
         return []
     if failed and (_canonical(remaining, twins), needed) in failed:
@@ -669,7 +695,7 @@ def _realize(
     if slack >= 0:
         degree, v = min(((adj[u] & remaining).bit_count(), u) for u in bits(remaining))
         if degree >= 2:
-            for cyc in iter_cycles_through(adj, remaining, v, needed[0], needed[-1] + slack):
+            for cyc in iter_cycles_through(adj, remaining, v, needed[0], needed[-1] + slack, twins):
                 i = bisect_right(needed, len(cyc)) - 1
                 if len(cyc) - needed[i] > slack:
                     continue
@@ -680,7 +706,7 @@ def _realize(
         if rest is not None:
             return rest
     if not failed:
-        twins += _twin_classes(adj)
+        twins.update(_twin_classes(adj))
     failed.add((_canonical(remaining, twins), needed))
     return None
 
@@ -730,6 +756,20 @@ def brute_force_pack(
       slack is still computed on the actual free set. Only failed states are
       recorded and a hit skips only a state with no solution, so the search
       visits its branches in the same order and returns the same packing.
+    - One twin per class. Once the classes are built, the cycle enumeration
+      at each step tries only the lowest free candidate of each class. Say
+      cycle S = (v, s_1, ..., s_m), s_1 < s_m, is skipped because it took
+      s_j = w while a lower twin w' was free (not yet on the path). Swapping
+      w and w' in S gives a cycle S' through v of the same length: if w' is
+      off S, S' puts w' at position j; if w' = s_i with i > j, S' trades the
+      two positions. S' in its yielded orientation comes earlier in the same
+      enumeration: it agrees with S before position j and has w' < w there,
+      keeps the orientation when j < m or s_1 < w', and when j = m with
+      w' < s_1 is yielded reversed as (v, w', ...), below S at position 1.
+      Its remainder is a twin image of S's. So S', or by induction a cycle
+      before it, was tried with that remainder and failed (the search would
+      have returned otherwise), and S would only have been a memo hit.
+      Verdicts, packings and the memo's contents are unchanged.
 
     The cycles are returned aligned with the profile's sorted entries, and the
     packing is verified in full.
@@ -737,7 +777,7 @@ def brute_force_pack(
     if g.num_vertices > oracle_limit:
         raise OracleLimitError(f"{g.num_vertices} vertices exceed the oracle limit {oracle_limit}")
     result = PackResult(INFEASIBLE, oracle_used=True)
-    found = _realize(g.adjacency, g.x_mask, set(), [], g.full_mask, tuple(sorted(profile.lengths)))
+    found = _realize(g.adjacency, g.x_mask, set(), {}, g.full_mask, tuple(sorted(profile.lengths)))
     if found is None:
         return result
     cycles = [cyc for _, cyc in sorted(found, reverse=True)]

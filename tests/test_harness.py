@@ -399,11 +399,20 @@ class TestRunSharpness:
             run_sharpness(6)  # 26 vertices > default limit 18
 
     def test_k8_certified_above_default_limit(self):
-        # 34 vertices: about 0.3 s with the twin-keyed oracle memo, 25 s without
+        # 34 vertices: about 0.03 s with the twin-keyed memo and one twin per
+        # class in the cycle enumeration, 0.3 s with the memo alone, 25 s
+        # with neither
         s = run_sharpness(8, 34)
         assert s["ok"] and s["verdict"] == "infeasible"
         assert s["min_degree"] == 9 and s["threshold"] == 10
         assert s["vertices"] == 34
+
+    def test_k10_certified_above_default_limit(self):
+        # 42 vertices: about 0.2 s (3 s with the twin-keyed memo alone)
+        s = run_sharpness(10, 42)
+        assert s["ok"] and s["verdict"] == "infeasible"
+        assert s["min_degree"] == 11 and s["threshold"] == 12
+        assert s["vertices"] == 42
 
 
 class TestCli:

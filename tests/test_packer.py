@@ -471,7 +471,7 @@ class TestCycleIn:
             need = rng.choice((4, 6, 8, 10))
             cyc = packer._cycle_in(g, mask, need)
             n = mask.bit_count()
-            exists += any(next(iter_cycles_through(g.adjacency, mask, v, need, n), None) for v in bits(mask))
+            exists += any(next(iter_cycles_through(g.adjacency, mask, v, need, n, ()), None) for v in bits(mask))
             if cyc is None:
                 continue
             found += 1
@@ -1133,7 +1133,9 @@ class TestBruteForce:
 
     def test_twin_memo_state_count_pinned(self, monkeypatch):
         # sharpness --k 4 visits 1,437 states when the memo keys a state by
-        # its raw free set; canonical twin keys cut that to 367
+        # its raw free set; canonical twin keys cut that to 367, and trying
+        # one twin per class in the cycle enumeration cuts it to 121 (k = 6:
+        # 89,328 -> 5,036 -> 884); the states pruned were all memo hits
         states = 0
         original = packer._realize
 
@@ -1143,8 +1145,12 @@ class TestBruteForce:
             return original(*args)
 
         monkeypatch.setattr(packer, "_realize", counted)
-        assert run_sharpness(4)["ok"]
-        assert states == 367
+        counts = []
+        for k in (4, 6):
+            states = 0
+            assert run_sharpness(k, 4 * k + 2)["ok"]
+            counts.append(states)
+        assert counts == [121, 884]
 
     def test_twin_classes_built_once_and_only_after_a_failure(self, monkeypatch):
         # a search that packs at once records no failure and groups nothing
@@ -1158,8 +1164,9 @@ class TestBruteForce:
         assert built == [g.adjacency]
 
     def test_twin_memo_matches_plain_memo(self, monkeypatch):
-        # the canonical key only skips states that have no solution, so the
-        # verdict and the packing equal those of a memo with no twin classes;
+        # the canonical key and the one-twin-per-class enumeration only skip
+        # states that have no solution, so the verdict and the packing equal
+        # those of a search with no twin classes;
         # hosts of at most 12 vertices are also checked by the partition oracle
         rng = random.Random(37)
 
@@ -1327,7 +1334,90 @@ def test_cycles_through_agree_with_networkx_simple_cycles():
         nxg.add_nodes_from(bits(keep))
         nxg.add_edges_from((a, b) for a, b in g.edges() if keep >> a & 1 and keep >> b & 1)
         expected = [c for c in nx.simple_cycles(nxg, length_bound=hi) if anchor in c and len(c) >= lo]
-        found = list(iter_cycles_through(g.adjacency, keep, anchor, lo, hi))
+        found = list(iter_cycles_through(g.adjacency, keep, anchor, lo, hi, ()))
         assert len(found) == len(expected)
         assert len(set(found)) == len(found) and all(c[0] == anchor for c in found)
         assert sorted(map(sorted, found)) == sorted(map(sorted, expected))
+
+
+def reference_cycles_through(adj, mask, v, lo, hi):
+    """The recursive enumeration ``iter_cycles_through`` replaced, with no
+    twin rule: the order the oracle's packings were first pinned under."""
+    vbit = 1 << v
+
+    def extend(free, u, path):
+        if len(path) >= lo and adj[u] & vbit and path[1] < u:
+            yield tuple(path)
+        if len(path) == hi:
+            return
+        for w in bits(adj[u] & free):
+            path.append(w)
+            yield from extend(free & ~(1 << w), w, path)
+            path.pop()
+
+    yield from extend(mask & ~vbit, v, [v])
+
+
+def test_cycles_through_keep_the_recursive_order():
+    # the oracle returns the first packing it finds, so the order matters and
+    # not only the set of cycles
+    rng = random.Random(91)
+    total = 0
+    for trial in range(150):
+        x, y = rng.randint(2, 7), rng.randint(2, 7)
+        p = rng.uniform(0.3, 0.95)
+        g = BipartiteGraph(x, y, [(u, x + v) for u in range(x) for v in range(y) if rng.random() < p])
+        anchor = rng.randrange(g.num_vertices)
+        keep = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.85) | 1 << anchor
+        lo = rng.choice((4, 6, 8))
+        hi = rng.randint(lo, 14)
+        found = list(iter_cycles_through(g.adjacency, keep, anchor, lo, hi, ()))
+        assert found == list(reference_cycles_through(g.adjacency, keep, anchor, lo, hi))
+        total += len(found)
+    assert total > 1000
+
+
+def test_twin_rule_keeps_every_remainder():
+    # on twin-heavy hosts, trying only the lowest free twin of each class
+    # yields a subsequence of the full enumeration in which every skipped
+    # cycle's (length, remainder up to twins) pair was already reached by a
+    # kept cycle, so the oracle skips only memo hits; a class set that appears
+    # mid-enumeration, as the oracle's does at its first failure, keeps both
+    rng = random.Random(53)
+    hosts = []
+    for _ in range(25):  # blow-ups: X rows from a few patterns
+        x, y = rng.randint(3, 8), rng.randint(3, 8)
+        patterns = [rng.getrandbits(y) | rng.getrandbits(y) for _ in range(rng.randint(1, 3))]
+        hosts.append(graph_of_rows(x, y, [rng.choice(patterns) for _ in range(x)]))
+    for side, block in [(5, 2), (6, 2), (6, 3), (7, 3), (8, 4)]:
+        hosts.append(graph_of_rows(side, side, block_complement_rows(side, block)))
+    hosts += [gen_sharpness(2)[0], gen_sharpness(4)[0]]
+    pruned_total = full_total = 0
+    for g in hosts:
+        twins = packer._twin_classes(g.adjacency)
+        assert twins
+        for _ in range(4):
+            anchor = rng.randrange(g.num_vertices)
+            keep = g.full_mask if rng.random() < 0.5 else rng.getrandbits(g.num_vertices) | 1 << anchor
+            lo = rng.choice((4, 6))
+            hi = rng.randint(lo, 10)
+            full = list(iter_cycles_through(g.adjacency, keep, anchor, lo, hi, ()))
+            late = {}
+            growing = iter_cycles_through(g.adjacency, keep, anchor, lo, hi, late)
+            first = next(growing, None)
+            late.update(twins)
+            runs = [list(iter_cycles_through(g.adjacency, keep, anchor, lo, hi, twins)),
+                    [first] + list(growing) if first else []]
+            for pruned in runs:
+                kept, reached = iter(pruned), set()
+                nxt = next(kept, None)
+                for c in full:
+                    key = (len(c), packer._canonical(keep & ~mask_of(c), twins))
+                    if c == nxt:
+                        reached.add(key)
+                        nxt = next(kept, None)
+                    assert key in reached  # an earlier kept cycle leaves a twin image
+                assert nxt is None  # the kept cycles are a subsequence
+            pruned_total += len(runs[0])
+            full_total += len(full)
+    assert pruned_total < full_total / 2
