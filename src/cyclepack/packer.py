@@ -23,10 +23,10 @@ iterations. Shrink, exchange and double exchange take each cycle they test
 from one more single-stage run of this loop, bounded the same way, on the
 vertex set in question, and each takes the first cycle that fits (for shrink,
 the first strictly shorter than the placed one); a run may miss a cycle, and
-the move then fails. On a host within the oracle limit, an exact backtracking
-oracle, the only exhaustive cycle search, decides once the first attempt
-stalls; only larger hosts get seeded restarts, which perturb the construction
-order.
+the move then fails. A host within the oracle limit goes to an exact
+backtracking oracle, the only exhaustive cycle search, and never to the
+engine; only larger hosts get the engine and its seeded restarts, which
+perturb the construction order.
 """
 from __future__ import annotations
 
@@ -559,17 +559,17 @@ def pack(
     """Find vertex-disjoint cycles realizing the profile, or certify their absence.
 
     Outcomes: ``packed`` with a verified packing; ``infeasible`` only with an
-    exhaustive certificate (immediate pigeonhole or the exact oracle on
-    instances within the oracle limit); ``unknown`` when the move engine and its
-    ``DEFAULT_RESTARTS`` seeded restarts are exhausted on an instance too large
-    to certify. Within the oracle limit there are no restarts: the oracle
-    decides as soon as the first attempt stalls, so a restart could change
-    which packing is returned but never the status.
+    exhaustive certificate (immediate pigeonhole or the exact oracle);
+    ``unknown`` when the move engine and its ``DEFAULT_RESTARTS`` seeded
+    restarts are exhausted on an instance too large to certify.
 
-    Each attempt runs until every stage closes or no move applies. The
-    potential bounds it: on an N-vertex host with k profile entries an attempt
-    takes at most k(N//2 + 1)(N + 1) iterations (see the module docstring).
-    ``budget``, when given, caps each attempt's iterations as well.
+    A host within the oracle limit is decided by ``brute_force_pack`` alone,
+    and its result is returned as is: no engine attempt, iteration or
+    restart. Only a larger host gets the engine, one attempt and then seeded
+    restarts. Each attempt runs until every stage closes or no move applies.
+    The potential bounds it: on an N-vertex host with k profile entries an
+    attempt takes at most k(N//2 + 1)(N + 1) iterations (see the module
+    docstring). ``budget``, when given, caps each attempt's iterations as well.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -582,17 +582,14 @@ def pack(
             f"profile needs {profile.n // 2} vertices on each side, host sides have {g.x_size} and {g.y_size}"
         )
         return result
-    certifiable = g.num_vertices <= oracle_limit
-    for attempt in range(1 if certifiable else DEFAULT_RESTARTS + 1):
+    if g.num_vertices <= oracle_limit:
+        return brute_force_pack(g, profile, oracle_limit)
+    for attempt in range(DEFAULT_RESTARTS + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
         cycles = _attempt(g, profile.lengths, budget, rng, result, g.full_mask)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")
-    if certifiable:
-        oracle = brute_force_pack(g, profile, oracle_limit)
-        result.status, result.packing, result.report = oracle.status, oracle.packing, oracle.report
-        result.oracle_used = True
     return result
 
 
@@ -693,7 +690,15 @@ def _realize(
     x_count = (remaining & x_mask).bit_count()
     slack = 2 * min(x_count, remaining.bit_count() - x_count) - sum(needed)
     if slack >= 0:
-        degree, v = min(((adj[u] & remaining).bit_count(), u) for u in bits(remaining))
+        # v: fewest free neighbours, lowest id on ties (the first strict minimum)
+        degree, v, scan = len(adj) + 1, 0, remaining
+        while scan:
+            low = scan & -scan
+            u = low.bit_length() - 1
+            d = (adj[u] & remaining).bit_count()
+            if d < degree:
+                degree, v = d, u
+            scan ^= low
         if degree >= 2:
             for cyc in iter_cycles_through(adj, remaining, v, needed[0], needed[-1] + slack, twins):
                 i = bisect_right(needed, len(cyc)) - 1

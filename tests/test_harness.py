@@ -136,15 +136,18 @@ class TestRunTrials:
         # recorded before double exchange built its departure lists: a change
         # to the order in which swap patterns are tried moves these; the
         # packings of two rows moved again when double exchange took its
-        # cycles from the move loop instead of an exhaustive search
+        # cycles from the move loop instead of an exhaustive search.
+        # Re-recorded with the oracle off once the oracle alone decided within
+        # its limit: the 8 rows the oracle packed after a stall now restart
+        # (8 restarts, all 40 packed), which adds their moves and packings
         s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
-                       seed=3, fill_p=0.05)
+                       seed=3, fill_p=0.05, oracle_limit=0)
         assert s["aggregates"]["move_histogram"] == {
-            "close": 142, "double_exchange": 10, "exchange": 0, "extend": 1680, "shrink": 0,
+            "close": 173, "double_exchange": 11, "exchange": 0, "extend": 2016, "shrink": 0,
         }
         outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
         assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-            "38fcd5bb81f7fd73b08370507b579ea1e8f7ad87d0c863ee95642c9235893800"
+            "3ba0845c709118f5e4e200ba3ecf5d2c0e8b0ee7eaf912e02e43787462d9b4a7"
         )
 
     @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
@@ -173,6 +176,27 @@ class TestRunTrials:
         rows = json.dumps([[row["outcome"], row["packing"], row["restarts"]] for row in s["trials"]])
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
+    def test_desk_campaign_outcomes_pinned(self):
+        # four desk-scale configs, two guaranteed and two sparse below the
+        # threshold, at campaign seed 1024; recorded while the engine still ran
+        # before the oracle within its limit. Handing those hosts to the oracle
+        # alone moved no row's outcome or hypotheses_hold
+        configs = [
+            (dict(side=6, delta=5, fill_p=0.5, profile=make_profile([6, 6]), trials=200), {"packed": 200}),
+            (dict(side=9, delta=5, fill_p=0.5, profile=make_profile([6, 6]), trials=1000), {"packed": 1000}),
+            (dict(side=8, delta=2, fill_p=0.1, profile=make_profile([4] * 4, "conjecture"), trials=400),
+             {"infeasible": 388, "packed": 12}),
+            (dict(side=9, delta=3, fill_p=0.05, profile=make_profile([6, 6, 6]), trials=200),
+             {"infeasible": 70, "packed": 130}),
+        ]
+        digest = hashlib.sha256()
+        for config, outcomes in configs:
+            s = run_trials(seed=1024, **config)
+            assert s["aggregates"]["outcomes"] == outcomes
+            assert s["aggregates"]["oracle_fallbacks"] == config["trials"]
+            digest.update(json.dumps([[row["outcome"], row["hypotheses_hold"]] for row in s["trials"]]).encode())
+        assert digest.hexdigest() == "daf849bb36a5dffbf9e9013f949e936705ad99660d07d1f5db93627f019d64bb"
+
     def test_guaranteed_regime_summaries_pinned(self):
         # recorded before the detour scan dropped the alternating walks of a
         # maximum matching; at the threshold the engine never reached them.
@@ -180,7 +204,10 @@ class TestRunTrials:
         # 8 of 1,300 packings moved, each where it fired; no count or outcome did.
         # Re-recorded when the aggregates gained "hypotheses_hold", the only
         # key that moved (it reads 200, 1000 and 100), and again when they
-        # gained "guaranteed_unknown", the only key that moved (it reads 0)
+        # gained "guaranteed_unknown", the only key that moved (it reads 0).
+        # Re-recorded when the oracle alone decided within its limit: the
+        # side-9 rows carry the oracle's packings, no moves and
+        # oracle_fallback true; no row's outcome or hypotheses_hold moved
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -191,7 +218,7 @@ class TestRunTrials:
             s = run_trials(**config)
             assert s["aggregates"]["success_rate"] == 1.0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "146b6488cedcf1e0005d1d76d85238af86d693406b7af11b0bb0da8243d0ffc3"
+        assert digest.hexdigest() == "6eedf6568167af9679585c1720c6bddb1a384e65c559389f2bc24d9980698abe"
 
     def test_conjecture_gap_class_pinned(self):
         # the 4-cycle endgame gap: every host meets the hypotheses, so a
@@ -586,7 +613,8 @@ class TestCli:
         for row in summary["trials"]:
             assert row["seed"] == mix_seed(7, row["trial"])
             assert row["outcome"] == "packed" and row["verified"] is True
-            assert row["oracle_fallback"] is False and row["theorem_violation"] is False
+            # 12 vertices are within the oracle limit, so the oracle decides
+            assert row["oracle_fallback"] is True and row["theorem_violation"] is False
             assert set(row["moves"]) == set(MOVE_KINDS)
 
     def test_trials_non_integer_profile_exit_one(self, capsys):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from functools import reduce
 from operator import or_
 
@@ -808,12 +809,34 @@ class TestPack:
         r = pack(g, make_profile([6]), seed=0)
         assert r.status == "unknown" and not r.oracle_used
 
-    def test_oracle_decides_after_one_attempt_within_its_limit(self):
+    def test_oracle_alone_decides_within_its_limit(self):
         profile = make_profile([4, 4, 4, 4], "conjecture")
         r = pack(sparse_host(), profile, seed=0)
         assert r.status == "infeasible" and r.restarts == 0 and r.oracle_used
         r = pack(sparse_host(), profile, seed=0, oracle_limit=15)
         assert r.status == "unknown" and r.restarts == packer.DEFAULT_RESTARTS and not r.oracle_used
+
+    def test_within_limit_pack_is_the_oracle(self):
+        # within the oracle limit pack returns brute_force_pack's result: no
+        # engine iteration, restart or move; with the oracle off the same
+        # hosts run the engine, which never contradicts the oracle
+        cases = [(gen_random_mindeg(9, 9, 3, seed=s, fill_p=0.05), make_profile([6, 6, 6])) for s in range(6)]
+        cases += [(gen_random_mindeg(8, 8, 2, seed=s, fill_p=0.1), make_profile([4] * 4, "conjecture"))
+                  for s in range(6)]
+        cases += [(gen_random_mindeg(9, 9, 5, seed=s), make_profile([6, 6])) for s in range(3)]
+        cases.append(gen_sharpness(2))
+        statuses = collections.Counter()
+        for seed, (g, profile) in enumerate(cases):
+            r = pack(g, profile, seed=seed)
+            oracle = brute_force_pack(g, profile)
+            assert (r.status, r.packing) == (oracle.status, oracle.packing), seed
+            assert (r.iterations, r.restarts, r.oracle_used) == (0, 0, True), seed
+            assert r.move_counts == dict.fromkeys(packer.MOVE_KINDS, 0), seed
+            engine = pack(g, profile, seed=seed, oracle_limit=0)
+            assert engine.iterations > 0 and not engine.oracle_used, seed
+            assert engine.status in (oracle.status, "unknown"), seed
+            statuses[r.status] += 1
+        assert set(statuses) == {"packed", "infeasible"}, statuses
 
     @pytest.mark.parametrize("side", [100, 150])
     def test_guaranteed_regime_packs_at_scale_on_first_attempt(self, side):
@@ -857,7 +880,7 @@ class TestPack:
         # the verifier stands between the engine and every packed result
         monkeypatch.setattr(packer, "_attempt", lambda *a: [(0, 4, 1, 5), (0, 4, 1, 5)])
         with pytest.raises(RuntimeError, match="internal error: engine produced an invalid packing"):
-            pack(gen_complete(4), make_profile([4, 4], "conjecture"))
+            pack(gen_complete(4), make_profile([4, 4], "conjecture"), oracle_limit=0)
 
     def test_explicit_budget_caps_each_attempt(self):
         profile = make_profile([6] * 33)
@@ -882,7 +905,7 @@ class TestPack:
 
         monkeypatch.setattr(packer, "_record", logged)
         g = gen_random_mindeg(7, 7, 5, seed=23)
-        r = pack(g, make_profile([6, 6]), seed=23)
+        r = pack(g, make_profile([6, 6]), seed=23, oracle_limit=0)
         assert r.status == "packed" and trace
         for kind, before, after in trace:
             assert after > before, (kind, before, after)
@@ -953,38 +976,47 @@ class TestPack:
     def test_non_improving_move_raises(self, monkeypatch):
         monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: True)
         with pytest.raises(RuntimeError, match="failed to improve the potential"):
-            pack(gen_complete(3), make_profile([6]))
+            pack(gen_complete(3), make_profile([6]), oracle_limit=0)
 
     def test_run_claiming_more_moves_than_the_path_grew_raises(self, monkeypatch):
         # the seed adds one vertex; reported as two moves, the check must catch it
         original = packer.move_extend_path
         monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: 2 * original(st, room))
         with pytest.raises(RuntimeError, match=r"run of 2 extend moves changed the potential \(6, 0\) -> \(6, 1\)"):
-            pack(gen_complete(3), make_profile([6]))
+            pack(gen_complete(3), make_profile([6]), oracle_limit=0)
 
     def test_runs_match_one_move_per_call(self, monkeypatch):
         # sparse side-60 hosts, where restarts pick through the rng; side-30
         # threshold hosts under budgets that end inside a run; side-9 hosts
-        # below the threshold, where the oracle decides after the engine stalls
+        # below the threshold, where the oracle decides, and the same hosts
+        # with the oracle off, where the engine stalls and restarts
+        limit = packer.DEFAULT_ORACLE_LIMIT
         sparse60 = make_profile([6] * 20)
-        cases = [(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, None) for s in (0, 1)]
+        cases = [(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, None, limit) for s in (0, 1)]
         side30 = make_profile([6] * 10)
         for s in (0, 1):
             g = gen_random_mindeg(30, 30, 21, seed=s)
-            cases += [(g, side30, s, budget) for budget in (7, 12, 19, 26)]
+            cases += [(g, side30, s, budget, limit) for budget in (7, 12, 19, 26)]
         side9 = make_profile([6, 6, 6])
-        cases += [(gen_random_mindeg(9, 9, 4, seed=s), side9, s, None) for s in range(12)]
-        runs = [pack(g, profile, seed=seed, budget=budget) for g, profile, seed, budget in cases]
+        for oracle_limit in (limit, 0):
+            cases += [(gen_random_mindeg(9, 9, 4, seed=s), side9, s, None, oracle_limit) for s in range(12)]
+
+        def run_all():
+            return [pack(g, profile, seed=seed, budget=budget, oracle_limit=oracle_limit)
+                    for g, profile, seed, budget, oracle_limit in cases]
+
+        runs = run_all()
         # the engine as it was before endpoint runs: every extend call makes one move
         original = packer.move_extend_path
         monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: original(st, 1))
-        singles = [pack(g, profile, seed=seed, budget=budget) for g, profile, seed, budget in cases]
+        singles = run_all()
         for case, run, single in zip(cases, runs, singles):
             fields = ("status", "packing", "iterations", "restarts", "move_counts", "diagnostics")
             assert [getattr(run, f) for f in fields] == [getattr(single, f) for f in fields], case[2:]
         assert all(r.restarts == packer.DEFAULT_RESTARTS for r in runs[:2])
         assert all(r.status == "unknown" for r in runs[2:10])
-        assert any(r.oracle_used for r in runs[10:])
+        assert any(r.oracle_used for r in runs[10:22])
+        assert any(r.restarts for r in runs[22:]) and not any(r.oracle_used for r in runs[22:])
 
     def test_loop_passes_are_not_per_iteration(self, monkeypatch):
         # every pass of the move loop tries shrink first; an endpoint run of m
@@ -1088,6 +1120,36 @@ class TestStructuredTightSideHosts:
 
 
 class TestBruteForce:
+    def test_worst_case_at_the_default_limit(self):
+        # adversarial 18-vertex hosts: sparse side-9 hosts at and below Moon and
+        # Moser's Hamiltonicity bound (a balanced bipartite host on 2m vertices
+        # with min degree > m/2 is Hamiltonian), asked for a Hamilton cycle or a
+        # 16-cycle, and the sharpness construction at k = 4, a deep infeasible
+        # search. Every host within the limit reaches the oracle directly, so
+        # its slowest call bounds a desk-scale solve; the slowest measured took
+        # under 3 ms, far under the bound asserted here
+        cases = []
+        for delta in (2, 3, 4):
+            for seed in range(4):
+                g = gen_random_mindeg(9, 9, delta, seed, 0.0)
+                cases += [(g, [18]), (g, [16])]
+        statuses = collections.Counter()
+        slowest = 0.0
+        for g, lengths in cases:
+            started = time.perf_counter()
+            r = brute_force_pack(g, make_profile(lengths))
+            slowest = max(slowest, time.perf_counter() - started)
+            assert (r.status == "packed") == partition_feasible(g.x_size, g.y_size, list(g.edges()), lengths)
+            statuses[r.status] += 1
+        # the partition oracle takes over a second on the sharpness host; its
+        # infeasibility is the construction's theorem
+        g, profile = gen_sharpness(4)
+        started = time.perf_counter()
+        assert brute_force_pack(g, profile).status == "infeasible"
+        slowest = max(slowest, time.perf_counter() - started)
+        assert set(statuses) == {"packed", "infeasible"}, statuses
+        assert slowest < 0.5, slowest
+
     def test_k33(self):
         r = brute_force_pack(gen_complete(3), make_profile([6]))
         assert r.status == "packed" and r.oracle_used
