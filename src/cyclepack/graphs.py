@@ -291,12 +291,15 @@ def gen_random_mindeg(
 ) -> BipartiteGraph:
     """Seeded random bipartite graph with minimum degree at least ``delta``.
 
-    The base depends on the host shape. With equal sides it is ``delta``
-    rounds of random perfect matchings, each avoiding edges already present
-    (see :func:`_add_matching_round`), so every vertex gets exactly ``delta``
-    distinct neighbours. With unequal sides it is :func:`_repair` alone on the
-    empty graph: every vertex below ``delta`` gets random missing edges, X side
-    first.
+    The base depends on the host shape. With equal sides ``s`` it is built
+    from rounds of random perfect matchings, each avoiding edges already
+    present (see :func:`_add_matching_round`). When ``delta <= s/2`` it is
+    ``delta`` rounds. When ``delta > s/2`` it is the complement in K_{s,s} of
+    ``s - delta`` rounds, which are fewer. The rounds are disjoint perfect
+    matchings, so r rounds give every vertex exactly r neighbours and their
+    complement gives it s - r: either way the base is ``delta``-regular.
+    With unequal sides it is :func:`_repair` alone on the empty graph: every
+    vertex below ``delta`` gets random missing edges, X side first.
     Then every remaining non-edge is added independently with probability
     ``fill_p``, drawing one number per unset cell in row-major order.
     ``seed`` must be >= 0: ``random.Random`` seeds a negative int by its
@@ -312,12 +315,16 @@ def gen_random_mindeg(
         raise GraphError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     present = [0] * x_size  # per-x bitmask of chosen y offsets
+    y_full = (1 << y_size) - 1
     if x_size == y_size:
-        for _ in range(delta):
+        dense = 2 * delta > x_size
+        for _ in range(x_size - delta if dense else delta):
             _add_matching_round(present, rng)
+        if dense:
+            present = [~row & y_full for row in present]
     else:
         _repair(present, x_size, y_size, delta, rng)
-    draw, y_full = rng.random, (1 << y_size) - 1
+    draw = rng.random
     for u, row in enumerate(present):
         unset = ~row & y_full
         while unset:  # one draw per unset cell, lowest first
@@ -338,12 +345,25 @@ def _add_matching_round(present: list[int], rng) -> None:
     rows of allowed partners. The allowed pairs form a regular bipartite
     graph, which by Hall's theorem has a perfect matching, so the round
     always completes and adds exactly one new neighbour to every vertex.
+    Rounds from the empty base are therefore disjoint perfect matchings,
+    whose complement :func:`gen_random_mindeg` takes when ``delta`` is
+    past half the side.
+
+    The permutation is ``rng.shuffle``'s Fisher-Yates from the top, inlined
+    with the same ``getrandbits`` draws, so it and the stream left behind
+    equal ``rng.shuffle(list(range(size)))``.
     """
     size = len(present)
     full = (1 << size) - 1
     allowed = [~row & full for row in present]
     match_l = list(range(size))
-    rng.shuffle(match_l)
+    getrandbits = rng.getrandbits
+    for i in range(size - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        match_l[i], match_l[j] = match_l[j], match_l[i]
     match_r = [-1] * size
     free_r = full
     unmatched = []

@@ -94,6 +94,8 @@ def run_trials(side: int, profile: CycleProfile, trials: int, seed: int, delta: 
             "hypotheses_hold": sum(row["hypotheses_hold"] for row in rows),
             # a packing exists in each of these, so each is an engine gap
             "guaranteed_unknown": sum(row["hypotheses_hold"] and row["outcome"] == UNKNOWN for row in rows),
+            # the engine's gauge in the regime: rows it could not pack on the first attempt
+            "guaranteed_restarted": sum(row["hypotheses_hold"] and row["restarts"] > 0 for row in rows),
             "theorem_violations": sum(row["theorem_violation"] for row in rows),
             "move_histogram": {k: move_hist[k] for k in sorted(move_hist)},
         },

@@ -369,22 +369,44 @@ class TestGenerators:
 
     def test_equal_sides_rounds_leave_nothing_to_repair(self):
         # Hall: with equal sides a round's allowed pairs form a regular bipartite
-        # graph, so each round is a perfect matching of new edges and delta rounds
-        # give every vertex exactly delta neighbours; the top-up would add nothing
+        # graph, so each round is a perfect matching of new edges and r rounds
+        # give every vertex exactly r neighbours; their complement gives it
+        # side - r, so either base the generator builds is regular and the
+        # top-up would add nothing
         rng = random.Random(4040)
         for side in range(1, 41):
             for _ in range(3):
-                delta = rng.randint(0, side)
+                rounds = rng.randint(0, side)
                 present = [0] * side
                 draws = random.Random(rng.getrandbits(32))
-                for _ in range(delta):
+                for _ in range(rounds):
                     _add_matching_round(present, draws)
-                assert all(row.bit_count() == delta for row in present), (side, delta)
-                assert all(sum(row >> w & 1 for row in present) == delta for w in range(side)), (side, delta)
+                complement = [~row & (1 << side) - 1 for row in present]
+                for rows, degree in ((present, rounds), (complement, side - rounds)):
+                    assert all(row.bit_count() == degree for row in rows), (side, rounds)
+                    assert all(sum(row >> w & 1 for row in rows) == degree for w in range(side)), (side, rounds)
+
+    def test_matching_round_permutation_is_shuffle(self):
+        # on the empty base every proposal is allowed, so the round is its
+        # permutation: it must be rng.shuffle's, drawn from the same stream
+        # and leaving it in the same state
+        for seed in range(40):
+            for size in range(201):
+                present, draws = [0] * size, random.Random(seed)
+                _add_matching_round(present, draws)
+                expected, reference = list(range(size)), random.Random(seed)
+                reference.shuffle(expected)
+                assert present == [1 << r for r in expected], (seed, size)
+                assert draws.random() == reference.random(), (seed, size)
 
     def test_random_equal_sides_no_fill_is_regular(self):
+        # delta rounds up to half the side, the complement of side - delta
+        # rounds past it: floor and ceiling of side/2 at odd and even sides,
+        # side/2 + 1, side - 1, and side itself (no rounds, a complete host)
+        shapes = [(5, 2), (5, 3), (8, 4), (8, 5), (9, 4), (9, 5), (10, 6), (11, 6), (12, 11), (13, 12),
+                  (12, 12), (13, 13)]
         for seed in range(40):
-            for side, d in [(5, 2), (8, 5), (12, 12)]:
+            for side, d in shapes:
                 g = gen_random_mindeg(side, side, d, seed=seed, fill_p=0)
                 assert all(a.bit_count() == d for a in g.adjacency), (side, d, seed)
 
@@ -405,16 +427,18 @@ class TestGenerators:
     @pytest.mark.parametrize(
         "shape, digest",
         [
-            ((30, 30, 20, 7, 0.0), "d9b73918d8a253416e09d1e6085cb6f3c9aa78a885f87cf29ca492df60c82479"),
-            ((40, 40, 27, 3, 0.5), "3f344aa9ff40b03d89506b0aa165d1c25f2479156692d720d5ab6d8f09ff846d"),
+            ((30, 30, 20, 7, 0.0), "367c6641c2236da8e2ce25921875123e213513eddd897764d435d309f2da4f0c"),
+            ((40, 40, 27, 3, 0.5), "cb4add6e0aaceebbaf676e0d0802056550964cdcc83e906749d0dccd1f48a0f9"),
             ((25, 40, 15, 11, 0.5), "b50f670e98fd8e309c27c03872784224472aff4b3e4eb4c9f960db5f76520333"),
             ((40, 17, 12, 5, 0.0), "0371bed09c0981260c4023999a5f2eedef46e7b67a4df4020f7f99d448c43738"),
-            ((90, 90, 61, 1024, 0.5), "bba938e6e0258569dd4f2dd4170123134c53026db60d3d3974519997705b0f9f"),
+            ((90, 90, 61, 1024, 0.5), "9bbf29769b4ca70fcd33b8ecb4ed2330f978473c7cedef2d758776bb285519e9"),
             ((40, 17, 14, 0, 0.0), "9754a6bd7275da2e355bf3b510a2d5714280cd87e3b8bab8aab2267ca9593241"),
         ],
     )
     def test_random_instances_pinned(self, shape, digest):
-        # (x, y, delta, seed, fill_p): `gen random` and `trials` draw these exact hosts
+        # (x, y, delta, seed, fill_p): `gen random` and `trials` draw these exact hosts.
+        # The three equal-sides shapes were re-recorded when a base past half
+        # density became the complement of side - delta rounds; the unequal ones did not move
         text = serialize_graph(gen_random_mindeg(*shape))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -438,9 +462,11 @@ class TestGenerators:
     def test_random_hosts_wide_pinned(self):
         # every shape at sides 1-12 (equal and unequal, every delta, five fills),
         # the first 25 trial hosts of each benchmark trials-desk config and the
-        # benchmark trials-scale hosts, all at campaign seed 1024; one digest per
-        # host shape, the equal-sides one recorded before unequal sides lost
-        # their matching rounds
+        # benchmark trials-scale hosts, all at campaign seed 1024. One digest per
+        # base: unequal sides (recorded before they lost their matching rounds),
+        # equal sides at delta <= side/2 (delta rounds, recorded before a denser
+        # base became a complement, and unmoved by it) and equal sides at
+        # delta > side/2 (the complement of side - delta rounds)
         shapes = []
         for x in range(1, 13):
             for y in range(1, 13):
@@ -450,11 +476,13 @@ class TestGenerators:
         for side, d, fill in [(6, 5, 0.5), (9, 5, 0.5), (8, 2, 0.1), (9, 3, 0.05)]:
             shapes += [(side, side, d, mix_seed(1024, i), fill) for i in range(25)]
         shapes += [(s, s, 2 * s // 3 + 1, mix_seed(1024, 0), 0.5) for s in range(60, 91, 6)]
-        equal, unequal = hashlib.sha256(), hashlib.sha256()
-        for shape in shapes:
-            (equal if shape[0] == shape[1] else unequal).update(serialize_graph(gen_random_mindeg(*shape)).encode())
+        sparse, dense, unequal = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        for x, y, d, seed, fill in shapes:
+            base = unequal if x != y else dense if 2 * d > x else sparse
+            base.update(serialize_graph(gen_random_mindeg(x, y, d, seed, fill)).encode())
         assert len(shapes) == 4076
-        assert equal.hexdigest() == "0cf11e6aa2973974b76cca2b9222167b5d5f391a09331d82a18446ee0d88543b"
+        assert sparse.hexdigest() == "2a2fcb23edb882f05751d92bfec7b3821082a8fa1da954b3c2482e18d77a1986"
+        assert dense.hexdigest() == "6a192d0968bfd47d4628b8a0de4b6225980f946436ef418656b736448c3331eb"
         assert unequal.hexdigest() == "fdb6d044f1b544275b41c660b248b1a00a043f8322889d553dc9c2d4c3d60f21"
 
     @pytest.mark.parametrize(

@@ -139,15 +139,17 @@ class TestRunTrials:
         # cycles from the move loop instead of an exhaustive search.
         # Re-recorded with the oracle off once the oracle alone decided within
         # its limit: the 8 rows the oracle packed after a stall now restart
-        # (8 restarts, all 40 packed), which adds their moves and packings
+        # (8 restarts, all 40 packed), which adds their moves and packings.
+        # Re-recorded when its delta-6 hosts became the complement of 3
+        # matching rounds: 13 restarts, all 40 packed
         s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
                        seed=3, fill_p=0.05, oracle_limit=0)
         assert s["aggregates"]["move_histogram"] == {
-            "close": 173, "double_exchange": 11, "exchange": 0, "extend": 2016, "shrink": 0,
+            "close": 185, "double_exchange": 14, "exchange": 1, "extend": 2221, "shrink": 0,
         }
         outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
         assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-            "3ba0845c709118f5e4e200ba3ecf5d2c0e8b0ee7eaf912e02e43787462d9b4a7"
+            "055796ce27dac630b5bd68266e7f3b978785164ac325dc9e73a5fbaecce57b21"
         )
 
     @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
@@ -207,7 +209,11 @@ class TestRunTrials:
         # gained "guaranteed_unknown", the only key that moved (it reads 0).
         # Re-recorded when the oracle alone decided within its limit: the
         # side-9 rows carry the oracle's packings, no moves and
-        # oracle_fallback true; no row's outcome or hypotheses_hold moved
+        # oracle_fallback true; no row's outcome or hypotheses_hold moved.
+        # Re-recorded when the aggregates gained "guaranteed_restarted" (it
+        # reads 0 on all three) together with the hosts past half density
+        # becoming complements of matching rounds: every host still packs
+        # with no restart
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -217,30 +223,37 @@ class TestRunTrials:
         for config in configs:
             s = run_trials(**config)
             assert s["aggregates"]["success_rate"] == 1.0
+            assert s["aggregates"]["guaranteed_restarted"] == 0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "6eedf6568167af9679585c1720c6bddb1a384e65c559389f2bc24d9980698abe"
+        assert digest.hexdigest() == "ea4a230ad19e5f2bb849b557ec7cad6e394567b8f0277752488198f97bb809b0"
 
     def test_conjecture_gap_class_pinned(self):
         # the 4-cycle endgame gap: every host meets the hypotheses, so a
-        # packing exists, yet four end unknown and 181 rows need restarts; a
-        # change that closes the gap moves these counts down, a regression up
+        # packing exists, yet four end unknown and 200 rows need restarts; a
+        # change that closes the gap moves these counts down, a regression up.
+        # Re-recorded when these delta-7 hosts became the complement of 5
+        # matching rounds: the unknown trials were 22, 27, 83 and 155, and
+        # 181 rows took 446 restarts
         s = run_trials(side=12, profile=make_profile([4] * 6, mode="conjecture"), trials=300, seed=5, fill_p=0)
         agg = s["aggregates"]
         assert agg["outcomes"] == {"packed": 296, "unknown": 4}
-        assert [row["trial"] for row in s["trials"] if row["outcome"] == UNKNOWN] == [22, 27, 83, 155]
+        assert [row["trial"] for row in s["trials"] if row["outcome"] == UNKNOWN] == [9, 104, 224, 288]
         assert agg["guaranteed_unknown"] == 4
+        assert agg["guaranteed_restarted"] == 200
         restarts = [row["restarts"] for row in s["trials"]]
-        assert (sum(r > 0 for r in restarts), sum(restarts)) == (181, 446)
+        assert (sum(r > 0 for r in restarts), sum(restarts)) == (200, 506)
 
     def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
-        # every row ends unknown; only those whose host meets the hypotheses are engine gaps
-        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(UNKNOWN))
+        # every row ends unknown after a restart; only those whose host meets
+        # the hypotheses are engine gaps, and only they count as restarted
+        monkeypatch.setattr(harness, "pack", lambda *a, **kw: PackResult(UNKNOWN, restarts=2))
         agg = run_trials(side=6, profile=make_profile([6, 6]), delta=4, fill_p=0.8, trials=30, seed=1)["aggregates"]
         assert agg["outcomes"] == {"unknown": 30}
-        assert agg["guaranteed_unknown"] == agg["hypotheses_hold"] == 20
+        assert agg["guaranteed_unknown"] == agg["guaranteed_restarted"] == agg["hypotheses_hold"] == 20
         assert main(["trials", "--side", "6", "--delta", "4", "--fill-p", "0.8", "--profile", "6,6",
                      "--trials", "30", "--seed", "1"]) == 0
-        assert "  guaranteed unknown 20" in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert "  guaranteed unknown 20" in lines and "  guaranteed restarted 20" in lines
 
     def test_delta_defaults_to_threshold(self):
         s = run_trials(side=6, profile=make_profile([6, 6]), trials=3, seed=0)
