@@ -4,8 +4,9 @@ The engine keeps a partial solution: a prefix of already-placed cycles (one per
 profile entry, longest entries first), the leftover vertex pool, and a path
 grown inside the pool. Local moves either shrink an oversized placed cycle,
 lengthen the path, trade a path endpoint's neighbor out of a placed cycle, or
-close the path into the next required cycle. Every non-terminal move strictly
-improves the lexicographic potential
+end the stage: close the path into the next required cycle, or, when nothing
+closes, re-pack a window (the pool plus one or two placed cycles) exactly.
+Every non-terminal move strictly improves the lexicographic potential
 
     (pool size, path length)
 
@@ -17,24 +18,25 @@ the path when its new cycle takes path vertices); extend and exchange keep the
 pool and lengthen the path. The placed size within one stage takes at most
 N//2 + 1 even values and the path length at most N + 1, so between two shrinks
 the path lengthens at most N times and a stage ends within (N//2 + 1)(N + 1)
-iterations, the last a close or a stall (Posa's rotation-extension argument,
-Posa 1976). An attempt over k stages thus takes at most k(N//2 + 1)(N + 1)
-iterations. Shrink, exchange and double exchange take each cycle they test
+iterations, the last a close, a window or a stall (Posa's rotation-extension
+argument, Posa 1976). An attempt over k stages thus takes at most
+k(N//2 + 1)(N + 1) iterations. Shrink and exchange take each cycle they test
 from one more single-stage run of this loop, bounded the same way, on the
 vertex set in question, and each takes the first cycle that fits (for shrink,
 the first strictly shorter than the placed one); a run may miss a cycle, and
-the move then fails. A host within the oracle limit goes to an exact
-backtracking oracle, the only exhaustive cycle search, and never to the
-engine; only larger hosts get the engine and its seeded restarts, which
-perturb the construction order.
+the move then fails. The window runs the exact oracle's search on at most
+``WINDOW_CAP`` vertices, so it misses nothing within its windows. A host
+within the oracle limit goes to that exact backtracking oracle as a whole
+and never to the engine; only larger hosts get the engine and its seeded
+restarts, which perturb the construction order.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import chain, combinations, product
+from functools import reduce
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -46,10 +48,11 @@ PACKED = "packed"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
-MOVE_KINDS = ("shrink", "extend", "exchange", "close", "double_exchange")
+MOVE_KINDS = ("shrink", "extend", "exchange", "close", "window")
 
 DEFAULT_ORACLE_LIMIT = 18
 DEFAULT_RESTARTS = 8
+WINDOW_CAP = 26  # the largest vertex set move_window hands to the exact search
 
 
 class OracleLimitError(ValueError):
@@ -80,8 +83,8 @@ class SearchState:
     the pool is always ``vertices`` minus the placed cycles.
 
     Placed cycles enter only through ``fix_cycle`` and change only through
-    ``replace_cycle``, which derives the pool from its definition: double
-    exchange also trades between placed cycles. ``path_mask == mask_of(path)``
+    ``replace_cycle``, which derives the pool from its definition: a window
+    re-pack also moves vertices between placed cycles. ``path_mask == mask_of(path)``
     always holds. Two writers change ``path`` and ``path_mask``:
     ``move_extend_path``'s endpoint run appends and prepends in place and sets
     the run's bits at once, and ``set_path`` installs a new list and
@@ -137,7 +140,8 @@ class SearchState:
         self.shrink_stale = True
         if self.path_mask & ~self.pool:
             # only shrink (which grows the pool, so the potential rises even
-            # with the path gone) and double exchange take path vertices
+            # with the path gone) and the window, which ends the stage, take
+            # path vertices
             self.set_path([])
 
 
@@ -256,7 +260,7 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
 def _cycle_in(g: BipartiteGraph, mask: int, need: int) -> tuple[int, ...] | None:
     """A cycle of length >= ``need`` inside ``mask``, or None: one run of the
     move loop on the pool ``mask`` with targets (need,), lowest-id picks and a
-    throwaway result. With nothing placed, shrink, exchange and concentration
+    throwaway result. With nothing placed, shrink, exchange and the window
     never fire, so it does not recurse and ends within (N//2 + 1)(N + 1)
     iterations for N = |mask|. It may miss a cycle that exists. A cycle
     alternates sides, so fewer than need/2 vertices on a side rule it out."""
@@ -353,119 +357,43 @@ def move_close_cycle(st: SearchState) -> list[int] | None:
     return best
 
 
-def select_concentration(st: SearchState) -> tuple[int, int, int, int] | None:
-    """When the path spans the whole pool and single-vertex moves are out, look
-    for a placed cycle p nearly saturated by the path endpoints and a second
-    cycle q whose adjacency from the six probe vertices is concentrated enough
-    (sum at least 3c_q - 5) to justify the two-vertex swap family; returns
-    (p index, q index, x*, y*). A spanning path has at least the target (>= 4)
-    vertices (see ``_attempt``), and dx + dy >= c_p - 1 puts max(dx, dy) at c_p/2."""
-    p = st.path
-    if st.stage != len(st.targets) - 1 or st.path_mask != st.pool or len(p) % 2:
-        return None
-    g = st.g
-    adj = st.adj
-    # an even path ends on opposite sides: e_x in X, e_y in Y
-    e_x, e_y = (p[0], p[-1]) if p[0] < g.x_size else (p[-1], p[0])
-    for jp in range(len(st.fixed)):
-        c_p = st.targets[jp]
-        if len(st.fixed[jp]) != c_p:
+def move_window(st: SearchState) -> bool:
+    """Re-pack a window exactly when close finds nothing, and end the stage.
+
+    A window W is the pool plus one placed cycle C_j, for each j in index
+    order, then the pool plus a pair C_j and C_l, for each j < l. On each W
+    of at most ``WINDOW_CAP`` vertices it asks the exact oracle's search
+    ``_realize``, with a fresh memo, for disjoint cycles inside W realizing
+    the group's targets plus the current one. The first success is installed
+    by ``replace_cycle`` for the group's cycles (matched by length) and
+    ``fix_cycle`` for the remaining one. Larger windows are skipped, so every
+    search it makes is bounded. With nothing placed there is no window, so
+    ``_cycle_in``'s inner runs never call it.
+
+    Soundness. The bounded swap this move replaced (double exchange) traded
+    at most two vertices out of each of the pool, a cycle C_p and a cycle C_q,
+    and asked for cycles of lengths at least c_cur, c_p and c_q in the three
+    new parts. Those parts partition pool | C_p | C_q, so its three cycles
+    solve the pair window {p, q}, and ``_realize`` finds a solution whenever
+    one exists. The window therefore fires wherever that swap would, on every
+    window within the cap. The paper's concentration lemma is why it fires in
+    the guaranteed regime: at a stall the path endpoints nearly saturate one
+    tight cycle and the probe vertices' adjacency is concentrated on a
+    second, so such a swap, and with it a pair window's solution, exists."""
+    k = st.stage
+    for group in chain(((j,) for j in range(k)), combinations(range(k), 2)):
+        window = reduce(or_, (st.fixed_masks[j] for j in group), st.pool)
+        if window.bit_count() > WINDOW_CAP:
             continue
-        cmask = st.fixed_masks[jp]
-        dx = (adj[e_x] & cmask).bit_count()
-        dy = (adj[e_y] & cmask).bit_count()
-        if dx + dy < c_p - 1:
+        needed = tuple(sorted([st.targets[j] for j in group] + [st.current_target]))
+        found = _realize(st.adj, st.g.x_mask, set(), {}, window, needed)
+        if found is None:
             continue
-        other = e_y if dx == c_p // 2 else e_x
-        opp = cmask & ~g.side_mask(other)
-        non_nbrs = opp & ~adj[other]
-        x_star = _lowest(non_nbrs) if non_nbrs else _lowest(opp)
-        cyc = st.fixed[jp]
-        pos = cyc.index(x_star)
-        ring_nbrs = 1 << cyc[(pos + 1) % c_p] | 1 << cyc[(pos - 1) % c_p]
-        y_cands = cmask & ~g.side_mask(x_star) & ~ring_nbrs
-        if not y_cands:
-            continue
-        y_star = _lowest(y_cands)
-        S = (p[0], p[1], p[-2], p[-1], x_star, y_star)  # the six probes
-        for jq in range(len(st.fixed)):
-            if jq == jp:
-                continue
-            c_q = st.targets[jq]
-            if len(st.fixed[jq]) != c_q:
-                continue
-            qmask = st.fixed_masks[jq]
-            if sum((adj[z] & qmask).bit_count() for z in S) >= 3 * c_q - 5:
-                return jp, jq, x_star, y_star
-    return None
-
-
-def move_double_exchange(st: SearchState, ctx: tuple[int, int, int, int]) -> bool:
-    """Generalized bounded swap among the pool, cycle p, and cycle q.
-
-    Enumerates every pattern that moves at most two vertices out of each part
-    (path probes out of the pool, the distinguished pair out of cycle p, single
-    vertices or adjacent pairs out of cycle q) and reassigns each mover to one
-    of the other two parts, at most two in. A pattern succeeds when all three
-    modified parts simultaneously contain cycles of their required lengths;
-    the first success is placed by ``replace_cycle`` (p, q) and ``fix_cycle``
-    (the last stage's cycle), completing the packing, and returns True. Each
-    part's departures are built once per call, and the patterns nest them
-    pool, then p, then q. Each part's cycle comes from one ``_cycle_in`` run,
-    memoised per call; a run may miss a cycle, and the pattern then fails.
-    ``ctx`` comes from ``select_concentration``, so the path has at least 4
-    distinct probes."""
-    g = st.g
-    p_idx, q_idx, x_star, y_star = ctx
-    c_cur = st.current_target
-    c_p, c_q = st.targets[p_idx], st.targets[q_idx]
-    probes = [st.path[i] for i in (0, 1, -2, -1)]
-    qcyc = st.fixed[q_idx]
-
-    def departures(out_sets) -> list[tuple[int, int, int]]:
-        # (mask leaving, mask arriving at the first other part, at the second)
-        # for each out-set in order and each assignment in product order
-        deps = []
-        for out in out_sets:
-            leave = mask_of(out)
-            for dest in product((0, 1), repeat=len(out)):
-                arrive = [0, 0]
-                for v, d in zip(out, dest):
-                    arrive[d] |= 1 << v
-                deps.append((leave, arrive[0], arrive[1]))
-        return deps
-
-    # pool -> (p, q), cycle p -> (pool, q), cycle q -> (pool, p)
-    pool_deps = departures([()] + [(v,) for v in probes] + list(combinations(probes, 2)))
-    p_deps = departures([(), (x_star,), (y_star,), (x_star, y_star)])
-    q_deps = departures([()] + [(v,) for v in qcyc] + list(zip(qcyc, qcyc[1:] + qcyc[:1])))
-
-    cycle_in = cache(lambda mask, need: _cycle_in(g, mask, need))
-
-    pool0, b1_0, b2_0 = st.pool, st.fixed_masks[p_idx], st.fixed_masks[q_idx]
-    for out0, p_from0, q_from0 in pool_deps:
-        for out1, pool_from1, q_from1 in p_deps:
-            into_q = q_from0 | q_from1
-            if into_q.bit_count() > 2:
-                continue
-            for out2, pool_from2, p_from2 in q_deps:
-                into_pool = pool_from1 | pool_from2
-                into_p = p_from0 | p_from2
-                if into_pool.bit_count() > 2 or into_p.bit_count() > 2:
-                    continue
-                cyc0 = cycle_in((pool0 & ~out0) | into_pool, c_cur)
-                if cyc0 is None:
-                    continue
-                cyc1 = cycle_in((b1_0 & ~out1) | into_p, c_p)
-                if cyc1 is None:
-                    continue
-                cyc2 = cycle_in((b2_0 & ~out2) | into_q, c_q)
-                if cyc2 is None:
-                    continue
-                st.replace_cycle(p_idx, cyc1)
-                st.replace_cycle(q_idx, cyc2)
-                st.fix_cycle(cyc0)
-                return True
+        for j in group:
+            i = next(i for i, (length, _) in enumerate(found) if length == st.targets[j])
+            st.replace_cycle(j, found.pop(i)[1])
+        st.fix_cycle(found[0][1])
+        return True
     return False
 
 
@@ -481,7 +409,7 @@ def _attempt(g, targets, budget, rng, result, vertices):
     """One restart-free run of the move loop for the lengths ``targets`` on the
     vertex set ``vertices`` (``pack`` passes the whole host), adding its moves
     and iterations to ``result``; returns the placed cycles once close or
-    double exchange ends the last stage, or None. The potential ends the loop
+    the window ends the last stage, or None. The potential ends the loop
     (see the module docstring); ``budget``, when not None, caps this attempt's
     iterations.
 
@@ -519,9 +447,8 @@ def _attempt(g, targets, budget, rng, result, vertices):
                 counts["close"] += 1
                 st.fix_cycle(cycle)
                 break
-            ctx = select_concentration(st)
-            if ctx is not None and move_double_exchange(st, ctx):
-                counts["double_exchange"] += 1
+            if move_window(st):
+                counts["window"] += 1
                 break
             return None
     return [tuple(c) for c in st.fixed]

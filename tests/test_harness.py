@@ -132,7 +132,7 @@ class TestRunTrials:
         b = run_trials(**config)
         assert summary_without_timing(a) == summary_without_timing(b)
 
-    def test_relaxed_threshold_double_exchange_pinned(self):
+    def test_relaxed_threshold_window_pinned(self):
         # recorded before double exchange built its departure lists: a change
         # to the order in which swap patterns are tried moves these; the
         # packings of two rows moved again when double exchange took its
@@ -141,30 +141,37 @@ class TestRunTrials:
         # its limit: the 8 rows the oracle packed after a stall now restart
         # (8 restarts, all 40 packed), which adds their moves and packings.
         # Re-recorded when its delta-6 hosts became the complement of 3
-        # matching rounds: 13 restarts, all 40 packed
+        # matching rounds: 13 restarts, all 40 packed. Re-recorded when an
+        # exact window re-pack replaced double exchange at the stall: it fires
+        # at any stage, and the restarts fall 13 -> 1
         s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
                        seed=3, fill_p=0.05, oracle_limit=0)
         assert s["aggregates"]["move_histogram"] == {
-            "close": 185, "double_exchange": 14, "exchange": 1, "extend": 2221, "shrink": 0,
+            "close": 141, "exchange": 0, "extend": 1718, "shrink": 0, "window": 22,
         }
+        assert s["aggregates"]["outcomes"] == {"packed": 40}
+        assert sum(row["restarts"] for row in s["trials"]) == 1
         outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
         assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-            "055796ce27dac630b5bd68266e7f3b978785164ac325dc9e73a5fbaecce57b21"
+            "cc03d3320171a4c6ecbbea3a195d97fe13ecd68368ad361763b9a4df8f5c578c"
         )
 
     @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
-        # exchange tries every newcomer with two neighbours on the cycle
+        # exchange tries every newcomer with two neighbours on the cycle; the
+        # window packs the 74 hosts that ended unknown before it replaced
+        # double exchange, and restarts fall 1,249 -> 55
         (dict(side=9, delta=4, profile=make_profile([4, 4, 4, 6], mode="conjecture"), fill_p=0.0, trials=300,
               seed=3072, oracle_limit=0),
-         {"packed": 226, "unknown": 74},
-         {"close": 4842, "double_exchange": 0, "exchange": 546, "extend": 63192, "shrink": 51}, 1249,
-         "1792d3bc98d31fdac79f2637b62a41735fea170c12a5833a6c2335fd9386a521"),
-        # restarts reach shrink below the threshold
+         {"packed": 300},
+         {"close": 1119, "exchange": 135, "extend": 14487, "shrink": 12, "window": 246}, 55,
+         "cfca8d3f259a138fd5278e10751237b5ac2d1acdee34e8d4dbcc308dc5974add"),
+        # restarts reach shrink below the threshold; the window fires 824
+        # times here without packing another host (restarts 3,106 -> 3,104)
         (dict(side=8, delta=2, profile=make_profile([4] * 4, mode="conjecture"), fill_p=0.1, trials=400,
               seed=1024, oracle_limit=0),
          {"packed": 12, "unknown": 388},
-         {"close": 7614, "double_exchange": 0, "exchange": 195, "extend": 104146, "shrink": 242}, 3106,
-         "5c237c50087b722dc469e981bc2da75905769ca99ba5d11f8209a37d153c25c0"),
+         {"close": 7621, "exchange": 203, "extend": 104839, "shrink": 282, "window": 824}, 3104,
+         "b56cd33c2a0873df618c6ef2db727e4b0abd9582c1f96f66e8930402b8891f4f"),
     ], ids=["exchange", "shrink"])
     def test_oracle_free_replace_classes_pinned(self, config, outcomes, moves, restarts, digest):
         # the exchange and shrink classes of the CI workflow: with the oracle
@@ -213,7 +220,10 @@ class TestRunTrials:
         # Re-recorded when the aggregates gained "guaranteed_restarted" (it
         # reads 0 on all three) together with the hosts past half density
         # becoming complements of matching rounds: every host still packs
-        # with no restart
+        # with no restart. Re-recorded when an exact window re-pack replaced
+        # double exchange: the move key is renamed, and the window fires on
+        # exactly the rows and as often as double exchange did (47 and 26
+        # times), whose packings alone moved
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -225,23 +235,24 @@ class TestRunTrials:
             assert s["aggregates"]["success_rate"] == 1.0
             assert s["aggregates"]["guaranteed_restarted"] == 0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "ea4a230ad19e5f2bb849b557ec7cad6e394567b8f0277752488198f97bb809b0"
+        assert digest.hexdigest() == "ae68e4c614a66972f380c37a41754d709b12ef33d43366bd1605e14d89240ee6"
 
     def test_conjecture_gap_class_pinned(self):
         # the 4-cycle endgame gap: every host meets the hypotheses, so a
-        # packing exists, yet four end unknown and 200 rows need restarts; a
-        # change that closes the gap moves these counts down, a regression up.
-        # Re-recorded when these delta-7 hosts became the complement of 5
-        # matching rounds: the unknown trials were 22, 27, 83 and 155, and
-        # 181 rows took 446 restarts
+        # packing exists; a regression shows as an unknown row or more
+        # restarted rows. Re-recorded when these delta-7 hosts became the
+        # complement of 5 matching rounds: the unknown trials were 22, 27, 83
+        # and 155, and 181 rows took 446 restarts. Re-recorded when an exact
+        # window re-pack replaced double exchange at the stall: the gap closed
+        # from 296 packed + 4 unknown (trials 9, 104, 224 and 288) and 200
+        # rows taking 506 restarts
         s = run_trials(side=12, profile=make_profile([4] * 6, mode="conjecture"), trials=300, seed=5, fill_p=0)
         agg = s["aggregates"]
-        assert agg["outcomes"] == {"packed": 296, "unknown": 4}
-        assert [row["trial"] for row in s["trials"] if row["outcome"] == UNKNOWN] == [9, 104, 224, 288]
-        assert agg["guaranteed_unknown"] == 4
-        assert agg["guaranteed_restarted"] == 200
+        assert agg["outcomes"] == {"packed": 300}
+        assert agg["guaranteed_unknown"] == 0
+        assert agg["guaranteed_restarted"] == 12
         restarts = [row["restarts"] for row in s["trials"]]
-        assert (sum(r > 0 for r in restarts), sum(restarts)) == (200, 506)
+        assert (sum(r > 0 for r in restarts), sum(restarts)) == (12, 12)
 
     def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
         # every row ends unknown after a restart; only those whose host meets
@@ -545,9 +556,11 @@ class TestCli:
         assert capsys.readouterr().out == alone
 
     def test_parser_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
-        # a sparse 22-vertex host past the oracle limit: the restart seed shows in the output
+        # a sparse 22-vertex host past the oracle limit whose first attempt
+        # stalls at the first stage, where no window exists: the restart seed
+        # shows in the output (host seed 12 no longer restarts since the window)
         path = tmp_path / "sparse.graph"
-        main(["gen", "random", "--x", "11", "--y", "11", "--delta", "2", "--seed", "12",
+        main(["gen", "random", "--x", "11", "--y", "11", "--delta", "2", "--seed", "222",
               "--fill-p", "0.05", "--out", str(path)])
         solve = ["solve", "--graph", str(path), "--profile", "6,6", "--json"]
         capsys.readouterr()

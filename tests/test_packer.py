@@ -30,11 +30,10 @@ from cyclepack.harness import run_sharpness, run_trials
 from cyclepack.packer import (
     iter_cycles_through,
     move_close_cycle,
-    move_double_exchange,
     move_exchange_one,
     move_extend_path,
     move_shrink,
-    select_concentration,
+    move_window,
 )
 from oracle_partition import partition_feasible
 
@@ -233,9 +232,12 @@ class TestMoveShrink:
         # moves and packings but no status, and when shrink took its cycle
         # from the move loop, which moved the side-60 hosts' shrink counts, and
         # when shrink and exchange took the two-neighbour gate, which moved the
-        # side-60 hosts' move and iteration counts
+        # side-60 hosts' move and iteration counts, and when an exact window
+        # re-pack replaced double exchange: the window fires on 23 of the
+        # side-8 hosts without packing one, which moved their move and
+        # iteration counts (and the move key) but no status or packing
         assert statuses == ["unknown"] * 18 + ["packed"] + ["unknown"] * 23
-        assert digest.hexdigest() == "de24f46a3fe62c95cac9fcbef0e08869f0a40dc35f4de9df9c99efa2fce37d85"
+        assert digest.hexdigest() == "86b07e131723c121a887634514b79c76fbeb9646936cf24fe5bb4600d55749f2"
 
 
 class TestSearchState:
@@ -252,7 +254,7 @@ class TestSearchState:
     def test_writers_keep_pool_and_placed_cycles_consistent(self, monkeypatch):
         # after every fix_cycle and replace_cycle the pool is the state's
         # vertices minus the placed cycles and the path lies in the pool.
-        # Between double exchange's two replace_cycle calls cycles p and q may
+        # Between the window's two replace_cycle calls its two cycles may
         # share the vertices that move between them (the pool excludes those
         # either way), so the placed cycles are checked pairwise disjoint
         # after fix_cycle and after each move that fired
@@ -289,7 +291,7 @@ class TestSearchState:
 
         writer("fix_cycle", True)
         writer("replace_cycle", False)
-        for name in ("move_shrink", "move_exchange_one", "move_double_exchange"):
+        for name in ("move_shrink", "move_exchange_one", "move_window"):
             move(name)
         # the relaxed CI class and theorem 6^6 at side 18 with the oracle off, and the CI exchange class
         configs = [
@@ -301,8 +303,8 @@ class TestSearchState:
         ]
         for config in configs:
             run_trials(**config)
-        # double exchange installs 94 + 27 times, exchange 14 + 546, shrink 51
-        assert all(calls[name] > 0 for name in ("move_shrink", "move_exchange_one", "move_double_exchange")), calls
+        # the window installs 142 + 47 + 246 times, exchange 4 + 2 + 135, shrink 12
+        assert all(calls[name] > 0 for name in ("move_shrink", "move_exchange_one", "move_window")), calls
 
 
 class TestMoveExtendPath:
@@ -447,7 +449,7 @@ class TestMoveExchangeOne:
 
 class TestCycleIn:
     """``_cycle_in``: one single-stage run of the move loop over a vertex set,
-    the cycle source of exchange and double exchange."""
+    the cycle source of shrink and exchange."""
 
     def test_cycles_are_simple_alternating_and_long_enough(self, monkeypatch):
         # random small hosts and masks: every returned cycle lies in the mask,
@@ -598,7 +600,7 @@ def concentration_host(saturate_q=True):
     return BipartiteGraph(9, 9, edges)
 
 
-class TestConcentrationAndDoubleExchange:
+class TestMoveWindow:
     def make_state(self, g):
         return search_state(
             g,
@@ -607,59 +609,73 @@ class TestConcentrationAndDoubleExchange:
             path=[6, 15, 7, 16, 8, 17],
         )
 
-    def test_context_selected(self):
-        st = self.make_state(concentration_host())
-        ctx = select_concentration(st)
-        assert ctx == (0, 1, 0, 10)  # p index, q index, x*, y*
-
-    def test_no_context_without_concentration(self):
-        st = self.make_state(concentration_host(saturate_q=False))
-        assert select_concentration(st) is None
-
-    def test_no_context_unless_path_spans_pool(self):
-        st = self.make_state(concentration_host())
-        st.set_path(st.path[:-1])
-        assert select_concentration(st) is None
-
-    def test_double_exchange_completes_packing(self):
+    def test_window_completes_packing(self):
         g = concentration_host()
         st = self.make_state(g)
-        ctx = select_concentration(st)
-        assert move_double_exchange(st, ctx) is True
-        # the writers installed the swap: cycles p and q replaced, the pool's cycle placed last
+        assert move_window(st) is True
+        # the writers installed the re-pack: cycle B replaced, the pool's cycle placed last
         cycles = [tuple(c) for c in st.fixed]
         report = verify_packing(g, make_profile([6, 6, 6]), cycles)
         assert report.ok, report.to_dict()
-        # recorded before the departure lists: the first success in enumeration order
-        assert cycles == [(1, 9, 6, 11, 2, 10), (0, 12, 4, 13, 5, 14), (3, 15, 7, 16, 8, 17)]
+        # the single window pool | B holds two 6-cycles: cycle A stays, the oracle's first solution fills pool | B
+        assert cycles == [(0, 9, 1, 10, 2, 11), (7, 15, 3, 12, 8, 16), (4, 13, 6, 14, 5, 17)]
         assert st.pool == 0 and st.path == [] and st.path_mask == 0
 
-    def test_no_pattern_succeeds(self):
-        # without the probes' adjacency into cycle q no swap frees three
-        # cycles; the context is built by hand since selection refuses it
+    def test_failed_window_changes_nothing(self):
+        # without the probes' adjacency into cycle B no window holds three cycles
         st = self.make_state(concentration_host(saturate_q=False))
         before = ([list(c) for c in st.fixed], list(st.fixed_masks), st.pool, list(st.path))
-        assert move_double_exchange(st, (0, 1, 0, 10)) is False
+        assert move_window(st) is False
         assert (st.fixed, st.fixed_masks, st.pool, st.path) == before
 
-    def test_no_context_on_an_odd_path(self):
-        # 4+5 host: a placed 4-cycle and a 5-vertex path spanning the odd pool
-        g = BipartiteGraph(4, 5, [(0, 4), (1, 4), (1, 5), (0, 5), (2, 6), (2, 7), (3, 7), (3, 8)])
-        st = search_state(g, make_profile([4, 4], "conjecture").lengths, cycles=[[0, 4, 1, 5]],
-                          path=[6, 2, 7, 3, 8])
-        assert st.stage == len(st.targets) - 1 and st.path_mask == st.pool
-        assert select_concentration(st) is None
+    @staticmethod
+    def watch_windows(monkeypatch):
+        """Wrap ``_realize`` to record (size, needed) of each window's own
+        call, not of the search's recursion; returns the record."""
+        calls, depth = [], [0]
+        original = packer._realize
 
-    def test_oversized_cycle_is_neither_p_nor_q(self):
-        # targets (6, 4, 4): cycle A is tight and concentrated, but cycle B
-        # (6 vertices for a 4-target) can serve neither as q nor as p
-        st = search_state(
-            concentration_host(),
-            make_profile([6, 4, 4], "conjecture").lengths,
-            cycles=[[0, 9, 1, 10, 2, 11], [3, 12, 4, 13, 5, 14]],
-            path=[6, 15, 7, 16, 8, 17],
-        )
-        assert select_concentration(st) is None
+        def watched(adj, x_mask, failed, twins, remaining, needed):
+            if not depth[0]:
+                calls.append((remaining.bit_count(), needed))
+            depth[0] += 1
+            try:
+                return original(adj, x_mask, failed, twins, remaining, needed)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(packer, "_realize", watched)
+        return calls
+
+    def test_pair_windows_follow_every_single_window(self, monkeypatch):
+        # a last-stage stall on a host of the CI exchange class's shape (side
+        # 9, delta 4, no fill): no single window holds its lengths, and the
+        # first pair, cycles 0 and 1, does
+        calls = self.watch_windows(monkeypatch)
+        g = gen_random_mindeg(9, 9, 4, seed=0, fill_p=0.0)
+        st = search_state(g, make_profile([4, 4, 4, 6], "conjecture").lengths,
+                          cycles=[[9, 1, 11, 5, 13, 6], [0, 10, 2, 12], [8, 14, 7, 16]], path=[3, 17, 4, 15])
+        assert move_window(st) is True
+        assert [needed for _, needed in calls] == [(4, 6), (4, 4), (4, 4), (4, 4, 6)]
+        assert st.fixed == [[1, 9, 6, 13, 4, 15], [0, 10, 5, 11], [8, 14, 7, 16], [2, 12, 3, 17]]
+        assert st.pool == 0 and st.path == []
+
+    @pytest.mark.parametrize("m, searched", [(13, 1), (14, 0)])
+    def test_window_cap_bounds_the_search(self, monkeypatch, m, searched):
+        # K_{m,m} minus a placed 4-cycle: the one window is the whole host, 26
+        # vertices at m = 13 (searched, and it packs) and 28 at m = 14 (skipped)
+        calls = self.watch_windows(monkeypatch)
+        st = search_state(gen_complete(m), make_profile([4, 4], "conjecture").lengths, cycles=[[0, m, 1, m + 1]],
+                          path=[2, m + 2])
+        assert move_window(st) is bool(searched)
+        assert calls == [(packer.WINDOW_CAP, (4, 4))] * searched
+        assert packer.WINDOW_CAP == 26
+
+    def test_nothing_placed_has_no_window(self, monkeypatch):
+        monkeypatch.setattr(packer, "_realize", lambda *args: pytest.fail("no window to search"))
+        st = search_state(concentration_host(), make_profile([6, 6, 6]).lengths, path=[6, 15, 7, 16, 8, 17])
+        assert move_window(st) is False
+        assert st.fixed == [] and st.path == [6, 15, 7, 16, 8, 17]
 
 
 class TestStallPremise:
@@ -705,8 +721,9 @@ class TestStallPremise:
 class TestMoveLoopPreconditions:
     """The moves do not re-check what ``_attempt`` guarantees: a stage starts
     with at least its target (>= 4) pool vertices and no move shrinks the pool
-    within it, and exchange and close run only after extend left a nonempty
-    path. These campaigns reach every move kind, inner runs included."""
+    within it, and exchange, close and the window run only after extend left
+    a nonempty path. These campaigns reach every move kind, inner runs
+    included."""
 
     def test_moves_see_the_loop_preconditions(self, monkeypatch):
         seen = collections.Counter()
@@ -718,26 +735,22 @@ class TestMoveLoopPreconditions:
             pool_holds_the_target(st)
             assert st.path
 
-        def spanning_path_is_long(st):
-            if st.stage == len(st.targets) - 1 and st.path_mask == st.pool:
-                assert len(st.path) >= 4, st.path
-                seen["concentration past its check"] += 1
-
         def wrap(name, check):
             original = getattr(packer, name)
 
             def checked(st, *args):
                 check(st)
                 seen[name] += 1
-                return original(st, *args)
+                fired = original(st, *args)
+                seen[name, "fired"] += bool(fired)
+                return fired
 
             monkeypatch.setattr(packer, name, checked)
 
         wrap("move_extend_path", pool_holds_the_target)
         wrap("move_exchange_one", path_is_nonempty)
         wrap("move_close_cycle", path_is_nonempty)
-        wrap("select_concentration", spanning_path_is_long)
-        wrap("move_double_exchange", lambda st: None)
+        wrap("move_window", path_is_nonempty)
         # the relaxed CI class, theorem 6^6 at side 18 and the CI shrink class, oracle off
         configs = [
             dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), trials=300, seed=3, oracle_limit=0,
@@ -750,7 +763,7 @@ class TestMoveLoopPreconditions:
         for config in configs:
             moves.update(run_trials(**config)["aggregates"]["move_histogram"])
         assert all(moves[kind] > 0 for kind in packer.MOVE_KINDS), moves
-        assert seen["concentration past its check"] > 0 and seen["move_double_exchange"] > 0, seen
+        assert seen["move_window", "fired"] > 0, seen
 
 
 class TestPack:
@@ -991,7 +1004,8 @@ class TestPack:
         # sparse side-60 hosts, where restarts pick through the rng; side-30
         # threshold hosts under budgets that end inside a run; side-9 hosts
         # below the threshold, where the oracle decides, and the same hosts
-        # with the oracle off, where the engine stalls and restarts
+        # with the oracle off, where the engine stalls and the window fires
+        # (before it, they restarted)
         limit = packer.DEFAULT_ORACLE_LIMIT
         sparse60 = make_profile([6] * 20)
         cases = [(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, None, limit) for s in (0, 1)]
@@ -1018,7 +1032,7 @@ class TestPack:
         assert all(r.restarts == packer.DEFAULT_RESTARTS for r in runs[:2])
         assert all(r.status == "unknown" for r in runs[2:10])
         assert any(r.oracle_used for r in runs[10:22])
-        assert any(r.restarts for r in runs[22:]) and not any(r.oracle_used for r in runs[22:])
+        assert any(r.move_counts["window"] for r in runs[22:]) and not any(r.oracle_used for r in runs[22:])
 
     def test_loop_passes_are_not_per_iteration(self, monkeypatch):
         # every pass of the move loop tries shrink first; an endpoint run of m
@@ -1063,7 +1077,7 @@ def band_complement_rows(side, width):
 
 
 def _moves(extend, exchange, close):
-    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "double_exchange": 0}
+    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "window": 0}
 
 
 # Tight side s = n/2 with every degree at the threshold, D = s - threshold.
@@ -1102,7 +1116,8 @@ class TestStructuredTightSideHosts:
     @pytest.mark.parametrize("name", sorted(STRUCTURED_HOSTS))
     def test_packs_on_first_attempt_within_20s(self, name):
         # an exhaustive Hamilton search inside double exchange once hung on
-        # the side-84 hosts; a child process is killed at the time bound
+        # the side-84 hosts; the window's vertex cap bounds the exact search
+        # that runs at a stall now, and a child process is killed at the time bound
         side, block, lengths = STRUCTURED_HOSTS[name]
         probe = (
             "import json, sys\n"
@@ -1119,6 +1134,46 @@ class TestStructuredTightSideHosts:
         done = subprocess.run([sys.executable, "-c", probe, arg], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=20, check=True)
         assert json.loads(done.stdout) == ["packed", 0, True, True]
+
+
+def lifted_sharpness(k, seed):
+    """``gen_sharpness(k)`` with edges added until every degree reaches k + 2,
+    the relaxed threshold of its profile: each X vertex in turn takes random
+    non-neighbours, deficient Y vertices first, and then each deficient Y
+    vertex takes random non-neighbours, all drawn with ``random.Random(seed)``."""
+    g, profile = gen_sharpness(k)
+    rng = random.Random(seed)
+    side, target = g.x_size, k + 2
+    rows = [g.adjacency[x] >> side for x in range(side)]
+
+    def y_degree(y):
+        return sum(row >> y & 1 for row in rows)
+
+    for x in range(side):
+        while rows[x].bit_count() < target:
+            free = [y for y in range(side) if not rows[x] >> y & 1]
+            rows[x] |= 1 << rng.choice([y for y in free if y_degree(y) < target] or free)
+    for y in range(side):
+        while y_degree(y) < target:
+            rows[rng.choice([x for x in range(side) if not rows[x] >> y & 1])] |= 1 << y
+    return graph_of_rows(side, side, rows), profile
+
+
+class TestLiftedSharpness:
+    def test_lifted_family_packs_on_first_attempt(self):
+        # the sharpness hosts lifted one degree to the threshold, at 66 to 202
+        # vertices with the oracle off: before the window re-pack replaced
+        # double exchange, 11 of these 56 ended unknown and they took 136 restarts
+        outcomes = collections.Counter()
+        restarts = 0
+        for k in (16, 24, 32, 50):
+            for seed in range(14):
+                g, profile = lifted_sharpness(k, seed)
+                assert g.min_degree() == k + 2 and check_hypotheses(g, profile).ok
+                r = pack(g, profile, seed=seed, oracle_limit=0)
+                outcomes[r.status] += 1
+                restarts += r.restarts
+        assert (outcomes, restarts) == ({"packed": 56}, 0)
 
 
 class TestBruteForce:
