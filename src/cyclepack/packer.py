@@ -19,16 +19,19 @@ pool and lengthen the path. The placed size within one stage takes at most
 N//2 + 1 even values and the path length at most N + 1, so between two shrinks
 the path lengthens at most N times and a stage ends within (N//2 + 1)(N + 1)
 iterations, the last a close, a window or a stall (Posa's rotation-extension
-argument, Posa 1976). An attempt over k stages thus takes at most
-k(N//2 + 1)(N + 1) iterations. Shrink and exchange take each cycle they test
-from one more single-stage run of this loop, bounded the same way, on the
-vertex set in question, and each takes the first cycle that fits (for shrink,
-the first strictly shorter than the placed one); a run may miss a cycle, and
-the move then fails. The window runs the exact oracle's search on at most
-``WINDOW_CAP`` vertices, so it misses nothing within its windows. A host
-within the oracle limit goes to that exact backtracking oracle as a whole
-and never to the engine; only larger hosts get the engine and its seeded
-restarts, which perturb the construction order.
+argument, Posa 1976). A close leaves the longest run of the old path that
+misses its new cycle (the head-side run on ties) as the next stage's path, so
+a stage may start with a nonempty path inside the pool; the window leaves it
+empty. The path is never longer than N either way, so an attempt over k
+stages takes at most k(N//2 + 1)(N + 1) iterations. Shrink and exchange take
+each cycle they test from one more single-stage run of this loop, bounded the
+same way, on the vertex set in question, and each takes the first cycle that
+fits (for shrink, the first strictly shorter than the placed one); a run may
+miss a cycle, and the move then fails. The window runs the exact oracle's
+search on at most ``WINDOW_CAP`` vertices, so it misses nothing within its
+windows. A host within the oracle limit goes to that exact backtracking
+oracle as a whole and never to the engine; only larger hosts get the engine
+and its seeded restarts, which perturb the construction order.
 """
 from __future__ import annotations
 
@@ -85,11 +88,13 @@ class SearchState:
     Placed cycles enter only through ``fix_cycle`` and change only through
     ``replace_cycle``, which derives the pool from its definition: a window
     re-pack also moves vertices between placed cycles. ``path_mask == mask_of(path)``
-    always holds. Two writers change ``path`` and ``path_mask``:
+    always holds. Three writers change ``path`` and ``path_mask``:
     ``move_extend_path``'s endpoint run appends and prepends in place and sets
-    the run's bits at once, and ``set_path`` installs a new list and
-    recomputes the mask in full (seeding, rotation, exchange, closing a cycle,
-    and a replaced cycle taking path vertices, which empties the path).
+    the run's bits at once; ``set_path`` installs a new list and recomputes
+    the mask in full (seeding, rotation, exchange, the empty path
+    ``fix_cycle`` leaves, and a replaced cycle taking path vertices, which
+    empties the path); and ``fix_closed_cycle`` keeps a run of the old path
+    and clears the bits of the vertices it drops.
     """
 
     def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], vertices: int, rng=None):
@@ -132,6 +137,22 @@ class SearchState:
         self.pool &= ~m
         self.shrink_stale = True
         self.set_path([])
+
+    def fix_closed_cycle(self, cycle) -> None:
+        """``fix_cycle`` for a cycle that close found on the path, keeping as
+        the next stage's path the longest run of consecutive old-path vertices
+        off the cycle, the head-side run on ties. The run is a path inside the
+        new pool. Its mask is the old one minus the dropped vertices, which
+        at scale are the cycle and a short run or none."""
+        p, pm = self.path, self.path_mask
+        self.fix_cycle(cycle)
+        # one byte per path vertex, 1 on the cycle: the runs off it, head first
+        runs = bytes(map(set(cycle).__contains__, p)).split(b"\1")
+        r = max(range(len(runs)), key=lambda i: len(runs[i]))
+        start = sum(map(len, runs[:r])) + r
+        end = start + len(runs[r])
+        self.path = p[start:end]
+        self.path_mask = pm ^ mask_of(p[:start] + p[end:])
 
     def replace_cycle(self, j: int, cycle) -> None:
         self.fixed[j] = list(cycle)
@@ -411,7 +432,10 @@ def _attempt(g, targets, budget, rng, result, vertices):
     and iterations to ``result``; returns the placed cycles once close or
     the window ends the last stage, or None. The potential ends the loop
     (see the module docstring); ``budget``, when not None, caps this attempt's
-    iterations.
+    iterations. A close installs its cycle with ``fix_closed_cycle``, which
+    keeps the longest run of the old path off that cycle, so the next stage
+    starts from that run instead of seeding a path at one vertex; a window
+    leaves the next stage an empty path.
 
     An iteration is one move. An endpoint run of m extensions is made in one
     pass of the loop but counts m iterations and m ``extend`` moves, and it
@@ -445,7 +469,7 @@ def _attempt(g, targets, budget, rng, result, vertices):
             cycle = move_close_cycle(st)
             if cycle is not None:
                 counts["close"] += 1
-                st.fix_cycle(cycle)
+                st.fix_closed_cycle(cycle)
                 break
             if move_window(st):
                 counts["window"] += 1

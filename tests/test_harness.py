@@ -143,35 +143,38 @@ class TestRunTrials:
         # Re-recorded when its delta-6 hosts became the complement of 3
         # matching rounds: 13 restarts, all 40 packed. Re-recorded when an
         # exact window re-pack replaced double exchange at the stall: it fires
-        # at any stage, and the restarts fall 13 -> 1
+        # at any stage, and the restarts fall 13 -> 1. Re-recorded when a
+        # stage began from the remainder of the last path: extend 1,718 -> 795,
+        # and the one restart is gone
         s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
                        seed=3, fill_p=0.05, oracle_limit=0)
         assert s["aggregates"]["move_histogram"] == {
-            "close": 141, "exchange": 0, "extend": 1718, "shrink": 0, "window": 22,
+            "close": 139, "exchange": 2, "extend": 795, "shrink": 1, "window": 21,
         }
         assert s["aggregates"]["outcomes"] == {"packed": 40}
-        assert sum(row["restarts"] for row in s["trials"]) == 1
+        assert sum(row["restarts"] for row in s["trials"]) == 0
         outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
         assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-            "cc03d3320171a4c6ecbbea3a195d97fe13ecd68368ad361763b9a4df8f5c578c"
+            "2e5c5c66d9063fd5b8deb7ec73aed36aab42261f17d0a8a0c20930204524336a"
         )
 
     @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
         # exchange tries every newcomer with two neighbours on the cycle; the
         # window packs the 74 hosts that ended unknown before it replaced
-        # double exchange, and restarts fall 1,249 -> 55
+        # double exchange, and restarts fall 1,249 -> 55. Since a stage
+        # begins from the remainder of the last path: restarts 55 -> 58
         (dict(side=9, delta=4, profile=make_profile([4, 4, 4, 6], mode="conjecture"), fill_p=0.0, trials=300,
               seed=3072, oracle_limit=0),
          {"packed": 300},
-         {"close": 1119, "exchange": 135, "extend": 14487, "shrink": 12, "window": 246}, 55,
-         "cfca8d3f259a138fd5278e10751237b5ac2d1acdee34e8d4dbcc308dc5974add"),
-        # restarts reach shrink below the threshold; the window fires 824
+         {"close": 1125, "exchange": 124, "extend": 7649, "shrink": 11, "window": 249}, 58,
+         "bb51779fbb226de5b044a25c7fef5841c815af454574cd9d8c81794bfd765a79"),
+        # restarts reach shrink below the threshold; the window fires 854
         # times here without packing another host (restarts 3,106 -> 3,104)
         (dict(side=8, delta=2, profile=make_profile([4] * 4, mode="conjecture"), fill_p=0.1, trials=400,
               seed=1024, oracle_limit=0),
          {"packed": 12, "unknown": 388},
-         {"close": 7621, "exchange": 203, "extend": 104839, "shrink": 282, "window": 824}, 3104,
-         "b56cd33c2a0873df618c6ef2db727e4b0abd9582c1f96f66e8930402b8891f4f"),
+         {"close": 7585, "exchange": 168, "extend": 62216, "shrink": 319, "window": 854}, 3104,
+         "dd8b0839522775db82c9ad0d0c7bf67927d75032d029f56ff50b9e86d6b1f289"),
     ], ids=["exchange", "shrink"])
     def test_oracle_free_replace_classes_pinned(self, config, outcomes, moves, restarts, digest):
         # the exchange and shrink classes of the CI workflow: with the oracle
@@ -223,7 +226,10 @@ class TestRunTrials:
         # with no restart. Re-recorded when an exact window re-pack replaced
         # double exchange: the move key is renamed, and the window fires on
         # exactly the rows and as often as double exchange did (47 and 26
-        # times), whose packings alone moved
+        # times), whose packings alone moved. Re-recorded when a stage began
+        # from the remainder of the last path: packings and move counts moved
+        # (extend 25,198 -> 7,705 and 27,798 -> 6,436, window 47 -> 35 and
+        # 26 -> 14); every row still packs with no restart
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -235,7 +241,7 @@ class TestRunTrials:
             assert s["aggregates"]["success_rate"] == 1.0
             assert s["aggregates"]["guaranteed_restarted"] == 0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "ae68e4c614a66972f380c37a41754d709b12ef33d43366bd1605e14d89240ee6"
+        assert digest.hexdigest() == "a751ec68b6a013cc49f49feadfa1ef5dbac95301806baa955a45053875fbaa1e"
 
     def test_conjecture_gap_class_pinned(self):
         # the 4-cycle endgame gap: every host meets the hypotheses, so a
@@ -245,14 +251,15 @@ class TestRunTrials:
         # and 155, and 181 rows took 446 restarts. Re-recorded when an exact
         # window re-pack replaced double exchange at the stall: the gap closed
         # from 296 packed + 4 unknown (trials 9, 104, 224 and 288) and 200
-        # rows taking 506 restarts
+        # rows taking 506 restarts. Re-recorded when a stage began from the
+        # remainder of the last path: 12 rows taking 12 restarts before
         s = run_trials(side=12, profile=make_profile([4] * 6, mode="conjecture"), trials=300, seed=5, fill_p=0)
         agg = s["aggregates"]
         assert agg["outcomes"] == {"packed": 300}
         assert agg["guaranteed_unknown"] == 0
-        assert agg["guaranteed_restarted"] == 12
+        assert agg["guaranteed_restarted"] == 11
         restarts = [row["restarts"] for row in s["trials"]]
-        assert (sum(r > 0 for r in restarts), sum(restarts)) == (12, 12)
+        assert (sum(r > 0 for r in restarts), sum(restarts)) == (11, 11)
 
     def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
         # every row ends unknown after a restart; only those whose host meets

@@ -235,9 +235,12 @@ class TestMoveShrink:
         # side-60 hosts' move and iteration counts, and when an exact window
         # re-pack replaced double exchange: the window fires on 23 of the
         # side-8 hosts without packing one, which moved their move and
-        # iteration counts (and the move key) but no status or packing
+        # iteration counts (and the move key) but no status or packing, and
+        # when a stage began from the remainder of the last path, which moved
+        # every host's move and iteration counts and the packed host's cycles
+        # but no status or restart count
         assert statuses == ["unknown"] * 18 + ["packed"] + ["unknown"] * 23
-        assert digest.hexdigest() == "86b07e131723c121a887634514b79c76fbeb9646936cf24fe5bb4600d55749f2"
+        assert digest.hexdigest() == "8cf4f62001b9a37f96146a3e9934e398f3de9baa1ffd948059bc31bc476665d0"
 
 
 class TestSearchState:
@@ -525,6 +528,80 @@ class TestMoveCloseCycle:
         st = search_state(g, make_profile([4], mode="conjecture").lengths, path=[0, 2, 1])
         cyc = move_close_cycle(st)
         assert cyc is not None and sorted(cyc) == [0, 1, 2, 3]
+
+
+def path_host(m, chords=(), apex=()):
+    """A path p_0 .. p_{m-1} alternating X (even positions) and Y with ids
+    rising along each side, plus an edge for each pair of positions in
+    ``chords`` and, when ``apex`` is given, one vertex on the other side from
+    those positions, the highest id of its side, seeing each of them. The
+    lowest-id picks of ``_attempt`` seed p_0 and run the tail along p to its
+    end, leaving the apex off the path. Returns the host, p and the apex."""
+    sides = [list(range(0, m, 2)), list(range(1, m, 2))]
+    if apex:
+        sides[1 - apex[0] % 2].append("apex")
+    ids = {q: i for i, q in enumerate(sides[0])}
+    ids.update({q: len(sides[0]) + i for i, q in enumerate(sides[1])})
+    edges = [(ids[q], ids[q + 1]) for q in range(m - 1)] + [(ids[a], ids[b]) for a, b in chords]
+    edges += [(ids[q], ids["apex"]) for q in apex]
+    return BipartiteGraph(len(sides[0]), len(sides[1]), edges), [ids[q] for q in range(m)], ids.get("apex")
+
+
+class TestPathRemainder:
+    """After a close, the next stage starts from the longest run of the old
+    path off the new cycle, the head-side run on ties."""
+
+    def next_stage(self, monkeypatch, g, targets):
+        # the state stage 1 starts from: each pass of the loop tries shrink first
+        seen = []
+        original = packer.move_shrink
+
+        def watched(st):
+            if st.stage == 1 and not seen:
+                seen.append((st.fixed[0], list(st.path), st.path_mask, st.pool))
+            return original(st)
+
+        monkeypatch.setattr(packer, "move_shrink", watched)
+        packer._attempt(g, targets, None, None, packer.PackResult(), g.full_mask)
+        return seen[0]
+
+    def check(self, monkeypatch, g, cycle, run):
+        fixed, path, path_mask, pool = self.next_stage(monkeypatch, g, (len(cycle), 4))
+        assert fixed == cycle
+        assert path == run
+        assert path_mask == mask_of(path)
+        assert path_mask & ~pool == 0
+
+    @pytest.mark.parametrize("m, chord, run", [
+        (10, (2, 7), slice(0, 2)),  # runs p[:2] and p[8:] tie: the head side wins
+        (12, (1, 6), slice(7, 12)),  # p[7:] is longer than p[:1]
+    ], ids=["tie", "tail-longer"])
+    def test_chord(self, monkeypatch, m, chord, run):
+        g, p, _ = path_host(m, chords=[chord])
+        i, j = chord
+        self.check(monkeypatch, g, p[i : j + 1], p[run])
+
+    def test_crossing_endpoint_chords(self, monkeypatch):
+        # chords 0-9 and 2-11 close p[:3] + p[9:][::-1], shorter than either
+        # chord's own cycle; the one run left is the middle p[3:9]
+        g, p, _ = path_host(12, chords=[(0, 9), (2, 11)])
+        self.check(monkeypatch, g, p[:3] + p[9:][::-1], p[3:9])
+
+    @pytest.mark.parametrize("m, sees, run", [
+        (9, (2, 6), slice(0, 2)),  # runs p[:2] and p[7:] tie: the head side wins
+        (11, (1, 5), slice(6, 11)),  # p[6:] is longer than p[:1]
+    ], ids=["tie", "tail-longer"])
+    def test_off_path_apex(self, monkeypatch, m, sees, run):
+        g, p, apex = path_host(m, apex=sees)
+        i, j = sees
+        self.check(monkeypatch, g, p[i : j + 1] + [apex], p[run])
+
+    def test_cycle_on_the_whole_path_leaves_it_empty(self):
+        # both runs off the cycle are empty, so the next path is too
+        g, p, _ = path_host(6, chords=[(0, 5)])
+        st = search_state(g, (6,), path=p)
+        st.fix_closed_cycle(p)
+        assert (st.path, st.path_mask, st.pool) == ([], 0, 0)
 
 
 def stuck_path_states(count):
@@ -974,7 +1051,8 @@ class TestPack:
 
     def test_path_upkeep_is_not_per_iteration(self, monkeypatch):
         # an endpoint extension sets one bit; rebuilding the path mask on every
-        # one made mask_of run once per iteration (7,751 calls in 7,700 here)
+        # one made mask_of run once per iteration (7,751 calls in 7,700 on 6^50,
+        # which now packs in too few iterations to tell; this host takes 306)
         calls = []
         original = packer.mask_of
 
@@ -983,7 +1061,7 @@ class TestPack:
             return original(vertices)
 
         monkeypatch.setattr(packer, "mask_of", counted)
-        profile = make_profile([6] * 50)
+        profile = make_profile([50] * 6)
         r = pack(gen_random_mindeg(150, 150, profile.threshold, seed=1), profile)
         assert r.status == "packed" and r.iterations > 50 * profile.k
         assert len(calls) <= 4 * profile.k
@@ -1036,7 +1114,8 @@ class TestPack:
 
     def test_loop_passes_are_not_per_iteration(self, monkeypatch):
         # every pass of the move loop tries shrink first; an endpoint run of m
-        # vertices is one pass, so passes are far fewer than iterations
+        # vertices is one pass, so passes are far fewer than iterations (8
+        # passes for 306 iterations here)
         calls = []
         original = packer.move_shrink
 
@@ -1045,7 +1124,7 @@ class TestPack:
             return original(st)
 
         monkeypatch.setattr(packer, "move_shrink", counted)
-        profile = make_profile([6] * 50)
+        profile = make_profile([50] * 6)
         r = pack(gen_random_mindeg(150, 150, profile.threshold, seed=1), profile)
         assert r.status == "packed" and r.iterations > 50 * profile.k
         assert len(calls) < r.iterations / 10
@@ -1076,23 +1155,24 @@ def band_complement_rows(side, width):
     return [full & ~((band << u | band << u >> side) & full) for u in range(side)]
 
 
-def _moves(extend, exchange, close):
-    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "window": 0}
+def _moves(extend, exchange, close, window=0):
+    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "window": window}
 
 
 # Tight side s = n/2 with every degree at the threshold, D = s - threshold.
 # For the profile (s, s), D = 1 and the band is the blocks: K_{s,s} minus a
-# perfect matching.
+# perfect matching. The move counts were re-recorded when a stage began from
+# the remainder of the last path (s12 six-cycles: extend 60 -> 24).
 TIGHT_COMPLEMENTS = [
-    pytest.param(12, [6] * 4, block_complement_rows, _moves(60, 0, 4), id="s12-sixes-blocks"),
-    pytest.param(12, [6] * 4, band_complement_rows, _moves(60, 0, 4), id="s12-sixes-band"),
-    pytest.param(12, [12, 12], block_complement_rows, _moves(36, 0, 2), id="s12-two-blocks"),
-    pytest.param(60, [6] * 20, block_complement_rows, _moves(1259, 1, 20), id="s60-sixes-blocks"),
-    pytest.param(60, [6] * 20, band_complement_rows, _moves(1260, 0, 20), id="s60-sixes-band"),
-    pytest.param(60, [60, 60], block_complement_rows, _moves(180, 0, 2), id="s60-two-blocks"),
-    pytest.param(120, [6] * 40, block_complement_rows, _moves(4919, 1, 40), id="s120-sixes-blocks"),
-    pytest.param(120, [6] * 40, band_complement_rows, _moves(4920, 0, 40), id="s120-sixes-band"),
-    pytest.param(120, [120, 120], block_complement_rows, _moves(360, 0, 2), id="s120-two-blocks"),
+    pytest.param(12, [6] * 4, block_complement_rows, _moves(24, 0, 4), id="s12-sixes-blocks"),
+    pytest.param(12, [6] * 4, band_complement_rows, _moves(25, 0, 4), id="s12-sixes-band"),
+    pytest.param(12, [12, 12], block_complement_rows, _moves(24, 0, 2), id="s12-two-blocks"),
+    pytest.param(60, [6] * 20, block_complement_rows, _moves(125, 0, 20), id="s60-sixes-blocks"),
+    pytest.param(60, [6] * 20, band_complement_rows, _moves(120, 3, 20), id="s60-sixes-band"),
+    pytest.param(60, [60, 60], block_complement_rows, _moves(120, 0, 2), id="s60-two-blocks"),
+    pytest.param(120, [6] * 40, block_complement_rows, _moves(241, 0, 40), id="s120-sixes-blocks"),
+    pytest.param(120, [6] * 40, band_complement_rows, _moves(243, 0, 39, window=1), id="s120-sixes-band"),
+    pytest.param(120, [120, 120], block_complement_rows, _moves(240, 0, 2), id="s120-two-blocks"),
 ]
 
 STRUCTURED_HOSTS = {
