@@ -85,10 +85,6 @@ class BipartiteGraph:
     def y_mask(self) -> int:
         return self.full_mask ^ self.x_mask
 
-    def side_mask(self, v: int) -> int:
-        """Bitmask of the side containing ``v``."""
-        return self.x_mask if v < self.x_size else self.y_mask
-
     def min_degree(self) -> int:
         if self.num_vertices == 0:
             raise GraphError("minimum degree of an empty graph is undefined")

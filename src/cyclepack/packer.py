@@ -2,36 +2,30 @@
 
 The engine keeps a partial solution: a prefix of already-placed cycles (one per
 profile entry, longest entries first), the leftover vertex pool, and a path
-grown inside the pool. Local moves either shrink an oversized placed cycle,
-lengthen the path, trade a path endpoint's neighbor out of a placed cycle, or
-end the stage: close the path into the next required cycle, or, when nothing
-closes, re-pack a window (the pool plus one or two placed cycles) exactly.
-Every non-terminal move strictly improves the lexicographic potential
+grown inside the pool. It has three moves. Extend lengthens the path; the
+other two end the stage: close the path into the next required cycle, or,
+when nothing closes, re-pack a window (the pool plus one or two placed
+cycles) exactly. Every extend move strictly improves the lexicographic
+potential
 
     (pool size, path length)
 
-On an N-vertex host the placed cycles are disjoint and the pool is the host
-minus their union, so the pool size is N minus the total placed size and the
-order is that of (-(total placed size), path length). Each attempt therefore
-terminates without an iteration counter: shrink grows the pool (and empties
-the path when its new cycle takes path vertices); extend and exchange keep the
-pool and lengthen the path. The placed size within one stage takes at most
-N//2 + 1 even values and the path length at most N + 1, so between two shrinks
-the path lengthens at most N times and a stage ends within (N//2 + 1)(N + 1)
-iterations, the last a close, a window or a stall (Posa's rotation-extension
-argument, Posa 1976). A close leaves the longest run of the old path that
-misses its new cycle (the head-side run on ties) as the next stage's path, so
-a stage may start with a nonempty path inside the pool; the window leaves it
-empty. The path is never longer than N either way, so an attempt over k
-stages takes at most k(N//2 + 1)(N + 1) iterations. Shrink and exchange take
-each cycle they test from one more single-stage run of this loop, bounded the
-same way, on the vertex set in question, and each takes the first cycle that
-fits (for shrink, the first strictly shorter than the placed one); a run may
-miss a cycle, and the move then fails. The window runs the exact oracle's
-search on at most ``WINDOW_CAP`` vertices, so it misses nothing within its
-windows. A host within the oracle limit goes to that exact backtracking
-oracle as a whole and never to the engine; only larger hosts get the engine
-and its seeded restarts, which perturb the construction order.
+by exactly one path vertex: only close and the window change the placed
+cycles, and each ends its stage, so within a stage the pool is fixed and the
+potential is the path length. Each attempt therefore terminates without an
+iteration counter. On an N-vertex host the path is a simple path in the
+pool, so it never holds more than N vertices, and a stage makes at most N
+extend moves before its last iteration: a close, a window or a stall (the
+path grows by Posa's rotation-extension, Posa 1976). A close leaves the
+longest run of the old path that misses its new cycle (the head-side run on
+ties) as the next stage's path, so a stage may start with a nonempty path
+inside the pool, which only leaves it fewer extensions; the window leaves it
+empty. A stage thus ends within N + 1 iterations, and an attempt over k
+stages within k(N + 1). The window runs the exact oracle's search on at most
+``WINDOW_CAP`` vertices, so it misses nothing within its windows. A host
+within the oracle limit goes to that exact backtracking oracle as a whole
+and never to the engine; only larger hosts get the engine and its seeded
+restarts, which perturb the construction order.
 """
 from __future__ import annotations
 
@@ -51,7 +45,7 @@ PACKED = "packed"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
-MOVE_KINDS = ("shrink", "extend", "exchange", "close", "window")
+MOVE_KINDS = ("extend", "close", "window")
 
 DEFAULT_ORACLE_LIMIT = 18
 DEFAULT_RESTARTS = 8
@@ -82,35 +76,33 @@ class SearchState:
     """Mutable solver state: placed cycles, leftover pool, and the working path.
 
     ``targets`` are the required lengths, longest first (a profile's ``lengths``).
-    A state starts with nothing placed, an empty path and the pool ``vertices``;
-    the pool is always ``vertices`` minus the placed cycles.
+    A state starts with nothing placed, an empty path and the whole host as
+    its pool; the pool is always the host minus the placed cycles.
 
     Placed cycles enter only through ``fix_cycle`` and change only through
     ``replace_cycle``, which derives the pool from its definition: a window
-    re-pack also moves vertices between placed cycles. ``path_mask == mask_of(path)``
-    always holds. Three writers change ``path`` and ``path_mask``:
-    ``move_extend_path``'s endpoint run appends and prepends in place and sets
-    the run's bits at once; ``set_path`` installs a new list and recomputes
-    the mask in full (seeding, rotation, exchange, the empty path
-    ``fix_cycle`` leaves, and a replaced cycle taking path vertices, which
-    empties the path); and ``fix_closed_cycle`` keeps a run of the old path
-    and clears the bits of the vertices it drops.
+    re-pack also moves vertices between placed cycles. ``replace_cycle``
+    leaves the path alone; its one caller, the window, places its last cycle
+    with ``fix_cycle``, which empties the path. Outside the window's re-pack
+    ``path_mask == mask_of(path)`` holds and the path lies in the pool. Three
+    writers change ``path`` and ``path_mask``: ``move_extend_path``'s endpoint
+    run appends and prepends in place and sets the run's bits at once;
+    ``set_path`` installs a new list and recomputes the mask in full (seeding,
+    rotation, and the empty path ``fix_cycle`` leaves); and
+    ``fix_closed_cycle`` keeps a run of the old path and clears the bits of
+    the vertices it drops.
     """
 
-    def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], vertices: int, rng=None):
+    def __init__(self, g: BipartiteGraph, targets: tuple[int, ...], rng=None):
         self.g = g
         self.adj = g.adjacency
         self.targets = targets
-        self.vertices = vertices
         self.fixed: list[list[int]] = []
         self.fixed_masks: list[int] = []
-        self.pool = vertices
+        self.pool = g.full_mask
         self.path: list[int] = []
         self.path_mask = 0
         self.rng = rng
-        # shrink reads only the placed cycles and the pool, which change only in
-        # fix_cycle and replace_cycle; a failed shrink stays failed until then
-        self.shrink_stale = True
 
     @property
     def stage(self) -> int:
@@ -135,7 +127,6 @@ class SearchState:
         self.fixed.append(list(cycle))
         self.fixed_masks.append(m)
         self.pool &= ~m
-        self.shrink_stale = True
         self.set_path([])
 
     def fix_closed_cycle(self, cycle) -> None:
@@ -157,47 +148,10 @@ class SearchState:
     def replace_cycle(self, j: int, cycle) -> None:
         self.fixed[j] = list(cycle)
         self.fixed_masks[j] = mask_of(cycle)
-        self.pool = self.vertices & ~reduce(or_, self.fixed_masks)
-        self.shrink_stale = True
-        if self.path_mask & ~self.pool:
-            # only shrink (which grows the pool, so the potential rises even
-            # with the path gone) and the window, which ends the stage, take
-            # path vertices
-            self.set_path([])
+        self.pool = self.g.full_mask & ~reduce(or_, self.fixed_masks)
 
 
 # -- moves -------------------------------------------------------------------
-
-
-def move_shrink(st: SearchState) -> bool:
-    """Replace an oversized placed cycle by a shorter one (still meeting its
-    required length) on the cycle's vertex set or through one pool vertex.
-
-    A vertex lies on a cycle of a set only if it sees two of its vertices: the
-    cycle's own set is searched once, then the cycle plus each pool vertex
-    seeing two of it. In the guaranteed regime an apex seeing c_j/2 vertices
-    of a cycle longer than c_j forces a shorter one, which is why it fires
-    there. Each search is one ``_cycle_in`` run (need c_j), which may miss a
-    cycle; the first strictly shorter one is taken, so the placed size drops.
-    After a failed call it returns False at once until a placed cycle changes.
-    """
-    if not st.shrink_stale:
-        return False
-    adj = st.adj
-    for j, cyc in enumerate(st.fixed):
-        tgt = st.targets[j]
-        size = len(cyc)
-        if size <= tgt:
-            continue
-        cmask = st.fixed_masks[j]
-        apexes = (cmask | 1 << u for u in bits(st.pool) if (adj[u] & cmask).bit_count() >= 2)
-        for mask in chain((cmask,), apexes):
-            found = _cycle_in(st.g, mask, tgt)
-            if found is not None and len(found) < size:
-                st.replace_cycle(j, found)
-                return True
-    st.shrink_stale = False
-    return False
 
 
 def _lowest(mask: int) -> int:
@@ -237,9 +191,9 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
     outside the path, then prepends at the head while the head does, one
     vertex and one move at a time, until ``room`` (>= 1; None for no cap)
     moves are made. That is the sequence one-move calls would make: the
-    outside set only shrinks, so a stuck tail stays stuck, and shrink, tried
-    before each call, stays failed while no placed cycle changes. Seed and
-    rotation are one move each. The pool is never empty (see ``_attempt``).
+    outside set only shrinks, so a stuck tail stays stuck, and the loop tries
+    no other move while extend makes one. Seed and rotation are one move
+    each. The pool is never empty (see ``_attempt``).
     """
     adj = st.adj
     if not st.path:
@@ -275,56 +229,6 @@ def move_extend_path(st: SearchState, room: int | None = None) -> int:
             st.set_path(rotated)
             return 1
 
-    return False
-
-
-def _cycle_in(g: BipartiteGraph, mask: int, need: int) -> tuple[int, ...] | None:
-    """A cycle of length >= ``need`` inside ``mask``, or None: one run of the
-    move loop on the pool ``mask`` with targets (need,), lowest-id picks and a
-    throwaway result. With nothing placed, shrink, exchange and the window
-    never fire, so it does not recurse and ends within (N//2 + 1)(N + 1)
-    iterations for N = |mask|. It may miss a cycle that exists. A cycle
-    alternates sides, so fewer than need/2 vertices on a side rule it out."""
-    if 2 * min((mask & g.x_mask).bit_count(), (mask & g.y_mask).bit_count()) < need:
-        return None
-    found = _attempt(g, (need,), None, None, PackResult(), mask)
-    return None if found is None else found[0]
-
-
-def move_exchange_one(st: SearchState) -> bool:
-    """Trade one vertex between a tight placed cycle and the pool: a neighbor
-    v of a path endpoint u' on the cycle steps out, an off-path pool vertex u''
-    on the opposite side steps in, and v extends the path at u'. The new cycle
-    spans the swap set, found by one ``_cycle_in`` run (need c_j) that may
-    miss it. u'' needs two neighbours on the placed cycle (u'' and v share a
-    side); in the guaranteed regime u' and u'' seeing c_j - 1 of its vertices
-    between them force a swap. Placed size is unchanged, the path grows. The
-    path is nonempty (see ``_attempt``)."""
-    adj = st.adj
-    g = st.g
-    rest = st.pool & ~st.path_mask
-    if not rest:
-        return False
-    endpoints = [(st.path[0], True)]
-    if len(st.path) > 1:
-        endpoints.append((st.path[-1], False))
-    for j in range(len(st.fixed)):
-        tgt = st.targets[j]
-        if len(st.fixed[j]) != tgt:
-            continue
-        cmask = st.fixed_masks[j]
-        for u1, at_head in endpoints:
-            opposite = g.full_mask ^ g.side_mask(u1)
-            for u2 in bits(rest & opposite):
-                if (adj[u2] & cmask).bit_count() < 2:
-                    continue
-                for v in bits(adj[u1] & cmask):
-                    ham = _cycle_in(g, (cmask ^ 1 << v) | 1 << u2, tgt)  # spans the swap set
-                    if ham is None:
-                        continue
-                    st.replace_cycle(j, ham)  # moves u2 in, v out to the pool
-                    st.set_path([v] + st.path if at_head else st.path + [v])  # v joins at u1
-                    return True
     return False
 
 
@@ -388,8 +292,8 @@ def move_window(st: SearchState) -> bool:
     the group's targets plus the current one. The first success is installed
     by ``replace_cycle`` for the group's cycles (matched by length) and
     ``fix_cycle`` for the remaining one. Larger windows are skipped, so every
-    search it makes is bounded. With nothing placed there is no window, so
-    ``_cycle_in``'s inner runs never call it.
+    search it makes is bounded. With nothing placed there is no window: the
+    first stage closes or stalls.
 
     Soundness. The bounded swap this move replaced (double exchange) traded
     at most two vertices out of each of the pool, a cycle C_p and a cycle C_q,
@@ -426,25 +330,24 @@ def mix_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0xFFFFFFFFFFFF
 
 
-def _attempt(g, targets, budget, rng, result, vertices):
+def _attempt(g, targets, budget, rng, result):
     """One restart-free run of the move loop for the lengths ``targets`` on the
-    vertex set ``vertices`` (``pack`` passes the whole host), adding its moves
-    and iterations to ``result``; returns the placed cycles once close or
-    the window ends the last stage, or None. The potential ends the loop
-    (see the module docstring); ``budget``, when not None, caps this attempt's
-    iterations. A close installs its cycle with ``fix_closed_cycle``, which
-    keeps the longest run of the old path off that cycle, so the next stage
-    starts from that run instead of seeding a path at one vertex; a window
-    leaves the next stage an empty path.
+    whole host, adding its moves and iterations to ``result``; returns the
+    placed cycles once close or the window ends the last stage, or None. The
+    potential ends the loop (see the module docstring); ``budget``, when not
+    None, caps this attempt's iterations. A close installs its cycle with
+    ``fix_closed_cycle``, which keeps the longest run of the old path off
+    that cycle, so the next stage starts from that run instead of seeding a
+    path at one vertex; a window leaves the next stage an empty path.
 
     An iteration is one move. An endpoint run of m extensions is made in one
     pass of the loop but counts m iterations and m ``extend`` moves, and it
     stops where the budget would, so the budget and the iteration bound keep
     their meaning. The moves do not re-check what the loop guarantees: a stage
-    starts with at least its target (>= 4) pool vertices and no move shrinks
-    the pool within it, and exchange and close run only after extend made no
-    move, which leaves the path nonempty."""
-    st = SearchState(g, targets, vertices, rng)
+    starts with at least its target (>= 4) pool vertices and no move changes
+    the pool within it, and close and the window run only after extend made
+    no move, which leaves the path nonempty."""
+    st = SearchState(g, targets, rng)
     counts = result.move_counts
     stop = None if budget is None else result.iterations + budget
     while st.stage < len(targets):
@@ -455,16 +358,10 @@ def _attempt(g, targets, budget, rng, result, vertices):
                 return None
             result.iterations += 1
             before = st.potential()
-            if move_shrink(st):
-                _record(st, counts, "shrink", before)
-                continue
             moves = move_extend_path(st, None if stop is None else stop - result.iterations + 1)
             if moves:
                 result.iterations += moves - 1
-                _record(st, counts, "extend", before, moves)
-                continue
-            if move_exchange_one(st):
-                _record(st, counts, "exchange", before)
+                _record(st, counts, before, moves)
                 continue
             cycle = move_close_cycle(st)
             if cycle is not None:
@@ -478,17 +375,13 @@ def _attempt(g, targets, budget, rng, result, vertices):
     return [tuple(c) for c in st.fixed]
 
 
-def _record(st, counts, kind, before, moves=1):
-    """Count ``moves`` moves of ``kind`` and check the potential they left: one
-    move must raise it; a run of several must keep the pool and lengthen the
-    path by exactly one vertex per move."""
-    counts[kind] += moves
+def _record(st, counts, before, moves):
+    """Count ``moves`` extend moves and check the potential they left: the
+    pool is unchanged and the path grew by exactly one vertex per move."""
+    counts["extend"] += moves
     after = st.potential()
-    if moves == 1:
-        if not after > before:
-            raise RuntimeError(f"move {kind} failed to improve the potential: {before} -> {after}")
-    elif after != (before[0], before[1] + moves):
-        raise RuntimeError(f"run of {moves} {kind} moves changed the potential {before} -> {after}")
+    if after != (before[0], before[1] + moves):
+        raise RuntimeError(f"{moves} extend moves changed the potential {before} -> {after}")
 
 
 def _packed(result: PackResult, g, profile, cycles, source: str) -> PackResult:
@@ -519,8 +412,8 @@ def pack(
     restart. Only a larger host gets the engine, one attempt and then seeded
     restarts. Each attempt runs until every stage closes or no move applies.
     The potential bounds it: on an N-vertex host with k profile entries an
-    attempt takes at most k(N//2 + 1)(N + 1) iterations (see the module
-    docstring). ``budget``, when given, caps each attempt's iterations as well.
+    attempt takes at most k(N + 1) iterations (see the module docstring).
+    ``budget``, when given, caps each attempt's iterations as well.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -538,7 +431,7 @@ def pack(
     for attempt in range(DEFAULT_RESTARTS + 1):
         result.restarts = attempt
         rng = random.Random(mix_seed(seed, attempt)) if attempt else None
-        cycles = _attempt(g, profile.lengths, budget, rng, result, g.full_mask)
+        cycles = _attempt(g, profile.lengths, budget, rng, result)
         if cycles is not None:
             return _packed(result, g, profile, cycles, "engine")
     return result

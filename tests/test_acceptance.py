@@ -188,9 +188,9 @@ def test_criterion_6_property_suite(monkeypatch):
         trace = []
         original_record = packer._record
 
-        def logged_record(st, counts, kind, before, moves=1):
-            trace.append((kind, before, st.potential()))
-            return original_record(st, counts, kind, before, moves)
+        def logged_record(st, counts, before, moves):
+            trace.append((before, st.potential()))
+            return original_record(st, counts, before, moves)
 
         trace_checks = 0
         seed_stream = 0
@@ -201,8 +201,8 @@ def test_criterion_6_property_suite(monkeypatch):
                 trace.clear()
                 pack(g, profile, seed=seed_stream, oracle_limit=0)  # the engine, not the oracle
                 seed_stream += 1
-                for kind, before, after in trace:
-                    assert after > before, (kind, before, after)
+                for before, after in trace:
+                    assert after > before, (before, after)
                     trace_checks += 1
                     if trace_checks == 3000:
                         break

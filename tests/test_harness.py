@@ -145,41 +145,43 @@ class TestRunTrials:
         # exact window re-pack replaced double exchange at the stall: it fires
         # at any stage, and the restarts fall 13 -> 1. Re-recorded when a
         # stage began from the remainder of the last path: extend 1,718 -> 795,
-        # and the one restart is gone
+        # and the one restart is gone. Re-recorded when the engine became
+        # extend, close and window alone: one row restarts again (0 -> 1), and
+        # the packings of that row moved
         s = run_trials(side=9, profile=make_profile([4, 4, 4, 6], mode="conjecture"), trials=40,
                        seed=3, fill_p=0.05, oracle_limit=0)
-        assert s["aggregates"]["move_histogram"] == {
-            "close": 139, "exchange": 2, "extend": 795, "shrink": 1, "window": 21,
-        }
+        assert s["aggregates"]["move_histogram"] == {"close": 143, "extend": 809, "window": 20}
         assert s["aggregates"]["outcomes"] == {"packed": 40}
-        assert sum(row["restarts"] for row in s["trials"]) == 0
+        assert sum(row["restarts"] for row in s["trials"]) == 1
         outcomes = json.dumps([[row["outcome"], row["packing"]] for row in s["trials"]])
         assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-            "2e5c5c66d9063fd5b8deb7ec73aed36aab42261f17d0a8a0c20930204524336a"
+            "d62156b891dc01cb21008e834d59f0c4020d9fe7d4d8df810e40b5af766c6fbe"
         )
 
     @pytest.mark.parametrize("config, outcomes, moves, restarts, digest", [
-        # exchange tries every newcomer with two neighbours on the cycle; the
-        # window packs the 74 hosts that ended unknown before it replaced
+        # the window packs the 74 hosts that ended unknown before it replaced
         # double exchange, and restarts fall 1,249 -> 55. Since a stage
-        # begins from the remainder of the last path: restarts 55 -> 58
+        # begins from the remainder of the last path: restarts 55 -> 58.
+        # Since the engine is extend, close and window alone: restarts
+        # 58 -> 71, and the window fires 249 -> 273 times
         (dict(side=9, delta=4, profile=make_profile([4, 4, 4, 6], mode="conjecture"), fill_p=0.0, trials=300,
               seed=3072, oracle_limit=0),
          {"packed": 300},
-         {"close": 1125, "exchange": 124, "extend": 7649, "shrink": 11, "window": 249}, 58,
-         "bb51779fbb226de5b044a25c7fef5841c815af454574cd9d8c81794bfd765a79"),
-        # restarts reach shrink below the threshold; the window fires 854
-        # times here without packing another host (restarts 3,106 -> 3,104)
+         {"close": 1140, "extend": 7838, "window": 273}, 71,
+         "d6456d1e8aa84ed574d12d37d65b533dcf9b79034a613a35161c4c970b1394ee"),
+        # sparse hosts below the threshold; the window fires 884 times here
+        # without packing another host
         (dict(side=8, delta=2, profile=make_profile([4] * 4, mode="conjecture"), fill_p=0.1, trials=400,
               seed=1024, oracle_limit=0),
          {"packed": 12, "unknown": 388},
-         {"close": 7585, "exchange": 168, "extend": 62216, "shrink": 319, "window": 854}, 3104,
+         {"close": 7550, "extend": 60859, "window": 884}, 3104,
          "dd8b0839522775db82c9ad0d0c7bf67927d75032d029f56ff50b9e86d6b1f289"),
     ], ids=["exchange", "shrink"])
     def test_oracle_free_replace_classes_pinned(self, config, outcomes, moves, restarts, digest):
-        # the exchange and shrink classes of the CI workflow: with the oracle
-        # off every verdict is the engine's, and each fired move goes through
-        # replace_cycle, so a change to how it keeps the pool moves these
+        # two classes of the CI workflow, named by the moves they were first
+        # chosen to exercise (both since deleted): with the oracle off every
+        # verdict is the engine's, and each window goes through replace_cycle,
+        # so a change to how it keeps the pool moves these
         s = run_trials(**config)
         agg = s["aggregates"]
         assert agg["outcomes"] == outcomes
@@ -229,7 +231,10 @@ class TestRunTrials:
         # times), whose packings alone moved. Re-recorded when a stage began
         # from the remainder of the last path: packings and move counts moved
         # (extend 25,198 -> 7,705 and 27,798 -> 6,436, window 47 -> 35 and
-        # 26 -> 14); every row still packs with no restart
+        # 26 -> 14); every row still packs with no restart. Re-recorded when
+        # the engine became extend, close and window alone: two move keys are
+        # gone, and on the three side-18 rows where exchange fired the window
+        # fires instead (35 -> 38), whose packings alone moved
         configs = [
             dict(side=18, profile=make_profile([6] * 6), fill_p=0.0, oracle_limit=0, trials=200, seed=3),
             dict(side=9, profile=make_profile([6, 6]), delta=5, trials=1000, seed=7),
@@ -241,7 +246,7 @@ class TestRunTrials:
             assert s["aggregates"]["success_rate"] == 1.0
             assert s["aggregates"]["guaranteed_restarted"] == 0
             digest.update(summary_without_timing(s).encode())
-        assert digest.hexdigest() == "a751ec68b6a013cc49f49feadfa1ef5dbac95301806baa955a45053875fbaa1e"
+        assert digest.hexdigest() == "bfd1b963d94d1bf84371565c48c2267c65c495dfdf639e14f78cf8ccc1a60822"
 
     def test_conjecture_gap_class_pinned(self):
         # the 4-cycle endgame gap: every host meets the hypotheses, so a
@@ -252,14 +257,16 @@ class TestRunTrials:
         # window re-pack replaced double exchange at the stall: the gap closed
         # from 296 packed + 4 unknown (trials 9, 104, 224 and 288) and 200
         # rows taking 506 restarts. Re-recorded when a stage began from the
-        # remainder of the last path: 12 rows taking 12 restarts before
+        # remainder of the last path: 12 rows taking 12 restarts before.
+        # Re-recorded when the engine became extend, close and window alone:
+        # 11 rows taking 11 restarts before
         s = run_trials(side=12, profile=make_profile([4] * 6, mode="conjecture"), trials=300, seed=5, fill_p=0)
         agg = s["aggregates"]
         assert agg["outcomes"] == {"packed": 300}
         assert agg["guaranteed_unknown"] == 0
-        assert agg["guaranteed_restarted"] == 11
+        assert agg["guaranteed_restarted"] == 12
         restarts = [row["restarts"] for row in s["trials"]]
-        assert (sum(r > 0 for r in restarts), sum(restarts)) == (11, 11)
+        assert (sum(r > 0 for r in restarts), sum(restarts)) == (12, 12)
 
     def test_guaranteed_unknown_counts_only_rows_in_the_regime(self, monkeypatch, capsys):
         # every row ends unknown after a restart; only those whose host meets
@@ -483,6 +490,7 @@ class TestCli:
         assert code == 0 and out["status"] == "packed" and out["report"]["ok"]
         assert out["hypotheses"]["ok"]
         assert not any(c["name"].startswith("hypothesis_") for c in out["report"]["checks"])
+        assert set(out["moves"]) == {"extend", "close", "window"}
 
     def test_solve_infeasible_json_has_no_report(self, tmp_path, capsys):
         path = tmp_path / "sharp.graph"
@@ -641,6 +649,7 @@ class TestCli:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["aggregates"]["success_rate"] == 1.0
+        assert set(summary["aggregates"]["move_histogram"]) == {"extend", "close", "window"}
         assert [row["trial"] for row in summary["trials"]] == list(range(8))
         assert len(summary["timing"]["per_trial_s"]) == 8
         for row in summary["trials"]:

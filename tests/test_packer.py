@@ -30,9 +30,7 @@ from cyclepack.harness import run_sharpness, run_trials
 from cyclepack.packer import (
     iter_cycles_through,
     move_close_cycle,
-    move_exchange_one,
     move_extend_path,
-    move_shrink,
     move_window,
 )
 from oracle_partition import partition_feasible
@@ -47,10 +45,9 @@ def assert_valid_cycle(g, cyc, min_len=4):
 
 
 def attempt_watching(monkeypatch, g, targets, move):
-    """Run one ``_attempt`` on the whole of ``g`` with the module-level
-    ``move`` wrapped to record the pool and path each call sees; returns the
-    attempt's cycles, its ``PackResult`` and the recorded ``(pool, path)``
-    pairs."""
+    """Run one ``_attempt`` on ``g`` with the module-level ``move`` wrapped to
+    record the pool and path each call sees; returns the attempt's cycles, its
+    ``PackResult`` and the recorded ``(pool, path)`` pairs."""
     seen = []
     original = getattr(packer, move)
 
@@ -60,14 +57,14 @@ def attempt_watching(monkeypatch, g, targets, move):
 
     monkeypatch.setattr(packer, move, watched)
     result = packer.PackResult()
-    cycles = packer._attempt(g, targets, None, None, result, g.full_mask)
+    cycles = packer._attempt(g, targets, None, None, result)
     return cycles, result, seen
 
 
 def search_state(g, targets, cycles=(), path=()):
-    """A state on the whole of ``g`` built through the engine's own writers:
-    ``fix_cycle`` places each cycle, then ``set_path`` installs ``path``."""
-    st = packer.SearchState(g, targets, g.full_mask)
+    """A state on ``g`` built through the engine's own writers: ``fix_cycle``
+    places each cycle, then ``set_path`` installs ``path``."""
+    st = packer.SearchState(g, targets)
     for cycle in cycles:
         st.fix_cycle(cycle)
     st.set_path(list(path))
@@ -75,8 +72,8 @@ def search_state(g, targets, cycles=(), path=()):
 
 
 def sparse_host():
-    # 16 vertices, sparse and below threshold for [4, 4, 4, 4]: the engine
-    # places oversized cycles with several qualifying vertices of their own
+    # 16 vertices, sparse and below threshold for [4, 4, 4, 4], which it
+    # cannot hold
     return BipartiteGraph(8, 8, [
         (0, 10), (0, 11), (1, 9), (1, 13), (1, 14), (2, 11), (2, 15), (3, 10), (3, 12), (3, 14),
         (4, 8), (4, 12), (5, 9), (5, 12), (6, 8), (6, 9), (6, 13), (7, 11), (7, 14), (7, 15),
@@ -94,189 +91,33 @@ def circulant_host(side, delta, seed):
     return BipartiteGraph(side, side, edges)
 
 
-class TestMoveShrink:
-    def host_with_apex(self):
-        # 8-cycle over X={0..3}, Y={4..7}; apex 8 on the Y side sees 0, 1, 2
-        edges = [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7), (0, 7)]
-        edges += [(0, 8), (1, 8), (2, 8)]
-        return BipartiteGraph(4, 5, edges), [0, 4, 1, 5, 2, 6, 3, 7]
-
-    def test_apex_shrinks_eight_cycle_to_six(self):
-        g, cycle8 = self.host_with_apex()
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[cycle8])
-        before = st.potential()
-        assert move_shrink(st)
-        assert len(st.fixed[0]) == 6
-        assert st.potential() > before
-        # pins the first six-cycle found through the apex
-        assert sorted(st.fixed[0]) == [0, 1, 2, 4, 5, 8]
-        assert st.pool.bit_count() == 3
-        assert_valid_cycle(g, tuple(st.fixed[0]))
-
-    def test_no_move_when_cycles_tight(self):
-        g = gen_complete(3)
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 3, 1, 4, 2, 5]])
-        assert not move_shrink(st)
-
-    def test_no_move_without_degree_concentration(self):
-        g, cycle8 = self.host_with_apex()
-        # drop one apex edge: 8 sees 0 and 1, two steps apart on the cycle, so
-        # its only cycle in the cycle plus 8 is 8 long, no shorter
-        edges = [e for e in g.edges() if e != (2, 8)]
-        g2 = BipartiteGraph(4, 5, edges)
-        st = search_state(g2, make_profile([6, 6]).lengths, cycles=[cycle8])
-        assert not move_shrink(st)
-
-    def test_apex_seeing_two_cycle_vertices_shrinks(self):
-        # a chordless 8-cycle at target 6 on 5+5; pool vertex 9 sees only 0 and
-        # 2, fewer than 6/2, yet 0-9-2 cuts the 8-cycle down to 6
-        cycle8 = [0, 5, 1, 6, 2, 7, 3, 8]
-        edges = [tuple(sorted(e)) for e in zip(cycle8, cycle8[1:] + cycle8[:1])] + [(0, 9), (2, 9)]
-        g = BipartiteGraph(5, 5, edges)
-        st = search_state(g, make_profile([6]).lengths, cycles=[cycle8])
-        before = st.potential()
-        assert move_shrink(st)
-        assert len(st.fixed[0]) == 6 and 9 in st.fixed[0]
-        assert st.fixed_masks[0] == mask_of([0, 1, 2, 5, 6, 9])
-        assert st.potential() > before
-        assert_valid_cycle(g, st.fixed[0], 6)
-
-    @staticmethod
-    def track_shrink_searches(monkeypatch):
-        """Wrap ``move_shrink`` and ``_cycle_in``: each finished shrink call
-        appends the masks it searched. Exchange also calls ``_cycle_in``; only
-        calls made while a shrink call is on the stack are recorded."""
-        calls, active = [], []
-        original_cycle_in, original_shrink = packer._cycle_in, packer.move_shrink
-
-        def cycle_in(g, mask, need):
-            if active:
-                active[-1].append(mask)
-            return original_cycle_in(g, mask, need)
-
-        def shrink(st):
-            active.append([])
-            try:
-                return original_shrink(st)
-            finally:
-                calls.append(active.pop())
-
-        monkeypatch.setattr(packer, "_cycle_in", cycle_in)
-        monkeypatch.setattr(packer, "move_shrink", shrink)
-        return calls
-
-    def test_no_mask_searched_twice_in_one_call(self, monkeypatch):
-        calls = self.track_shrink_searches(monkeypatch)
-        # shrink is reached only on restarts here, which run beyond the oracle limit
-        pack(sparse_host(), make_profile([4, 4, 4, 4], "conjecture"), seed=0, oracle_limit=15)
-        assert any(calls)
-        for masks in calls:
-            assert len(set(masks)) == len(masks), "one shrink call searched a mask twice"
-
-    def test_failed_shrink_waits_for_a_placed_cycle_to_change(self, monkeypatch):
-        calls = self.track_shrink_searches(monkeypatch)
-        # an 8-cycle with no chord placed for a 4-cycle, and a spare 4-cycle in the pool
-        cycle8 = [0, 6, 1, 7, 2, 8, 3, 9]
-        edges = [(0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (3, 8), (3, 9), (0, 9)]
-        edges += [(4, 10), (5, 10), (5, 11), (4, 11)]
-        g = BipartiteGraph(6, 6, edges)
-        st = search_state(g, make_profile([4, 4, 4], "conjecture").lengths, cycles=[cycle8])
-
-        def searched_by_shrink():
-            assert not packer.move_shrink(st)
-            return len(calls[-1])  # inner runs' shrink calls finish first
-
-        assert searched_by_shrink() == 1
-        st.set_path([4, 10])
-        assert searched_by_shrink() == 0
-        st.replace_cycle(0, cycle8[2:] + cycle8[:2])
-        assert searched_by_shrink() == 1
-        assert searched_by_shrink() == 0
-        st.fix_cycle([4, 10, 5, 11])
-        assert searched_by_shrink() == 1
-
-    def test_offer_not_shorter_is_refused(self, monkeypatch):
-        # a run that misses the apex's 6-cycle and returns the placed 8-cycle
-        # itself: taking it would not lower the placed size, so shrink fails
-        g, cycle8 = self.host_with_apex()
-        monkeypatch.setattr(packer, "_cycle_in", lambda g, mask, need: tuple(cycle8))
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[cycle8])
-        before = (st.potential(), st.pool, st.path, [list(c) for c in st.fixed], list(st.fixed_masks))
-        assert not move_shrink(st)
-        assert (st.potential(), st.pool, st.path, st.fixed, st.fixed_masks) == before
-        assert not st.shrink_stale
-
-    def test_seeded_outputs_pinned(self):
-        # recorded before shrink skipped repeat searches: sparse side-60 hosts
-        # where shrink fires, and side-8 hosts that restart with the oracle off
-        sparse60 = make_profile([6] * 20)
-        calls = [
-            (gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, s, packer.DEFAULT_ORACLE_LIMIT)
-            for s in (0, 1)
-        ]
-        quad4 = make_profile([4, 4, 4, 4], "conjecture")
-        calls += [(gen_random_mindeg(8, 8, 2, seed=s, fill_p=0.1), quad4, s, 0) for s in range(40)]
-        digest = hashlib.sha256()
-        shrinks = 0
-        statuses = []
-        for g, profile, seed, oracle_limit in calls:
-            r = pack(g, profile, seed=seed, oracle_limit=oracle_limit)
-            cycles = None if r.packing is None else [list(c) for c in r.packing]
-            record = [r.status, cycles, r.move_counts, r.iterations, r.restarts]
-            digest.update(json.dumps(record, sort_keys=True).encode())
-            shrinks += r.move_counts["shrink"]
-            statuses.append(r.status)
-        assert shrinks > 0
-        # every host is below the threshold; re-recorded when the detour scan
-        # dropped the alternating walks of a maximum matching, which moved the
-        # moves and packings but no status, and when shrink took its cycle
-        # from the move loop, which moved the side-60 hosts' shrink counts, and
-        # when shrink and exchange took the two-neighbour gate, which moved the
-        # side-60 hosts' move and iteration counts, and when an exact window
-        # re-pack replaced double exchange: the window fires on 23 of the
-        # side-8 hosts without packing one, which moved their move and
-        # iteration counts (and the move key) but no status or packing, and
-        # when a stage began from the remainder of the last path, which moved
-        # every host's move and iteration counts and the packed host's cycles
-        # but no status or restart count
-        assert statuses == ["unknown"] * 18 + ["packed"] + ["unknown"] * 23
-        assert digest.hexdigest() == "8cf4f62001b9a37f96146a3e9934e398f3de9baa1ffd948059bc31bc476665d0"
-
-
 class TestSearchState:
-    def test_replace_cycle_taking_path_vertices_empties_path(self):
-        g = gen_complete(6)
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 6, 1, 7, 2, 8]], path=[3, 9, 4, 10, 5])
-        pool = st.pool
-        # pull 9 into the cycle in place of 6: the path loses a vertex and is dropped whole
-        st.replace_cycle(0, [0, 9, 1, 7, 2, 8])
-        assert st.path == [] and st.path_mask == 0
-        assert st.fixed_masks == [mask_of([0, 9, 1, 7, 2, 8])]
-        assert st.pool == pool ^ (1 << 6 | 1 << 9)
-
     def test_writers_keep_pool_and_placed_cycles_consistent(self, monkeypatch):
-        # after every fix_cycle and replace_cycle the pool is the state's
-        # vertices minus the placed cycles and the path lies in the pool.
-        # Between the window's two replace_cycle calls its two cycles may
-        # share the vertices that move between them (the pool excludes those
-        # either way), so the placed cycles are checked pairwise disjoint
-        # after fix_cycle and after each move that fired
+        # after every writer call the pool is the host minus the placed
+        # cycles. Between the window's two replace_cycle calls its two cycles
+        # may share the vertices that move between them (the pool excludes
+        # those either way), and the path may still hold vertices the window
+        # took, until its closing fix_cycle empties it. So the placed cycles
+        # are checked pairwise disjoint, and the path checked simple, exact in
+        # its mask and inside the pool, after fix_cycle, fix_closed_cycle and
+        # each move that fired
         calls = collections.Counter()
 
-        def check(st, disjoint):
+        def check(st, settled):
             placed = reduce(or_, st.fixed_masks, 0)
-            assert st.pool == st.vertices & ~placed
-            assert st.path_mask & ~st.pool == 0
-            if disjoint:
+            assert st.pool == st.g.full_mask & ~placed
+            if settled:
                 assert sum(m.bit_count() for m in st.fixed_masks) == placed.bit_count()
+                assert st.path_mask == mask_of(st.path) and len(set(st.path)) == len(st.path)
+                assert st.path_mask & ~st.pool == 0
 
-        def writer(name, disjoint):
+        def writer(name, settled):
             original = getattr(packer.SearchState, name)
 
             def checked(st, *args):
                 original(st, *args)
                 calls[name] += 1
-                check(st, disjoint)
+                check(st, settled)
 
             monkeypatch.setattr(packer.SearchState, name, checked)
 
@@ -293,10 +134,11 @@ class TestSearchState:
             monkeypatch.setattr(packer, name, checked)
 
         writer("fix_cycle", True)
+        writer("fix_closed_cycle", True)
         writer("replace_cycle", False)
-        for name in ("move_shrink", "move_exchange_one", "move_window"):
+        for name in ("move_extend_path", "move_window"):
             move(name)
-        # the relaxed CI class and theorem 6^6 at side 18 with the oracle off, and the CI exchange class
+        # the relaxed CI class and theorem 6^6 at side 18 with the oracle off, and the CI side-9 delta-4 class
         configs = [
             dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), trials=300, seed=3, oracle_limit=0,
                  fill_p=0.05),
@@ -306,8 +148,7 @@ class TestSearchState:
         ]
         for config in configs:
             run_trials(**config)
-        # the window installs 142 + 47 + 246 times, exchange 4 + 2 + 135, shrink 12
-        assert all(calls[name] > 0 for name in ("move_shrink", "move_exchange_one", "move_window")), calls
+        assert all(calls[name] > 0 for name in ("fix_closed_cycle", "replace_cycle", "move_window")), calls
 
 
 class TestMoveExtendPath:
@@ -380,125 +221,6 @@ class TestMoveExtendPath:
         assert grew and len(st.path) == 5
 
 
-class TestMoveExchangeOne:
-    def exchange_host(self, second_probe_degree=2):
-        # tight 6-cycle; path endpoint 3 sees three cycle vertices, off-path 7 sees two
-        edges = [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (0, 6)]  # cycle 0-4-1-5-2-6
-        edges += [(3, 4), (3, 5), (3, 6)]
-        edges += [(0, 7), (1, 7), (2, 7)][:second_probe_degree]
-        return BipartiteGraph(4, 4, edges)
-
-    def test_swap_brings_neighbor_to_path(self):
-        g = self.exchange_host()
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
-        before = st.potential()
-        assert move_exchange_one(st)
-        assert st.potential() > before
-        assert st.path == [4, 3]  # the unique feasible ejected vertex joins the path
-        assert 7 in st.fixed[0] and 4 not in st.fixed[0]
-        assert len(st.fixed[0]) == 6
-        assert_valid_cycle(g, tuple(st.fixed[0]))
-
-    @pytest.mark.parametrize("path, grown", [
-        ([4, 9, 3], [4, 9, 3, 5]),
-        ([3, 9, 4], [5, 3, 9, 4]),
-    ])
-    def test_ejected_vertex_joins_its_endpoint(self, path, grown):
-        # tight 6-cycle 0-5-1-6-2-7 on 5+5; endpoint 3 sees 5, 6, 7 and off-path
-        # 8 sees 0, 1; endpoint 4 sees none, so only 3 qualifies, head or tail
-        edges = [(0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (0, 7)]
-        edges += [(3, 5), (3, 6), (3, 7), (0, 8), (1, 8), (3, 9), (4, 9)]
-        g = BipartiteGraph(5, 5, edges)
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 5, 1, 6, 2, 7]], path=path)
-        assert move_exchange_one(st)
-        assert st.path == grown and st.path_mask == mask_of(grown)
-        assert mask_of(st.fixed[0]) == st.fixed_masks[0] == mask_of([0, 1, 2, 6, 7, 8])
-        assert_valid_cycle(g, st.fixed[0], 6)
-
-    def test_saturated_newcomer_any_ejection_works(self):
-        g = self.exchange_host(second_probe_degree=3)
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
-        assert move_exchange_one(st)
-        assert len(st.path) == 2 and st.path[-1] == 3
-        assert_valid_cycle(g, tuple(st.fixed[0]))
-
-    def test_no_move_without_a_path(self, monkeypatch):
-        # the loop starts from an empty path; extend seeds and grows it before
-        # exchange is first tried, so exchange never sees an empty path
-        g = self.exchange_host()
-        cycles, result, seen = attempt_watching(monkeypatch, g, (6, 6), "move_exchange_one")
-        assert cycles is None and result.move_counts["exchange"] == 0
-        assert seen and all(path for _, path in seen)
-        assert seen[0][1] == [7, 0, 4, 1, 5, 2, 6, 3]
-
-    def test_newcomer_seeing_two_cycle_vertices_swaps_in(self):
-        # endpoint 3 sees only 4 and off-path 7 sees 0 and 1: together 3 of the
-        # cycle's 6 vertices, fewer than 6 - 1, yet 0-7-1 replaces 0-4-1
-        g = BipartiteGraph(4, 4, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (0, 6), (3, 4), (0, 7), (1, 7)])
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
-        before = st.potential()
-        assert move_exchange_one(st)
-        assert st.potential() > before
-        assert st.path == [4, 3]
-        assert st.fixed_masks[0] == mask_of([0, 1, 2, 5, 6, 7])
-        assert_valid_cycle(g, st.fixed[0], 6)
-
-    def test_no_move_below_degree_sum(self):
-        # off-path 7 sees one cycle vertex, so it lies on no cycle of a swap set
-        g = self.exchange_host(second_probe_degree=1)
-        st = search_state(g, make_profile([6, 6]).lengths, cycles=[[0, 4, 1, 5, 2, 6]], path=[3])
-        assert not move_exchange_one(st)
-
-
-class TestCycleIn:
-    """``_cycle_in``: one single-stage run of the move loop over a vertex set,
-    the cycle source of shrink and exchange."""
-
-    def test_cycles_are_simple_alternating_and_long_enough(self, monkeypatch):
-        # random small hosts and masks: every returned cycle lies in the mask,
-        # alternates sides and reaches the need; each run stays within the
-        # potential bound for its mask
-        original = packer._attempt
-        spans = []
-
-        def measured(g, targets, budget, rng, result, vertices):
-            found = original(g, targets, budget, rng, result, vertices)
-            spans.append((vertices.bit_count(), result.iterations))
-            return found
-
-        monkeypatch.setattr(packer, "_attempt", measured)
-        rng = random.Random(2024)
-        found = exists = 0
-        for _ in range(400):
-            x, y = rng.randint(2, 7), rng.randint(2, 7)
-            p = rng.uniform(0.3, 0.9)
-            g = BipartiteGraph(x, y, [(u, x + w) for u in range(x) for w in range(y) if rng.random() < p])
-            mask = sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.8)
-            need = rng.choice((4, 6, 8, 10))
-            cyc = packer._cycle_in(g, mask, need)
-            n = mask.bit_count()
-            exists += any(next(iter_cycles_through(g.adjacency, mask, v, need, n, ()), None) for v in bits(mask))
-            if cyc is None:
-                continue
-            found += 1
-            assert_valid_cycle(g, cyc, min_len=need)
-            assert mask_of(cyc) & ~mask == 0
-            assert all((a < x) != (b < x) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-        assert 0 < found <= exists
-        for n, iterations in spans:
-            assert iterations <= (n // 2 + 1) * (n + 1)
-
-    def test_spanning_query_on_k33(self):
-        g = gen_complete(3)
-        # exchange asks for need = |mask|: only the full mask is spanned
-        cyc = packer._cycle_in(g, g.full_mask, 6)
-        assert cyc is not None and sorted(cyc) == list(range(6))
-        assert_valid_cycle(g, cyc, min_len=6)
-        # a bipartite host closes no odd cycle, and an edge holds no cycle
-        assert packer._cycle_in(g, 0b011111, 5) is None
-        assert packer._cycle_in(g, 0b001001, 4) is None
-
-
 class TestMoveCloseCycle:
     def test_spanning_closure(self):
         g = BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
@@ -552,17 +274,17 @@ class TestPathRemainder:
     path off the new cycle, the head-side run on ties."""
 
     def next_stage(self, monkeypatch, g, targets):
-        # the state stage 1 starts from: each pass of the loop tries shrink first
+        # the state stage 1 starts from: each pass of the loop tries extend first
         seen = []
-        original = packer.move_shrink
+        original = packer.move_extend_path
 
-        def watched(st):
+        def watched(st, *args):
             if st.stage == 1 and not seen:
                 seen.append((st.fixed[0], list(st.path), st.path_mask, st.pool))
-            return original(st)
+            return original(st, *args)
 
-        monkeypatch.setattr(packer, "move_shrink", watched)
-        packer._attempt(g, targets, None, None, packer.PackResult(), g.full_mask)
+        monkeypatch.setattr(packer, "move_extend_path", watched)
+        packer._attempt(g, targets, None, None, packer.PackResult())
         return seen[0]
 
     def check(self, monkeypatch, g, cycle, run):
@@ -725,7 +447,7 @@ class TestMoveWindow:
         return calls
 
     def test_pair_windows_follow_every_single_window(self, monkeypatch):
-        # a last-stage stall on a host of the CI exchange class's shape (side
+        # a last-stage stall on a host of the CI delta-4 class's shape (side
         # 9, delta 4, no fill): no single window holds its lengths, and the
         # first pair, cycles 0 and 1, does
         calls = self.watch_windows(monkeypatch)
@@ -797,10 +519,9 @@ class TestStallPremise:
 
 class TestMoveLoopPreconditions:
     """The moves do not re-check what ``_attempt`` guarantees: a stage starts
-    with at least its target (>= 4) pool vertices and no move shrinks the pool
-    within it, and exchange, close and the window run only after extend left
-    a nonempty path. These campaigns reach every move kind, inner runs
-    included."""
+    with at least its target (>= 4) pool vertices and no move changes the pool
+    within it, and close and the window run only after extend left a nonempty
+    path. These campaigns reach every move kind."""
 
     def test_moves_see_the_loop_preconditions(self, monkeypatch):
         seen = collections.Counter()
@@ -825,10 +546,9 @@ class TestMoveLoopPreconditions:
             monkeypatch.setattr(packer, name, checked)
 
         wrap("move_extend_path", pool_holds_the_target)
-        wrap("move_exchange_one", path_is_nonempty)
         wrap("move_close_cycle", path_is_nonempty)
         wrap("move_window", path_is_nonempty)
-        # the relaxed CI class, theorem 6^6 at side 18 and the CI shrink class, oracle off
+        # the relaxed CI class, theorem 6^6 at side 18 and the CI side-8 class, oracle off
         configs = [
             dict(side=9, profile=make_profile([4, 4, 4, 6], "conjecture"), trials=300, seed=3, oracle_limit=0,
                  fill_p=0.05),
@@ -938,35 +658,45 @@ class TestPack:
         assert r.status == "packed" and r.restarts == 0
 
     def test_attempts_stay_within_potential_bound(self, monkeypatch):
-        # sparse side-60 hosts far below the threshold, where shrink fires and
-        # every attempt ends on a stall
+        # sparse side-60 hosts far below the threshold, where every attempt
+        # ends on a stall
         spans = []
-        inner = []  # (|mask|, iterations) of each single-stage run made by a move
         original = packer._attempt
 
-        def measured(g, targets, budget, rng, result, vertices):
+        def measured(g, targets, budget, rng, result):
             before = result.iterations
-            found = original(g, targets, budget, rng, result, vertices)
-            if vertices == g.full_mask:
-                spans.append(result.iterations - before)
-            else:
-                inner.append((vertices.bit_count(), result.iterations - before))
+            found = original(g, targets, budget, rng, result)
+            spans.append(result.iterations - before)
             return found
 
         monkeypatch.setattr(packer, "_attempt", measured)
         profile = make_profile([6] * 20)
         n = 120
-        bound = profile.k * (n // 2 + 1) * (n + 1)  # stated in the packer docstring
-        shrinks = 0
+        bound = profile.k * (n + 1)  # stated in the packer docstring
         for seed in (0, 1):
             spans.clear()
             r = pack(gen_random_mindeg(60, 60, 4, seed=seed, fill_p=0.0), profile, seed=seed)
             assert r.status == "unknown" and len(spans) == packer.DEFAULT_RESTARTS + 1
             assert 0 < max(spans) <= bound
-            shrinks += r.move_counts["shrink"]
-        assert shrinks > 0 and inner
-        for size, iterations in inner:
-            assert iterations <= (size // 2 + 1) * (size + 1)
+
+    def test_seeded_outputs_pinned(self):
+        # side-8 hosts below the threshold that restart with the oracle off.
+        # Recorded when the engine became extend, close and window alone:
+        # against the same hosts' outputs with shrink and exchange (pinned
+        # then with two side-60 hosts) 17 of 40 moved their iteration
+        # counts, 14 of them also their extend, close or window counts, and
+        # none its status, packing or restarts
+        quad4 = make_profile([4, 4, 4, 4], "conjecture")
+        digest = hashlib.sha256()
+        statuses = []
+        for s in range(40):
+            r = pack(gen_random_mindeg(8, 8, 2, seed=s, fill_p=0.1), quad4, seed=s, oracle_limit=0)
+            cycles = None if r.packing is None else [list(c) for c in r.packing]
+            record = [r.status, cycles, r.move_counts, r.iterations, r.restarts]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            statuses.append(r.status)
+        assert statuses == ["unknown"] * 16 + ["packed"] + ["unknown"] * 23
+        assert digest.hexdigest() == "140439d52edfeccdd0d1451737bd59325ba4fe7bebf3684b5c241c63a550de8f"
 
     def test_invalid_engine_packing_is_an_internal_error(self, monkeypatch):
         # the verifier stands between the engine and every packed result
@@ -991,16 +721,16 @@ class TestPack:
         trace = []
         original = packer._record
 
-        def logged(st, counts, kind, before, moves=1):
-            trace.append((kind, before, st.potential()))
-            return original(st, counts, kind, before, moves)
+        def logged(st, counts, before, moves):
+            trace.append((before, st.potential()))
+            return original(st, counts, before, moves)
 
         monkeypatch.setattr(packer, "_record", logged)
         g = gen_random_mindeg(7, 7, 5, seed=23)
         r = pack(g, make_profile([6, 6]), seed=23, oracle_limit=0)
         assert r.status == "packed" and trace
-        for kind, before, after in trace:
-            assert after > before, (kind, before, after)
+        for before, after in trace:
+            assert after > before, (before, after)
 
     def test_path_invariant_after_every_move(self, monkeypatch):
         # every recorded move leaves a simple path inside the pool whose mask is
@@ -1026,24 +756,20 @@ class TestPack:
                     raise AssertionError(f"extend grew the path neither at an end nor by rotation: {old} -> {new}")
             return grew
 
-        def checked(st, counts, kind, before, moves=1):
-            assert st.path_mask == mask_of(st.path), kind
-            assert len(set(st.path)) == len(st.path), kind
-            assert not st.path_mask & ~st.pool, kind
-            return original_record(st, counts, kind, before, moves)
+        def checked(st, counts, before, moves):
+            assert st.path_mask == mask_of(st.path)
+            assert len(set(st.path)) == len(st.path)
+            assert not st.path_mask & ~st.pool
+            return original_record(st, counts, before, moves)
 
         monkeypatch.setattr(packer, "move_extend_path", extend)
         monkeypatch.setattr(packer, "_record", checked)
-        # sparse side-60 hosts: shrink fires and every attempt stalls, so the
-        # seeded restarts pick vertices through the rng
+        # sparse side-60 hosts: every attempt stalls, so the seeded restarts
+        # pick vertices through the rng
         sparse60 = make_profile([6] * 20)
         runs = [pack(gen_random_mindeg(60, 60, 4, seed=s, fill_p=0.0), sparse60, seed=s) for s in (0, 1)]
-        # a side-150 threshold circulant where exchange fires
+        # a side-150 threshold circulant that packs
         runs.append(pack(circulant_host(150, 101, seed=3), make_profile([6] * 50)))
-        totals = collections.Counter()
-        for r in runs:
-            totals.update(r.move_counts)
-        assert totals["shrink"] > 0 and totals["exchange"] > 0
         assert runs[0].restarts == packer.DEFAULT_RESTARTS
         assert runs[2].status == "packed"
         assert set(extend_kinds) == {"seed", "end", "end run", "rotate"}, extend_kinds
@@ -1068,14 +794,14 @@ class TestPack:
 
     def test_non_improving_move_raises(self, monkeypatch):
         monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: True)
-        with pytest.raises(RuntimeError, match="failed to improve the potential"):
+        with pytest.raises(RuntimeError, match=r"extend moves changed the potential \(6, 0\) -> \(6, 0\)"):
             pack(gen_complete(3), make_profile([6]), oracle_limit=0)
 
     def test_run_claiming_more_moves_than_the_path_grew_raises(self, monkeypatch):
         # the seed adds one vertex; reported as two moves, the check must catch it
         original = packer.move_extend_path
         monkeypatch.setattr(packer, "move_extend_path", lambda st, room=None: 2 * original(st, room))
-        with pytest.raises(RuntimeError, match=r"run of 2 extend moves changed the potential \(6, 0\) -> \(6, 1\)"):
+        with pytest.raises(RuntimeError, match=r"2 extend moves changed the potential \(6, 0\) -> \(6, 1\)"):
             pack(gen_complete(3), make_profile([6]), oracle_limit=0)
 
     def test_runs_match_one_move_per_call(self, monkeypatch):
@@ -1113,17 +839,17 @@ class TestPack:
         assert any(r.move_counts["window"] for r in runs[22:]) and not any(r.oracle_used for r in runs[22:])
 
     def test_loop_passes_are_not_per_iteration(self, monkeypatch):
-        # every pass of the move loop tries shrink first; an endpoint run of m
+        # every pass of the move loop tries extend first; an endpoint run of m
         # vertices is one pass, so passes are far fewer than iterations (8
         # passes for 306 iterations here)
         calls = []
-        original = packer.move_shrink
+        original = packer.move_extend_path
 
-        def counted(st):
+        def counted(st, room=None):
             calls.append(1)
-            return original(st)
+            return original(st, room)
 
-        monkeypatch.setattr(packer, "move_shrink", counted)
+        monkeypatch.setattr(packer, "move_extend_path", counted)
         profile = make_profile([50] * 6)
         r = pack(gen_random_mindeg(150, 150, profile.threshold, seed=1), profile)
         assert r.status == "packed" and r.iterations > 50 * profile.k
@@ -1155,24 +881,26 @@ def band_complement_rows(side, width):
     return [full & ~((band << u | band << u >> side) & full) for u in range(side)]
 
 
-def _moves(extend, exchange, close, window=0):
-    return {"shrink": 0, "extend": extend, "exchange": exchange, "close": close, "window": window}
+def _moves(extend, close, window=0):
+    return {"extend": extend, "close": close, "window": window}
 
 
 # Tight side s = n/2 with every degree at the threshold, D = s - threshold.
 # For the profile (s, s), D = 1 and the band is the blocks: K_{s,s} minus a
 # perfect matching. The move counts were re-recorded when a stage began from
-# the remainder of the last path (s12 six-cycles: extend 60 -> 24).
+# the remainder of the last path (s12 six-cycles: extend 60 -> 24), and when
+# the engine became extend, close and window alone (s60 six-cycle band:
+# exchange 3 and close 20 -> close 19 and window 1).
 TIGHT_COMPLEMENTS = [
-    pytest.param(12, [6] * 4, block_complement_rows, _moves(24, 0, 4), id="s12-sixes-blocks"),
-    pytest.param(12, [6] * 4, band_complement_rows, _moves(25, 0, 4), id="s12-sixes-band"),
-    pytest.param(12, [12, 12], block_complement_rows, _moves(24, 0, 2), id="s12-two-blocks"),
-    pytest.param(60, [6] * 20, block_complement_rows, _moves(125, 0, 20), id="s60-sixes-blocks"),
-    pytest.param(60, [6] * 20, band_complement_rows, _moves(120, 3, 20), id="s60-sixes-band"),
-    pytest.param(60, [60, 60], block_complement_rows, _moves(120, 0, 2), id="s60-two-blocks"),
-    pytest.param(120, [6] * 40, block_complement_rows, _moves(241, 0, 40), id="s120-sixes-blocks"),
-    pytest.param(120, [6] * 40, band_complement_rows, _moves(243, 0, 39, window=1), id="s120-sixes-band"),
-    pytest.param(120, [120, 120], block_complement_rows, _moves(240, 0, 2), id="s120-two-blocks"),
+    pytest.param(12, [6] * 4, block_complement_rows, _moves(24, 4), id="s12-sixes-blocks"),
+    pytest.param(12, [6] * 4, band_complement_rows, _moves(25, 4), id="s12-sixes-band"),
+    pytest.param(12, [12, 12], block_complement_rows, _moves(24, 2), id="s12-two-blocks"),
+    pytest.param(60, [6] * 20, block_complement_rows, _moves(125, 20), id="s60-sixes-blocks"),
+    pytest.param(60, [6] * 20, band_complement_rows, _moves(120, 19, window=1), id="s60-sixes-band"),
+    pytest.param(60, [60, 60], block_complement_rows, _moves(120, 2), id="s60-two-blocks"),
+    pytest.param(120, [6] * 40, block_complement_rows, _moves(241, 40), id="s120-sixes-blocks"),
+    pytest.param(120, [6] * 40, band_complement_rows, _moves(243, 39, window=1), id="s120-sixes-band"),
+    pytest.param(120, [120, 120], block_complement_rows, _moves(240, 2), id="s120-two-blocks"),
 ]
 
 STRUCTURED_HOSTS = {
@@ -1195,9 +923,9 @@ class TestStructuredTightSideHosts:
 
     @pytest.mark.parametrize("name", sorted(STRUCTURED_HOSTS))
     def test_packs_on_first_attempt_within_20s(self, name):
-        # an exhaustive Hamilton search inside double exchange once hung on
-        # the side-84 hosts; the window's vertex cap bounds the exact search
-        # that runs at a stall now, and a child process is killed at the time bound
+        # an exhaustive Hamilton search once hung on the side-84 hosts; the
+        # window's vertex cap bounds the exact search that runs at a stall,
+        # and a child process is killed at the time bound
         side, block, lengths = STRUCTURED_HOSTS[name]
         probe = (
             "import json, sys\n"
